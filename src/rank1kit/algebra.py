@@ -26,12 +26,7 @@ import numpy as np
 __all__ = [
     "AlgebraKind",
     "AlgebraElement",
-    "mul",
-    "conj",
-    "norm",
-    "inv",
     "split",
-    "embed",
     "isclose",
     "random_element",
     "random_imaginary",
@@ -40,6 +35,8 @@ __all__ = [
     "conj_coeffs",
     "norm_coeffs",
     "inv_coeffs",
+    "mat_mul",
+    "pairing",
     "structure_tensor",
 ]
 
@@ -152,6 +149,16 @@ def inv_coeffs(kind: AlgebraKind, x: np.ndarray) -> np.ndarray:
     if np.any(n2 == 0.0):
         raise ZeroDivisionError("zero element has no inverse")
     return conj_coeffs(kind, x) / n2
+
+
+def mat_mul(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of coefficient matrices over F: (ab)_ij = sum_k a_ik b_kj.
+
+    a is (n, r, dim) and b is (r, p, dim). Every entry is a sum of binary
+    products, so the product is defined over O as well; it is the one
+    kernel behind matrix products, row actions and Hermitian pairings.
+    """
+    return np.einsum("abc,ika,kjb->ijc", _TENSORS[kind], a, b)
 
 
 class AlgebraElement:
@@ -294,32 +301,20 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation names
+# module-level operations
 
 
-def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def conj(a: AlgebraElement) -> AlgebraElement:
-    return a.conj()
-
-
-def norm(a: AlgebraElement) -> float:
-    return a.norm()
-
-
-def inv(a: AlgebraElement) -> AlgebraElement:
-    return a.inv()
+def pairing(xs, ys) -> AlgebraElement:
+    """Hermitian pairing sum_i x_i conj(y_i) of two equal-length sequences."""
+    kind = xs[0].kind
+    x = np.array([v.coeffs for v in xs])
+    y = conj_coeffs(kind, np.array([v.coeffs for v in ys]))
+    return AlgebraElement(kind, mat_mul(kind, x[None], y[:, None])[0, 0])
 
 
 def split(a: AlgebraElement) -> tuple[float, AlgebraElement]:
     """Decompose a = re + im with re real and im purely imaginary."""
     return a.re, a.im()
-
-
-def embed(a: AlgebraElement, kind: AlgebraKind) -> AlgebraElement:
-    return a.embed(kind)
 
 
 def isclose(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:

@@ -38,8 +38,8 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraKind
-from .nilboundary import NilPoint, SpaceConfig
+from .algebra import AlgebraElement, AlgebraKind, pairing
+from .nilboundary import NilPoint, SpaceConfig, _crossratio_quotient
 
 __all__ = [
     "BallPoint",
@@ -149,10 +149,7 @@ def _check_pair(x: BallPoint, y: BallPoint):
 def inner(x: BallPoint, y: BallPoint) -> AlgebraElement:
     """<x, y> = sum_a x_a conj(y_a) over all m coordinates."""
     _check_pair(x, y)
-    acc = AlgebraElement.zero(x.config.kind)
-    for a, b in zip(x.coords(), y.coords()):
-        acc = acc + a * b.conj()
-    return acc
+    return pairing(x.coords(), y.coords())
 
 
 def rform(v: BallPoint, w: BallPoint) -> float:
@@ -167,17 +164,18 @@ def rform(v: BallPoint, w: BallPoint) -> float:
     return first.re - second.re
 
 
+def _seminorm(x: BallPoint, y: BallPoint) -> float:
+    """|1 - <x, y>|, with the octonionic correction (|.|^2 + 2 R<x, y>)^1/2."""
+    base = (AlgebraElement.one(x.config.kind) - inner(x, y)).norm()
+    if x.config.kind is not AlgebraKind.O:
+        return base
+    return math.sqrt(max(base * base + 2.0 * rform(x, y), 0.0))
+
+
 def chordal(x: BallPoint, y: BallPoint) -> float:
     """Boundary seminorm <<x, y>>; inputs are renormalized onto the sphere."""
     _check_pair(x, y)
-    x = x.renormalized()
-    y = y.renormalized()
-    one = AlgebraElement.one(x.config.kind)
-    base = (one - inner(x, y)).norm()
-    if x.config.kind is not AlgebraKind.O:
-        return base
-    val = base * base + 2.0 * rform(x, y)
-    return math.sqrt(max(val, 0.0))
+    return _seminorm(x.renormalized(), y.renormalized())
 
 
 def coshdist(x: BallPoint, y: BallPoint) -> float:
@@ -185,12 +183,8 @@ def coshdist(x: BallPoint, y: BallPoint) -> float:
     _check_pair(x, y)
     if not (x.is_interior() and y.is_interior()):
         raise ValueError("coshdist needs interior points")
-    one = AlgebraElement.one(x.config.kind)
-    num = (one - inner(x, y)).norm()
-    if x.config.kind is AlgebraKind.O:
-        num = math.sqrt(max(num * num + 2.0 * rform(x, y), 0.0))
     den = math.sqrt((1.0 - x.norm_sq()) * (1.0 - y.norm_sq()))
-    return num / den
+    return _seminorm(x, y) / den
 
 
 def crossratio_ball(x: BallPoint, y: BallPoint, z: BallPoint, w: BallPoint) -> float:
@@ -199,11 +193,7 @@ def crossratio_ball(x: BallPoint, y: BallPoint, z: BallPoint, w: BallPoint) -> f
         _check_pair(x, p)
     num = chordal(z, x) * chordal(w, y)
     den = chordal(w, x) * chordal(z, y)
-    if den == 0.0:
-        if num == 0.0:
-            raise ArithmeticError("indeterminate cross-ratio (0/0)")
-        return math.inf
-    return num / den
+    return _crossratio_quotient(num, den)
 
 
 def stereo(g: NilPoint) -> BallPoint:

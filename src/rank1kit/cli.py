@@ -157,7 +157,12 @@ def _load_json(path):
 
 
 def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # every non-finite number must already be "inf"; anything else is a
+    # numeric failure, not output
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ArithmeticError(f"non-finite number in the result: {e}") from None
 
 
 def _word_in(value, field):
@@ -211,7 +216,7 @@ def _cmd_crossratio(cfg):
         fa = spectrum.fixed_points(A)
         fb = spectrum.fixed_points(B)
         out = {
-            "crossratio": value,
+            "crossratio": _num_out(value),
             "fixed_points": {
                 "a": {"attracting": _num_out(fa.attracting), "repelling": _num_out(fa.repelling)},
                 "b": {"attracting": _num_out(fb.attracting), "repelling": _num_out(fb.repelling)},
@@ -298,6 +303,9 @@ def _cmd_lemma1(cfg):
         raise CommandError("field 'n' must be at least 1")
     oracle = spectrum.LengthOracle(rep=sl2traces.SL2Rep([A, B]))
     seq = spectrum.lemma1_sequence(oracle, [1], [2], n)
+    bad = next((i for i, v in enumerate(seq, start=1) if not math.isfinite(v)), None)
+    if bad is not None:
+        raise ArithmeticError(f"sequence term n = {bad} is not finite (power words overflow)")
     ref = spectrum.crossratio_of_pair(A, B)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -320,7 +328,7 @@ def _cmd_lemma2(cfg):
         length = sl2traces.gauge_to_length(g)
     except ValueError as e:
         raise CommandError(str(e)) from None
-    return _json_text({"trace": _num_out(t), "gauge": g, "length": length}), 0
+    return _json_text({"trace": _num_out(t), "gauge": _num_out(g), "length": _num_out(length)}), 0
 
 
 def _cmd_vogt(cfg):

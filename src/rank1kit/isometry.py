@@ -38,7 +38,15 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraKind, random_unit, structure_tensor
+from .algebra import (
+    AlgebraElement,
+    AlgebraKind,
+    conj_coeffs,
+    mat_mul,
+    norm_coeffs,
+    pairing,
+    random_unit,
+)
 from .ballmodel import BallPoint
 from .nilboundary import NilPoint, SpaceConfig
 
@@ -76,15 +84,8 @@ class NotHyperbolicError(ValueError):
 # coefficient matrices over F
 
 
-def _mat_mul(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = structure_tensor(kind)
-    return np.einsum("abc,ika,kjb->ijc", t, a, b)
-
-
 def _mat_conj_t(kind: AlgebraKind, a: np.ndarray) -> np.ndarray:
-    signs = np.ones(kind.dim)
-    signs[1:] = -1.0
-    return a.transpose(1, 0, 2) * signs
+    return conj_coeffs(kind, a.transpose(1, 0, 2))
 
 
 def _mat_identity(kind: AlgebraKind, n: int) -> np.ndarray:
@@ -109,8 +110,10 @@ def _mat_from_entries(kind: AlgebraKind, entries) -> np.ndarray:
     return out
 
 
-def _entry_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))
+def _row_times(kind: AlgebraKind, row, a: np.ndarray) -> tuple:
+    """Row vector of algebra elements times a coefficient matrix."""
+    out = mat_mul(kind, np.array([v.coeffs for v in row])[None], a)[0]
+    return tuple(AlgebraElement(kind, c) for c in out)
 
 
 def _jsigns(n: int) -> np.ndarray:
@@ -166,15 +169,15 @@ class GroupMatrix:
     def form_residual(self) -> float:
         kind = self.config.kind
         j = _jsigns(self.size)
-        gjg = _mat_mul(kind, _mat_conj_t(kind, self.coeffs), self.coeffs * j[:, None, None])
+        gjg = mat_mul(kind, _mat_conj_t(kind, self.coeffs), self.coeffs * j[:, None, None])
         gjg -= _mat_identity(kind, self.size) * j[:, None, None]
-        return float(np.max(_entry_norms(gjg)))
+        return float(np.max(norm_coeffs(gjg)))
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.config != other.config:
             raise ValueError("configuration mismatch")
         return GroupMatrix(
-            self.config, _mat_mul(self.config.kind, self.coeffs, other.coeffs), check=False
+            self.config, mat_mul(self.config.kind, self.coeffs, other.coeffs), check=False
         )
 
     def conj_transpose(self) -> "GroupMatrix":
@@ -265,8 +268,8 @@ class NormalIsometry:
             if abs(math.sqrt(float(np.sum(M * M))) - 1.0) > _UNIT_TOL:
                 raise ValueError("octonion rotation block must be a unit scalar")
         else:
-            res = _mat_mul(kind, _mat_conj_t(kind, M), M) - _mat_identity(kind, r)
-            if np.max(_entry_norms(res)) > _FORM_TOL:
+            res = mat_mul(kind, _mat_conj_t(kind, M), M) - _mat_identity(kind, r)
+            if np.max(norm_coeffs(res)) > _FORM_TOL:
                 raise ValueError("rotation block is not unitary")
         M = M.copy()
         M.flags.writeable = False
@@ -292,15 +295,7 @@ class NormalIsometry:
 
     def apply_rotation(self, row: tuple) -> tuple:
         """Row vector of horizontal coordinates times M."""
-        kind = self.config.kind
-        r = self.config.horizontal_len
-        out = []
-        for j in range(r):
-            acc = AlgebraElement.zero(kind)
-            for i in range(r):
-                acc = acc + row[i] * AlgebraElement(kind, self.M[i, j])
-            out.append(acc)
-        return tuple(out)
+        return _row_times(self.config.kind, row, self.M)
 
     def to_dict(self) -> dict:
         r = self.config.horizontal_len
@@ -396,14 +391,7 @@ def act_interior(A: GroupMatrix, x: BallPoint) -> BallPoint:
     if A.config != x.config:
         raise ValueError("configuration mismatch")
     kind = A.config.kind
-    coords = x.coords() + (AlgebraElement.one(kind),)
-    n = A.size
-    image = []
-    for j in range(n):
-        acc = AlgebraElement.zero(kind)
-        for i in range(n):
-            acc = acc + coords[i] * A.entry(i, j)
-        image.append(acc)
+    image = _row_times(kind, x.coords() + (AlgebraElement.one(kind),), A.coeffs)
     last_inv = image[-1].inv()
     w = tuple(last_inv * y for y in image[:-1])
     return BallPoint(A.config, w[:-1], w[-1])
@@ -420,6 +408,11 @@ def stable_length(A: GroupMatrix, n_start: int = 8, n_max: int = 1024, tol: floa
     The final pair of estimates is combined by a geometric-tail
     (Richardson) extrapolation when the tail ratio is contractive.
     """
+    if 1 << max(n_start - 1, 0).bit_length() >= n_max:
+        raise ValueError(
+            f"stable_length needs a power of two >= n_start below n_max "
+            f"(n_start={n_start}, n_max={n_max})"
+        )
     kind = A.config.kind
     p = np.asarray(A.coeffs, dtype=float)
     logscale = 0.0
@@ -439,7 +432,7 @@ def stable_length(A: GroupMatrix, n_start: int = 8, n_max: int = 1024, tol: floa
         return math.acosh(x)
 
     while n < n_start:
-        p = _mat_mul(kind, p, p)
+        p = mat_mul(kind, p, p)
         scale = float(np.max(np.abs(p)))
         p /= scale
         logscale = 2.0 * logscale + math.log(scale)
@@ -448,7 +441,7 @@ def stable_length(A: GroupMatrix, n_start: int = 8, n_max: int = 1024, tol: floa
     d_prev = displacement(p, logscale)
     estimates = []
     while n < n_max:
-        p = _mat_mul(kind, p, p)
+        p = mat_mul(kind, p, p)
         scale = float(np.max(np.abs(p)))
         p /= scale
         logscale = 2.0 * logscale + math.log(scale)
@@ -572,24 +565,16 @@ def action_identity_residual(
 # random elements
 
 
-def _form_pairing(kind: AlgebraKind, u: list, v: list, jsigns: np.ndarray) -> AlgebraElement:
-    acc = AlgebraElement.zero(kind)
-    for a, b, sg in zip(u, v, jsigns):
-        acc = acc + sg * (a * b.conj())
-    return acc
-
-
 def _random_unitary(kind: AlgebraKind, size: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary size x size coefficient matrix by Euclidean Gram-Schmidt."""
-    ones = np.ones(size)
     rows: list[list[AlgebraElement]] = []
     for i in range(size):
         for attempt in range(64):
             u = [AlgebraElement(kind, rng.standard_normal(kind.dim)) for _ in range(size)]
             for prev in rows:
-                coef = _form_pairing(kind, u, prev, ones)
+                coef = pairing(u, prev)
                 u = [a - coef * b for a, b in zip(u, prev)]
-            phi = _form_pairing(kind, u, u, ones).re
+            phi = pairing(u, u).re
             if phi <= 1e-3:
                 continue
             scale = 1.0 / math.sqrt(phi)

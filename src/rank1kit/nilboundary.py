@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraKind
+from .algebra import AlgebraElement, AlgebraKind, pairing
 
 __all__ = [
     "SpaceConfig",
@@ -178,10 +178,7 @@ def horizontal_inner(g: NilPoint, h: NilPoint) -> AlgebraElement:
     """Hermitian pairing sum_i k_i conj(k'_i) of the horizontal parts."""
     _require_finite(g, "horizontal_inner")
     _require_finite(h, "horizontal_inner")
-    acc = AlgebraElement.zero(g.config.kind)
-    for a, b in zip(g.horizontal, h.horizontal):
-        acc = acc + a * b.conj()
-    return acc
+    return pairing(g.horizontal, h.horizontal)
 
 
 def nmul(g: NilPoint, h: NilPoint) -> NilPoint:
@@ -232,6 +229,16 @@ def _gauge_factor(h: NilPoint, g: NilPoint) -> float:
     return gauge(nmul(ninv(h), g)).norm()
 
 
+def _crossratio_quotient(num, den):
+    """num / den under the one cross-ratio policy of every model: a
+    vanishing denominator gives math.inf, and 0/0 is indeterminate."""
+    if den == 0:
+        if num == 0:
+            raise ArithmeticError("indeterminate cross-ratio (0/0)")
+        return math.inf
+    return num / den
+
+
 def crossratio_nil(g1: NilPoint, g2: NilPoint, g3: NilPoint, g4: NilPoint) -> float:
     """Four-point cross-ratio on the boundary group.
 
@@ -247,11 +254,7 @@ def crossratio_nil(g1: NilPoint, g2: NilPoint, g3: NilPoint, g4: NilPoint) -> fl
         raise ValueError("at most one cross-ratio argument may be infinity")
     num = _gauge_factor(g3, g1) * _gauge_factor(g4, g2)
     den = _gauge_factor(g4, g1) * _gauge_factor(g3, g2)
-    if den == 0.0:
-        if num == 0.0:
-            raise ArithmeticError("indeterminate cross-ratio (0/0)")
-        return math.inf
-    return num / den
+    return _crossratio_quotient(num, den)
 
 
 def random_point(config: SpaceConfig, rng: np.random.Generator, scale: float = 1.0) -> NilPoint:

@@ -37,7 +37,6 @@ __all__ = [
     "rank_report",
     "default_f2_words",
     "coordinate_words",
-    "mobius_fixed_points",
     "is_nonelementary",
     "random_sl2",
     "random_loxodromic",
@@ -192,7 +191,8 @@ class SL2Rep:
 
 def check_word(word, arity):
     for letter in word:
-        if not isinstance(letter, (int, np.integer)) or letter == 0:
+        # bool is an int subclass, but True is not a letter
+        if not isinstance(letter, (int, np.integer)) or isinstance(letter, bool) or letter == 0:
             raise ValueError("word letters are nonzero signed integers, got %r" % (letter,))
         if abs(letter) > arity:
             raise ValueError("letter %d out of range for arity %d" % (letter, arity))
@@ -444,35 +444,46 @@ def _reduced_words(arity, max_len):
         frontier = nxt
 
 
-def mobius_fixed_points(A, tol=1e-12):
-    """Fixed points of the Mobius action on CP^1, as one or two unit
-    vectors in C^2 (projective representatives)."""
-    m = A.mat
-    c = m[1, 0]
-    dma = m[1, 1] - m[0, 0]
-    b = m[0, 1]
-    scale = max(abs(c), abs(dma), abs(b))
-    if scale == 0.0:
-        return []  # identity: everything fixed
-    if abs(c) <= tol * scale:
-        pts = [np.array([1.0, 0.0], dtype=complex)]  # infinity
-        if abs(dma) > tol * scale:
-            z = -b / dma
-            v = np.array([z, 1.0], dtype=complex)
-            pts.append(v / np.linalg.norm(v))
-        return pts
-    disc = cmath.sqrt(dma * dma + 4.0 * b * c)
-    roots = [(-dma + disc) / (2.0 * c), (-dma - disc) / (2.0 * c)]
-    pts = []
-    for z in roots:
-        v = np.array([z, 1.0], dtype=complex)
-        pts.append(v / np.linalg.norm(v))
-    return pts
+def _is_inf(z):
+    return z == math.inf or (isinstance(z, complex) and (math.isinf(z.real) or math.isinf(z.imag)))
 
 
-def _projective_distance(u, v):
-    # chordal distance on CP^1 via |det [u v]| for unit vectors
+def _to_proj(z):
+    if _is_inf(z):
+        return np.array([1.0, 0.0], dtype=complex)
+    v = np.array([complex(z), 1.0], dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+def _sphere_distance(z, w):
+    """Chordal distance of two points of the Riemann sphere (complex or
+    math.inf), |det [u v]| for unit lifts u, v in C^2."""
+    u, v = _to_proj(z), _to_proj(w)
     return abs(u[0] * v[1] - u[1] * v[0])
+
+
+def _eigenvector_ratio(m, lam):
+    # (m - lam) v = 0; ratio v0/v1 on the sphere, read off the larger row
+    # so the cancellation of the quadratic formula never enters
+    r1 = (m[0, 0] - lam, m[0, 1])
+    r2 = (m[1, 0], m[1, 1] - lam)
+    row = r1 if max(abs(r1[0]), abs(r1[1])) >= max(abs(r2[0]), abs(r2[1])) else r2
+    a, b = row
+    if abs(a) <= 1e-14 * max(1.0, abs(b)):
+        return math.inf
+    return complex(-b / a)
+
+
+def _sphere_fixed_points(A):
+    """Fixed points of the Mobius action of A on the Riemann sphere, as
+    [attracting, repelling]: the eigenvector ratios of the expanding
+    eigenvalue lambda and of 1/lambda.  The two coincide for parabolics;
+    +-I fixes every point and gives []."""
+    m = A.mat
+    if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
+        return []
+    lam = _expanding_eigenvalue(A)
+    return [_eigenvector_ratio(m, lam), _eigenvector_ratio(m, 1.0 / lam)]
 
 
 def is_nonelementary(rep, tol=1e-8, extra_words=None):
@@ -487,16 +498,15 @@ def is_nonelementary(rep, tol=1e-8, extra_words=None):
         words.extend(extra_words)
     fixed = []
     for w in words:
-        A = rep.evaluate(w)
-        pts = mobius_fixed_points(A)
-        if len(pts) == 2 and _projective_distance(pts[0], pts[1]) > tol:
+        pts = _sphere_fixed_points(rep.evaluate(w))
+        if len(pts) == 2 and _sphere_distance(pts[0], pts[1]) > tol:
             fixed.append(pts)
     for a in range(len(fixed)):
         for b in range(a + 1, len(fixed)):
             shared = False
             for u in fixed[a]:
                 for v in fixed[b]:
-                    if _projective_distance(u, v) <= tol:
+                    if _sphere_distance(u, v) <= tol:
                         shared = True
             if not shared:
                 return True

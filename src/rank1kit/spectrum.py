@@ -11,14 +11,13 @@ form-preserving matrix isometries of real and complex hyperbolic space.
 from __future__ import annotations
 
 import cmath
-import concurrent.futures
 import math
-import os
 
 import numpy as np
 
 from .ballmodel import crossratio_ball
 from .isometry import boundary_fixed_points, translation_length
+from .nilboundary import _crossratio_quotient
 from .sl2traces import (
     SL2,
     SL2Rep,
@@ -32,7 +31,10 @@ from .sl2traces import (
     trace_word,
     word_inverse,
     _expanding_eigenvalue,
+    _is_inf,
     _reduced_words,
+    _sphere_distance,
+    _sphere_fixed_points,
 )
 
 __all__ = [
@@ -129,21 +131,6 @@ class FixedPair:
         return "FixedPair(repelling=%r, attracting=%r)" % (self.repelling, self.attracting)
 
 
-def _is_inf(z):
-    return z == math.inf or (isinstance(z, complex) and (math.isinf(z.real) or math.isinf(z.imag)))
-
-def _to_proj(z):
-    if _is_inf(z):
-        return np.array([1.0, 0.0], dtype=complex)
-    v = np.array([complex(z), 1.0], dtype=complex)
-    return v / np.linalg.norm(v)
-
-
-def _sphere_distance(z, w):
-    u, v = _to_proj(z), _to_proj(w)
-    return abs(u[0] * v[1] - u[1] * v[0])
-
-
 def fixed_points(A):
     """Fixed points of a loxodromic element, labeled by dynamics: the
     attracting point is the eigenvector ratio of the expanding
@@ -151,22 +138,8 @@ def fixed_points(A):
     kind = classify(A)
     if kind != "loxodromic":
         raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
-    m = A.mat
-    lam = _expanding_eigenvalue(A)
-    att = _eigenvector_ratio(m, lam)
-    rep = _eigenvector_ratio(m, 1.0 / lam)
+    att, rep = _sphere_fixed_points(A)
     return FixedPair(rep, att)
-
-
-def _eigenvector_ratio(m, lam):
-    # (m - lam) v = 0; ratio v0/v1 on the sphere
-    r1 = (m[0, 0] - lam, m[0, 1])
-    r2 = (m[1, 0], m[1, 1] - lam)
-    row = r1 if max(abs(r1[0]), abs(r1[1])) >= max(abs(r2[0]), abs(r2[1])) else r2
-    a, b = row
-    if abs(a) <= 1e-14 * max(1.0, abs(b)):
-        return math.inf
-    return complex(-b / a)
 
 
 def complex_crossratio(x1, x2, x3, x4):
@@ -193,11 +166,7 @@ def complex_crossratio(x1, x2, x3, x4):
     d = 1.0 + 0.0j
     for v in den:
         d *= v
-    if d == 0:
-        if n == 0:
-            raise ArithmeticError("indeterminate cross-ratio (0/0)")
-        return math.inf
-    return n / d
+    return _crossratio_quotient(n, d)
 
 
 def crossratio_of_pair(A, B):
@@ -520,13 +489,7 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
             lambda p: _residual_vector(p, fit_words, targets), x0
         )
 
-    max_workers = max(1, int(os.environ.get("RANK1KIT_THREADS", "1") or 1))
-    results = []
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(solve_one, starts))
-    else:
-        results = [solve_one(x0) for x0 in starts]
+    results = [solve_one(x0) for x0 in starts]
 
     best_idx = min(range(len(results)), key=lambda i: results[i][1])
     best_x, best_cost = results[best_idx]

@@ -4,12 +4,9 @@ import pytest
 from rank1kit.algebra import (
     AlgebraElement,
     AlgebraKind,
-    conj,
-    embed,
-    inv,
     isclose,
-    mul,
-    norm,
+    mat_mul,
+    pairing,
     random_element,
     split,
 )
@@ -43,10 +40,10 @@ def test_unit_law():
 
 def test_conj_values():
     kind = AlgebraKind.O
-    assert isclose(conj(AlgebraElement.one(kind)), AlgebraElement.one(kind))
+    assert isclose(AlgebraElement.one(kind).conj(), AlgebraElement.one(kind))
     # the pair (i, j): first-slot i is e1, second-slot j is e6
     pair = unit(kind, 1) + unit(kind, 6)
-    assert isclose(conj(pair), -unit(kind, 1) - unit(kind, 6))
+    assert isclose(pair.conj(), -unit(kind, 1) - unit(kind, 6))
 
 
 def test_conj_antihomomorphism():
@@ -54,15 +51,15 @@ def test_conj_antihomomorphism():
     for _ in range(300):
         x = random_element(AlgebraKind.O, rng)
         y = random_element(AlgebraKind.O, rng)
-        gap = (conj(x * y) - conj(y) * conj(x)).norm()
+        gap = ((x * y).conj() - y.conj() * x.conj()).norm()
         assert gap <= 1e-12 * max(1.0, x.norm() * y.norm())
 
 
 def test_norm_values():
     kind = AlgebraKind.O
-    assert norm(unit(kind, 1)) == 1.0
+    assert unit(kind, 1).norm() == 1.0
     pair = AlgebraElement.one(kind) + unit(kind, 4)
-    assert abs(norm(pair) - np.sqrt(2.0)) <= 1e-15
+    assert abs(pair.norm() - np.sqrt(2.0)) <= 1e-15
 
 
 def test_norm_multiplicative():
@@ -70,14 +67,14 @@ def test_norm_multiplicative():
     for _ in range(300):
         x = random_element(AlgebraKind.O, rng)
         y = random_element(AlgebraKind.O, rng)
-        assert abs(norm(x * y) - norm(x) * norm(y)) <= 1e-12 * norm(x) * norm(y)
+        assert abs((x * y).norm() - x.norm() * y.norm()) <= 1e-12 * x.norm() * y.norm()
 
 
 def test_inv_values():
     kind = AlgebraKind.O
     two = AlgebraElement.from_real(kind, 2.0)
-    assert isclose(inv(two), AlgebraElement.from_real(kind, 0.5))
-    assert isclose(inv(unit(kind, 1)), -unit(kind, 1))
+    assert isclose(two.inv(), AlgebraElement.from_real(kind, 0.5))
+    assert isclose(unit(kind, 1).inv(), -unit(kind, 1))
 
 
 def test_inv_antihomomorphism():
@@ -85,13 +82,13 @@ def test_inv_antihomomorphism():
     for _ in range(300):
         x = random_element(AlgebraKind.O, rng)
         y = random_element(AlgebraKind.O, rng)
-        gap = (inv(x * y) - inv(y) * inv(x)).norm()
-        assert gap <= 1e-12 * max(1.0, inv(x * y).norm())
+        gap = ((x * y).inv() - y.inv() * x.inv()).norm()
+        assert gap <= 1e-12 * max(1.0, (x * y).inv().norm())
 
 
 def test_inv_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        inv(AlgebraElement.zero(AlgebraKind.H))
+        AlgebraElement.zero(AlgebraKind.H).inv()
 
 
 def test_split():
@@ -107,7 +104,7 @@ def test_inner_product_symmetry():
     for _ in range(300):
         x = random_element(AlgebraKind.O, rng)
         y = random_element(AlgebraKind.O, rng)
-        assert abs((x * conj(y)).re - (y * conj(x)).re) <= 1e-12 * x.norm() * y.norm()
+        assert abs((x * y.conj()).re - (y * x.conj()).re) <= 1e-12 * x.norm() * y.norm()
 
 
 def test_alternative_laws():
@@ -115,7 +112,7 @@ def test_alternative_laws():
     for _ in range(400):
         x = random_element(AlgebraKind.O, rng)
         y = random_element(AlgebraKind.O, rng)
-        assert ((x * y) * inv(y) - x).norm() <= 1e-12 * max(1.0, x.norm())
+        assert ((x * y) * y.inv() - x).norm() <= 1e-12 * max(1.0, x.norm())
         gap = (x * (x * y) - (x * x) * y).norm()
         assert gap <= 1e-12 * max(1.0, x.norm() ** 2 * y.norm())
 
@@ -150,15 +147,38 @@ def test_embeddings_commute():
         for _ in range(100):
             x = random_element(small, rng)
             y = random_element(small, rng)
-            assert isclose(embed(x * y, big), embed(x, big) * embed(y, big))
-            assert isclose(embed(conj(x), big), conj(embed(x, big)))
-            assert isclose(embed(inv(x), big), inv(embed(x, big)))
-            assert abs(norm(x) - norm(embed(x, big))) <= 1e-12
+            assert isclose((x * y).embed(big), x.embed(big) * y.embed(big))
+            assert isclose(x.conj().embed(big), x.embed(big).conj())
+            assert isclose(x.inv().embed(big), x.embed(big).inv())
+            assert abs(x.norm() - x.embed(big).norm()) <= 1e-12
+
+
+def test_pairing_and_mat_mul_match_product_loops():
+    # the einsum kernel against plain sums of binary products; the
+    # summation order differs, so agreement is to a few ulps
+    rng = np.random.default_rng(9)
+    for kind in AlgebraKind:
+        for n in (1, 2, 3):
+            xs = [random_element(kind, rng) for _ in range(n)]
+            ys = [random_element(kind, rng) for _ in range(n)]
+            ref = AlgebraElement.zero(kind)
+            for x, y in zip(xs, ys):
+                ref = ref + x * y.conj()
+            assert isclose(pairing(xs, ys), ref, tol=1e-14)
+            a = rng.standard_normal((2, n, kind.dim))
+            b = rng.standard_normal((n, 3, kind.dim))
+            got = mat_mul(kind, a, b)
+            for i in range(2):
+                for j in range(3):
+                    ref = AlgebraElement.zero(kind)
+                    for k in range(n):
+                        ref = ref + AlgebraElement(kind, a[i, k]) * AlgebraElement(kind, b[k, j])
+                    assert isclose(AlgebraElement(kind, got[i, j]), ref, tol=1e-14)
 
 
 def test_kind_mismatch_raises():
     with pytest.raises(ValueError):
-        mul(AlgebraElement.one(AlgebraKind.C), AlgebraElement.one(AlgebraKind.H))
+        AlgebraElement.one(AlgebraKind.C) * AlgebraElement.one(AlgebraKind.H)
 
 
 def test_coefficient_round_trip():

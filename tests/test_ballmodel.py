@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rank1kit.algebra import AlgebraElement, AlgebraKind, embed
+from rank1kit.algebra import AlgebraElement, AlgebraKind
 from rank1kit.ballmodel import (
     BallPoint,
     chordal,
@@ -26,6 +26,7 @@ from rank1kit.nilboundary import (
     qnorm,
     random_point,
 )
+from rank1kit.spectrum import complex_crossratio
 
 KINDS = (
     (AlgebraKind.R, 3),
@@ -76,8 +77,8 @@ def test_rform_vanishes_on_embedded_quaternions():
             xs.append(
                 BallPoint(
                     o,
-                    tuple(embed(c, AlgebraKind.O) for c in p.w1),
-                    embed(p.w2, AlgebraKind.O),
+                    tuple(c.embed(AlgebraKind.O) for c in p.w1),
+                    p.w2.embed(AlgebraKind.O),
                 )
             )
         assert abs(rform(xs[0], xs[1])) <= 1e-12
@@ -266,3 +267,23 @@ def test_json_round_trip():
         cfg = SpaceConfig(kind, m)
         x = random_boundary(cfg, rng)
         assert BallPoint.from_dict(x.to_dict()).isclose(x, tol=1e-15)
+
+
+def _three_points(model):
+    """The cross-ratio of one model and three distinct points of it."""
+    cfg = SpaceConfig(AlgebraKind.C, 2)
+    rng = np.random.default_rng(31)
+    if model == "nil":
+        return crossratio_nil, [random_point(cfg, rng) for _ in range(3)]
+    if model == "ball":
+        # poles have exact unit norm, so a coincident pair pairs to exactly 0
+        return crossratio_ball, [BallPoint.pole(cfg, 1), BallPoint.pole(cfg, -1), random_boundary(cfg, rng)]
+    return complex_crossratio, [0.5 + 1.0j, -2.0, 3.0j]
+
+
+@pytest.mark.parametrize("model", ["nil", "ball", "complex"])
+def test_crossratio_zero_denominator_policy(model):
+    cr, (p, q, r) = _three_points(model)
+    assert cr(p, q, r, p) == math.inf
+    with pytest.raises(ArithmeticError, match="0/0"):
+        cr(p, q, p, p)

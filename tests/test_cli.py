@@ -86,6 +86,24 @@ def test_lemma2_closed_values(tmp_path):
     assert rc == 0 and data["gauge"] == 4.0 and data["length"] == 0.0
 
 
+def test_lemma2_infinite_gauge_is_encoded(tmp_path):
+    inp = write_json(tmp_path / "l2.json", {"trace": [1e308, 1e308]})
+    rc, out, _ = run_quiet(["lemma2", "--input", inp])
+    assert rc == 0
+    assert "Infinity" not in out
+    data = json.loads(out)
+    assert data["gauge"] == "inf" and data["length"] == "inf"
+
+
+def test_lemma1_non_finite_terms_exit_2(tmp_path):
+    # seed 3 power words overflow from n = 211 on
+    outp = tmp_path / "seq.csv"
+    rc, _, err = run_quiet(["lemma1", "--seed", "3", "--n", "212", "--output", str(outp)])
+    assert rc == 2
+    assert "n = 211" in err
+    assert not outp.exists()
+
+
 def test_lemma1_bundled_table(tmp_path):
     outp = str(tmp_path / "seq.csv")
     rc, out, _ = run_quiet(["lemma1", "--seed", "5", "--n", "20", "--output", outp])

@@ -26,6 +26,7 @@ from rank1kit.isometry import (
     random_normal_isometry,
     random_rotation_block,
     random_unit,
+    stable_length,
     translation_length,
 )
 from rank1kit.nilboundary import NilPoint, SpaceConfig, dist, nmul, random_point
@@ -169,6 +170,16 @@ def test_translation_length_matrix_routes():
         with pytest.raises(NotHyperbolicError) as err:
             translation_length(GroupMatrix.identity(cfg))
         assert "elliptic" in str(err.value)
+
+
+def test_stable_length_needs_a_doubling_step():
+    cfg = SpaceConfig(AlgebraKind.H, 2)
+    A = embed_normal(NormalIsometry.dilation(cfg, 0.7))
+    assert abs(stable_length(A, n_start=8, n_max=16) - 0.7) <= 1e-9
+    for n_start, n_max in ((16, 16), (32, 8), (9, 12)):
+        with pytest.raises(ValueError) as err:
+            stable_length(A, n_start=n_start, n_max=n_max)
+        assert f"n_start={n_start}" in str(err.value) and f"n_max={n_max}" in str(err.value)
 
 
 def test_fixed_points_of_axis_translation():

@@ -26,6 +26,7 @@ from rank1kit.sl2traces import (
     vogt,
     word_inverse,
 )
+from rank1kit.spectrum import random_schottky_pair
 
 TRACELESS = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -265,6 +266,8 @@ def test_word_utilities():
     with pytest.raises(ValueError):
         check_word([3], 2)
     with pytest.raises(ValueError):
+        check_word([True, 2], 2)
+    with pytest.raises(ValueError):
         SL2([[2.0, 0.0], [0.0, 2.0]])
 
 
@@ -282,3 +285,16 @@ def test_serialization_round_trip():
     back = SL2Rep.from_list(rep.to_list())
     for a, b in zip(rep.generators, back.generators):
         assert a.isclose(b, tol=1e-15)
+
+
+def test_is_nonelementary_reps():
+    parab = SL2([[1.0, 1.0], [0.0, 1.0]])
+    elementary = (
+        [SL2.diagonal(2.0), SL2.diagonal(3.0 + 1.0j)],
+        [parab, SL2([[1.0, 0.5], [0.0, 1.0]])],
+        [SL2.identity(), SL2.diagonal(2.0)],
+        [parab, SL2.diagonal(2.0)],
+    )
+    for gens in elementary:
+        assert not is_nonelementary(SL2Rep(gens))
+    assert is_nonelementary(random_schottky_pair(np.random.default_rng(4)))
