@@ -210,14 +210,22 @@ def stereo(g: NilPoint) -> BallPoint:
 
 
 def stereo_inv(x: BallPoint, tol: float = _SPHERE_TOL) -> NilPoint:
-    """Inverse chart; the south pole (0, -1) goes to infinity."""
+    """Inverse chart; the south pole (0, -1) goes to infinity.
+
+    A finite point g = (c, k) lands at |w1| = 2|k| / |d| and
+    |1 + w2| = 2 / |d|, with d = 1 + |k|^2 - c, so 1 + w2 shrinks like
+    |w1|^2 towards the pole.  Infinity is therefore decided by the
+    chordal distance (|w1|^2 + |1 + w2|^2)^(1/2) to the pole, which
+    |w1| dominates; a point farther than tol whose 1 + w2 still rounds
+    to zero cannot be resolved and raises ZeroDivisionError."""
     if x.is_interior(tol):
         raise ValueError("stereo_inv needs a boundary point")
     x = x.renormalized()
     config = x.config
     one = AlgebraElement.one(config.kind)
     u = one + x.w2
-    if u.norm() <= tol:
+    to_pole_sq = u.norm_sq() + sum(c.norm_sq() for c in x.w1)
+    if to_pole_sq <= tol * tol:
         return NilPoint.infinity(config)
     uinv = u.inv()
     horizontal = tuple(uinv * c for c in x.w1)

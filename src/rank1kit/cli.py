@@ -196,6 +196,8 @@ def _read_length_table(path):
                 table[word] = float(row[1])
             except ValueError:
                 raise CommandError(f"length table row {i + 1} has a bad length") from None
+            if not math.isfinite(table[word]):
+                raise CommandError(f"length table row {i + 1} has a non-finite length")
     if not table:
         raise CommandError("length table is empty")
     return table
@@ -397,8 +399,8 @@ def _cmd_reconstruct(cfg):
             table = {}
             for key, val in _field(data, "table").items():
                 word = tuple(_word_in(key, f"table key {key!r}"))
-                if not isinstance(val, (int, float)):
-                    raise CommandError(f"table entry {key!r} must be a number")
+                if not isinstance(val, (int, float)) or not math.isfinite(val):
+                    raise CommandError(f"table entry {key!r} must be a finite number")
                 table[word] = float(val)
             oracle = spectrum.LengthOracle(table=table, noise=noise, seed=cfg.seed)
         elif "generators" in data:
@@ -469,6 +471,24 @@ _RUNNERS = {
 }
 
 
+def _write_output(path, text):
+    """Write text to path through a temporary file in the same directory
+    and os.replace, so a run that fails while writing leaves an existing
+    file as it was."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, ".%s.%d.tmp" % (name, os.getpid()))
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def run(cfg):
     """Execute one job; returns the process exit code."""
     try:
@@ -487,8 +507,7 @@ def run(cfg):
         print(f"error: {e}", file=sys.stderr)
         return 2
     if cfg.output is not None:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        _write_output(cfg.output, text)
         if cfg.command != "verify":
             print(f"wrote {cfg.output}")
     elif cfg.command != "verify":

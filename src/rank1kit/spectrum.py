@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .sl2traces import (
     random_sl2,
     trace_word,
     word_inverse,
-    _expanding_eigenvalue,
     _is_inf,
     _reduced_words,
     _sphere_distance,
@@ -75,6 +75,11 @@ class LengthOracle:
             raise ValueError("provide exactly one of rep or table")
         self._rep = rep
         self._table = None if table is None else {tuple(k): float(v) for k, v in table.items()}
+        if self._table is not None:
+            for word, value in self._table.items():
+                if not math.isfinite(value):
+                    raise ValueError(
+                        "table length of word %r is not finite: %r" % (list(word), value))
         self._noise = float(noise)
         self._seed = int(seed)
 
@@ -323,54 +328,127 @@ def default_budget_words(arity=2, max_len=4, power_max=8):
     return words
 
 
-def _rep_from_params(p):
+def _generator_batch(params):
+    """The generators of a batch of parameter vectors.
+
+    Returns (gens, bad): gens[i, j, s, p] is entry (i, j) of generator
+    slot s (a, b, a^-1, b^-1) for parameter row p, and bad marks the rows
+    whose b has its repelling point z on its attracting point 1."""
     # gauge: a diagonal with fixed points (repelling 0, attracting inf),
     # b with attracting point 1, repelling point z; eigenvalues from
     # half length-angle exponents
-    la, ta, lb, tb, zr, zi = [float(v) for v in p]
-    z = complex(zr, zi)
-    if abs(z - 1.0) < 1e-10:
-        return None
-    lam = cmath.exp((la + 1j * ta) / 2.0)
-    mu = cmath.exp((lb + 1j * tb) / 2.0)
-    a = np.diag([lam, 1.0 / lam])
+    p = np.asarray(params, dtype=float)
+    z = p[:, 4] + 1j * p[:, 5]
+    bad = np.abs(z - 1.0) < 1e-10
+    z = np.where(bad, 0.0, z)  # keeps 1 / (1 - z) finite; callers mask these rows
+    lam = np.exp((p[:, 0] + 1j * p[:, 1]) / 2.0)
+    mu = np.exp((p[:, 2] + 1j * p[:, 3]) / 2.0)
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    a = np.array([[lam, zero], [zero, 1.0 / lam]])
     # columns are the attracting (1) and repelling (z) eigenvectors
-    s = np.array([[1.0, z], [1.0, 1.0]], dtype=complex)
-    si = np.array([[1.0, -z], [-1.0, 1.0]], dtype=complex) / (1.0 - z)
-    b = s @ np.diag([mu, 1.0 / mu]) @ si
-    return SL2Rep([SL2(a, check=False), SL2(b, check=False)])
+    s = np.array([[one, z], [one, one]])
+    si = np.array([[one, -z], [-one, one]]) / (1.0 - z)
+    d = np.array([[mu, zero], [zero, 1.0 / mu]])
+    b = _mul_2x2(_mul_2x2(s, d), si)
+    # inverses by adjugate, exact for determinant one
+    gens = np.stack([a, b, _adjugate(a), _adjugate(b)], axis=2)
+    return gens, bad
 
 
-def _word_length_smooth(rep, word):
-    # 2 log of the expanding eigenvalue modulus; equals the translation
-    # length for loxodromics and extends smoothly elsewhere
-    A = rep.evaluate(word)
-    return 2.0 * math.log(max(abs(_expanding_eigenvalue(A)), 1.0))
+def _mul_2x2(A, B):
+    # 2x2 products with the matrix axes first and the batch axes last,
+    # summed in the order of A @ B
+    return A[:, 0, None] * B[None, 0] + A[:, 1, None] * B[None, 1]
 
 
-def _residual_vector(params, words, targets):
-    rep = _rep_from_params(params)
-    if rep is None:
-        return np.full(len(words), 1e6)
-    out = np.zeros(len(words))
-    for i, w in enumerate(words):
-        out[i] = _word_length_smooth(rep, w) - targets[i]
+def _adjugate(A):
+    return np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+
+
+def _rep_from_params(p):
+    gens, bad = _generator_batch(np.asarray(p, dtype=float)[None])
+    if bad[0]:
+        return None
+    return SL2Rep([SL2(gens[:, :, s, 0], check=False) for s in (0, 1)])
+
+
+_WordPlan = namedtuple("_WordPlan", "size levels ends")
+
+
+def _word_plan(words):
+    """A word list as a prefix trie, built once and evaluated per batch.
+
+    Node 0 is the empty word and every other node is its parent times
+    one generator slot (a, b, a^-1, b^-1), so a prefix shared by several
+    words is multiplied once.  Nodes are numbered by depth: each entry
+    (lo, hi, parents, slots) of levels makes nodes lo..hi-1, one depth
+    deeper than their parents, and ends[i] is the node of words[i]."""
+    edges = {}
+    nodes = [(0, 0, 0)]  # (depth, parent, slot) per node
+    ends = []
+    for w in words:
+        node = 0
+        for letter in check_word(w, 2):
+            key = (node, abs(letter) - 1 + (2 if letter < 0 else 0))
+            if key not in edges:
+                edges[key] = len(nodes)
+                nodes.append((nodes[node][0] + 1,) + key)
+            node = edges[key]
+        ends.append(node)
+    depth, parent, slot = (np.array(c) for c in zip(*nodes))
+    order = np.argsort(depth, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    bounds = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
+    levels = [(lo, hi, rank[parent[order[lo:hi]]], slot[order[lo:hi]])
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _WordPlan(len(nodes), levels, rank[np.array(ends, dtype=int)])
+
+
+def _residual_batch(params, plan, targets):
+    """Smooth word lengths minus targets for a (P, 6) batch of parameter
+    vectors: a (P, W) array.  The smooth length, 2 log of the expanding
+    eigenvalue modulus floored at 1, equals the translation length for
+    loxodromics and extends smoothly elsewhere.  Rows whose parameters
+    put z on 1 read 1e6 everywhere."""
+    # a trial step far outside the chart overflows to a non-finite cost,
+    # which the solver rejects like any other uphill step
+    with np.errstate(over="ignore", invalid="ignore"):
+        gens, bad = _generator_batch(params)
+        nodes = np.empty((2, 2, plan.size, len(bad)), dtype=complex)
+        nodes[:, :, 0] = np.eye(2)[:, :, None]
+        for lo, hi, parents, slots in plan.levels:
+            nodes[:, :, lo:hi] = _mul_2x2(nodes[:, :, parents], gens[:, :, slots])
+        t = (nodes[0, 0, plan.ends] + nodes[1, 1, plan.ends]).T
+        root = np.sqrt(t * t - 4.0)
+        lam = np.maximum(np.abs((t + root) / 2.0), np.abs((t - root) / 2.0))
+        out = 2.0 * np.log(np.maximum(lam, 1.0)) - np.asarray(targets, dtype=float)
+    out[bad] = 1e6
     return out
 
 
+def _stencil_jacobian(fun, x):
+    """Central-difference Jacobian (W, n) of a batched residual function
+    at x, with steps 1e-6 max(1, |x_j|); the 2n stencil points are one
+    batch."""
+    n = len(x)
+    cols = np.arange(n)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    stencil = np.repeat(x[None], 2 * n, axis=0)
+    stencil[2 * cols, cols] += h
+    stencil[2 * cols + 1, cols] -= h
+    Fs = fun(stencil)
+    return ((Fs[0::2] - Fs[1::2]) / (2.0 * h)[:, None]).T
+
+
 def _levenberg_marquardt(fun, x0, max_iter=160, gtol=1e-12, xtol=1e-14):
+    # fun maps a (P, n) batch of parameter vectors to (P, W) residuals
     x = np.asarray(x0, dtype=float).copy()
-    F = fun(x)
+    F = fun(x[None])[0]
     cost = 0.5 * float(F @ F)
     lam = 1e-3
-    n = len(x)
     for _ in range(max_iter):
-        J = np.zeros((len(F), n))
-        for j in range(n):
-            h = 1e-6 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            J[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
+        J = _stencil_jacobian(fun, x)
         g = J.T @ F
         if float(np.abs(g).max()) < gtol:
             break
@@ -385,7 +463,7 @@ def _levenberg_marquardt(fun, x0, max_iter=160, gtol=1e-12, xtol=1e-14):
             if float(np.abs(dx).max()) < xtol * (1.0 + float(np.abs(x).max())):
                 return x, cost
             xt = x + dx
-            Ft = fun(xt)
+            Ft = fun(xt[None])[0]
             cost_t = 0.5 * float(Ft @ Ft)
             predicted = -float(g @ dx) - 0.5 * float(dx @ (H @ dx))
             gain = (cost - cost_t) / predicted if predicted > 0 else -1.0
@@ -483,32 +561,33 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         raise ValueError("oracle lengths all vanish; elementary or trivial source")
 
     starts = _initial_guesses(oracle)
-
-    def solve_one(x0):
-        return _levenberg_marquardt(
-            lambda p: _residual_vector(p, fit_words, targets), x0
-        )
-
-    results = [solve_one(x0) for x0 in starts]
+    plan = _word_plan(fit_words)
+    results = [
+        _levenberg_marquardt(lambda P: _residual_batch(P, plan, targets), x0)
+        for x0 in starts
+    ]
 
     best_idx = min(range(len(results)), key=lambda i: results[i][1])
     best_x, best_cost = results[best_idx]
     rms = math.sqrt(2.0 * best_cost / len(fit_words))
     rep = _rep_from_params(best_x)
-    if rep is None or rms > 1e-2 * max(1.0, float(np.abs(targets).max())):
+    # a NaN rms fails this test too
+    if rep is None or not rms <= 1e-2 * max(1.0, float(np.abs(targets).max())):
         raise RuntimeError(
             "reconstruction did not converge: best residual RMS %.3e over %d words"
             % (rms, len(fit_words))
         )
 
-    holdout_errors = {}
+    covered, hold_targets = [], []
     for w in hold_words:
         try:
-            holdout_errors[tuple(w)] = abs(_word_length_smooth(rep, w) - oracle(w))
+            hold_targets.append(oracle(w))
         except OracleMissError:
             continue
+        covered.append(w)
+    hold_errors = np.abs(_residual_batch(best_x[None], _word_plan(covered), hold_targets)[0])
 
-    residuals = _residual_vector(best_x, fit_words, targets)
+    residuals = _residual_batch(best_x[None], plan, targets)[0]
     return {
         "rep": rep,
         "parameters": [float(v) for v in best_x],
@@ -516,7 +595,7 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         "residuals": [float(r) for r in residuals],
         "rms": rms,
         "restart_index": best_idx,
-        "holdout_errors": {" ".join(str(l) for l in k): float(v) for k, v in holdout_errors.items()},
+        "holdout_errors": {" ".join(str(l) for l in w): float(e) for w, e in zip(covered, hold_errors)},
     }
 
 

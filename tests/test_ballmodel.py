@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1kit.algebra import AlgebraElement, AlgebraKind
 from rank1kit.ballmodel import (
@@ -212,6 +213,26 @@ def test_round_trip():
             for a, b in zip(h.horizontal, g.horizontal):
                 assert (a - b).norm() <= 1e-10
         assert stereo_inv(BallPoint.pole(cfg, -1)).is_infinity
+
+
+def _nil_coeffs(g):
+    return np.concatenate([g.center.coeffs] + [k.coeffs for k in g.horizontal])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind_index=st.integers(0, len(KINDS) - 1), log_scale=st.floats(-3.0, 6.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_round_trip_across_scales(kind_index, log_scale, seed):
+    # near the pole 1 + w2 is of size 2 / |g|^2, so its rounding error
+    # costs the round trip a relative |g|^2 eps; finite points stay finite
+    cfg = SpaceConfig(*KINDS[kind_index])
+    g = random_point(cfg, np.random.default_rng(seed), scale=10.0**log_scale)
+    back = stereo_inv(stereo(g))
+    assert not back.is_infinity
+    before, after = _nil_coeffs(g), _nil_coeffs(back)
+    size = max(1.0, float(np.linalg.norm(before)))
+    gap = float(np.abs(after - before).max()) / size
+    assert gap <= 64.0 * np.finfo(float).eps * size * size
 
 
 def test_stereo_inv_rejects_interior():

@@ -274,6 +274,42 @@ def test_reconstruct_nonconvergence_exit_code(tmp_path):
     assert not os.path.exists(outp)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_reconstruct_rejects_non_finite_lengths(tmp_path, bad):
+    from rank1kit.spectrum import default_budget_words
+
+    words = [" ".join(str(l) for l in w) for w in default_budget_words(2)[:12]]
+    path = tmp_path / "table.csv"
+    with open(path, "w") as fh:
+        fh.write("word,length\n")
+        for i, w in enumerate(words):
+            fh.write("%s,%s\n" % (w, bad if i == 4 else "1.5"))
+    # json.dump writes NaN and Infinity literals, which json.load reads back
+    table = {w: float(bad) if i == 4 else 1.5 for i, w in enumerate(words)}
+    inp = write_json(tmp_path / "table.json", {"table": table})
+    for source in (str(path), inp):
+        outp = str(tmp_path / "never.json")
+        rc, _, err = run_quiet(["reconstruct", "--input", source, "--output", outp])
+        assert rc == 1 and "finite" in err
+        assert not os.path.exists(outp)
+
+
+def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
+    inp = write_json(tmp_path / "v.json", {k: 2 for k in ("x1", "x2", "x3", "y12", "y13")})
+    outp = tmp_path / "result.json"
+    outp.write_bytes(b"previous result\n")
+    # a run that fails before writing
+    rc, _, _ = run_quiet(["vogt", "--input", inp, "--output", str(outp)])
+    assert rc == 1
+    assert outp.read_bytes() == b"previous result\n"
+    # a run that fails while writing: a lone surrogate cannot be encoded
+    monkeypatch.setitem(cli._RUNNERS, "vogt", lambda cfg: ("{\"P\": \"\ud800\"}\n", 0))
+    with pytest.raises(UnicodeEncodeError):
+        run_quiet(["vogt", "--input", inp, "--output", str(outp)])
+    assert outp.read_bytes() == b"previous result\n"
+    assert sorted(os.listdir(tmp_path)) == ["result.json", "v.json"]
+
+
 def test_missing_input_file():
     rc, _, err = run_quiet(["vogt", "--input", "/nonexistent/v.json"])
     assert rc == 1 and "does not exist" in err

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from rank1kit.algebra import AlgebraKind
 from rank1kit.isometry import embed_normal, random_form_preserving, random_normal_isometry
 from rank1kit.nilboundary import SpaceConfig
 from rank1kit.sl2traces import SL2, SL2Rep, NonLoxodromicError, random_loxodromic, random_sl2
+from rank1kit import spectrum
 from rank1kit.spectrum import (
     FixedPair,
     LengthOracle,
@@ -43,6 +45,9 @@ def test_oracle_source_rules():
         LengthOracle()
     with pytest.raises(ValueError):
         LengthOracle(rep=rep, table={(1,): 1.0})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            LengthOracle(table={(1,): 1.0, (1, 2): bad})
     table = LengthOracle(table={(1,): 1.0, (2,): 2.0})
     assert table((2,)) == 2.0
     with pytest.raises(OracleMissError) as err:
@@ -215,6 +220,87 @@ def test_reconstruct_report_fields_and_determinism():
     assert r1["holdout_errors"]
     for v in r1["holdout_errors"].values():
         assert v <= 1e-3
+
+
+def _letter_by_letter_residuals(p, words, targets):
+    # reference: generators built entry by entry from the gauge, every
+    # word evaluated one letter at a time by SL2Rep.evaluate
+    la, ta, lb, tb, zr, zi = p
+    z = complex(zr, zi)
+    if abs(z - 1.0) < 1e-10:
+        return np.full(len(words), 1e6)
+    lam, mu = cmath.exp((la + 1j * ta) / 2.0), cmath.exp((lb + 1j * tb) / 2.0)
+    s = np.array([[1.0, z], [1.0, 1.0]])
+    si = np.array([[1.0, -z], [-1.0, 1.0]]) / (1.0 - z)
+    rep = SL2Rep([SL2.diagonal(lam), SL2(s @ np.diag([mu, 1.0 / mu]) @ si, check=False)])
+    out = []
+    for w, target in zip(words, targets):
+        t = rep.evaluate(w).trace()
+        root = cmath.sqrt(t * t - 4.0)
+        modulus = max(abs((t + root) / 2.0), abs((t - root) / 2.0))
+        out.append(2.0 * math.log(max(modulus, 1.0)) - target)
+    return np.array(out)
+
+
+def _random_params(rng, n):
+    return np.column_stack([
+        rng.uniform(0.1, 3.0, n), rng.uniform(-math.pi, math.pi, n),
+        rng.uniform(0.1, 3.0, n), rng.uniform(-math.pi, math.pi, n),
+        rng.normal(0.0, 2.0, n), rng.normal(0.0, 2.0, n)])
+
+
+def test_residual_batch_matches_letter_by_letter():
+    rng = np.random.default_rng(13)
+    words = default_budget_words(2) + [[-1, -2, 1, 2], [2, -1, -1, -2, 1]]
+    targets = rng.uniform(0.0, 5.0, len(words))
+    params = _random_params(rng, 40)
+    params[7, 4:] = (1.0 + 3e-11, -2e-11)  # z within 1e-10 of 1
+    plan = spectrum._word_plan(words)
+    batch = spectrum._residual_batch(params, plan, targets)
+    assert batch.shape == (40, len(words))
+    assert np.all(batch[7] == 1e6)
+    for p, row in zip(params, batch):
+        ref = _letter_by_letter_residuals(p, words, targets)
+        assert np.abs(row - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    # a batch of one gives the same row
+    alone = spectrum._residual_batch(params[3:4], plan, targets)[0]
+    assert np.abs(alone - batch[3]).max() <= 1e-14 * max(1.0, np.abs(batch[3]).max())
+
+
+def test_stencil_jacobian_matches_column_differences():
+    rng = np.random.default_rng(14)
+    words = default_budget_words(2)
+    targets = rng.uniform(0.0, 5.0, len(words))
+    plan = spectrum._word_plan(words)
+
+    def fun(P):
+        return spectrum._residual_batch(P, plan, targets)
+
+    for x in _random_params(rng, 5):
+        J = spectrum._stencil_jacobian(fun, x)
+        assert J.shape == (len(words), 6)
+        for j in range(6):
+            h = 1e-6 * max(1.0, abs(x[j]))
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            col = (fun(xp[None])[0] - fun(xm[None])[0]) / (2.0 * h)
+            # rounding of the residuals, divided by the step 2h, is all
+            # that may differ between one batch and two single rows
+            assert np.abs(J[:, j] - col).max() <= 1e-8 * max(1.0, np.abs(col).max())
+
+
+def test_reconstruct_nan_length_does_not_converge():
+    # a NaN target makes every cost NaN; the report must not come back
+    # with a NaN rms
+    class NaNAt(LengthOracle):
+        def length(self, word):
+            return math.nan if tuple(word) == (1, 2) else super().length(word)
+
+    rep = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
+    with pytest.raises(RuntimeError) as err:
+        reconstruct_report(NaNAt(rep=rep))
+    assert "did not converge" in str(err.value)
 
 
 def test_reconstruct_rejects_elementary():
