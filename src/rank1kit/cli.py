@@ -104,14 +104,15 @@ def render(cfg):
 # value plumbing
 
 
+def _is_number(value):
+    # JSON true and false arrive as bool, which is an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _num_in(value, field):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise CommandError(f"field {field!r} must be a number or an [re, im] pair")
 
@@ -394,12 +395,14 @@ def _cmd_reconstruct(cfg):
         oracle = spectrum.LengthOracle(table=_read_length_table(cfg.input))
     else:
         data = _load_json(cfg.input)
-        noise = float(data.get("noise", 0.0))
+        noise = data.get("noise", 0.0)
+        if not _is_number(noise) or not math.isfinite(noise) or noise < 0:
+            raise CommandError("field 'noise' must be a finite number >= 0")
         if "table" in data:
             table = {}
             for key, val in _field(data, "table").items():
                 word = tuple(_word_in(key, f"table key {key!r}"))
-                if not isinstance(val, (int, float)) or not math.isfinite(val):
+                if not _is_number(val) or not math.isfinite(val):
                     raise CommandError(f"table entry {key!r} must be a finite number")
                 table[word] = float(val)
             oracle = spectrum.LengthOracle(table=table, noise=noise, seed=cfg.seed)

@@ -427,55 +427,132 @@ def _residual_batch(params, plan, targets):
     return out
 
 
-def _stencil_jacobian(fun, x):
-    """Central-difference Jacobian (W, n) of a batched residual function
-    at x, with steps 1e-6 max(1, |x_j|); the 2n stencil points are one
-    batch."""
-    n = len(x)
+def _stencil_jacobian(fun, X):
+    """Central-difference Jacobians (R, W, n) of a batched residual
+    function at the R rows of X, with steps 1e-6 max(1, |x_j|); the R n
+    forward points are one batch and the R n backward points another."""
+    R, n = X.shape
     cols = np.arange(n)
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    stencil = np.repeat(x[None], 2 * n, axis=0)
-    stencil[2 * cols, cols] += h
-    stencil[2 * cols + 1, cols] -= h
-    Fs = fun(stencil)
-    return ((Fs[0::2] - Fs[1::2]) / (2.0 * h)[:, None]).T
+    h = 1e-6 * np.maximum(1.0, np.abs(X))
+    plus = np.repeat(X[:, None], n, axis=1)
+    minus = plus.copy()
+    # a point far outside the chart has infinite residuals or steps,
+    # whose differences are NaN: that restart then finds no step
+    with np.errstate(invalid="ignore"):
+        plus[:, cols, cols] += h
+        minus[:, cols, cols] -= h
+        diff = fun(plus.reshape(R * n, n)) - fun(minus.reshape(R * n, n))
+    # row-major (W, n) blocks fix the order in which BLAS sums J^T F and
+    # J^T J, and with it the last bits of every fit
+    return np.ascontiguousarray((diff.reshape(R, n, -1) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
 
 
-def _levenberg_marquardt(fun, x0, max_iter=160, gtol=1e-12, xtol=1e-14):
-    # fun maps a (P, n) batch of parameter vectors to (P, W) residuals
-    x = np.asarray(x0, dtype=float).copy()
-    F = fun(x[None])[0]
-    cost = 0.5 * float(F @ F)
-    lam = 1e-3
+def _dot_rows(a, b):
+    # one BLAS dot per row
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(A, b):
+    """Solutions of the systems A[i] x = b[i] and a mask of the singular
+    ones, whose rows of x are NaN."""
+    singular = np.zeros(len(A), dtype=bool)
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full_like(b, np.nan)
+    for i in range(len(A)):
+        try:
+            x[i] = np.linalg.solve(A[i], b[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return x, singular
+
+
+_Solve = namedtuple("_Solve", "x cost iterations reasons calls rows")
+
+
+def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14):
+    """Levenberg-Marquardt from every row of the (R, n) array starts at
+    once, with Nielsen's damping update.
+
+    fun maps a (P, n) batch of parameter vectors to (P, W) residuals and
+    is called once per stage for all restarts still in play.  Each
+    restart keeps its own point, residuals, cost and damping, so it
+    follows the path it would follow alone.  A restart stops on "gtol"
+    (small gradient), "xtol" (small step), "no_step" (24 damping values
+    found no descent) or "max_iter"; iterations counts its accepted
+    steps, and calls and rows count the batches sent to fun."""
+    calls = rows = 0
+
+    def evaluate(P):
+        nonlocal calls, rows
+        calls += 1
+        rows += len(P)
+        # the engine returns column-major batches; row-major rows give
+        # every dot product the same BLAS kernel whatever the batch size
+        return np.ascontiguousarray(fun(P))
+
+    X = np.array(starts, dtype=float)
+    F = evaluate(X)
+    cost = 0.5 * _dot_rows(F, F)
+    lam = np.full(len(X), 1e-3)
+    iterations = np.zeros(len(X), dtype=int)
+    reasons = ["max_iter"] * len(X)
+    running = np.ones(len(X), dtype=bool)
+
+    def stop(which, reason):
+        running[which] = False
+        for i in which:
+            reasons[i] = reason
+
+    diag = np.arange(X.shape[1])
     for _ in range(max_iter):
-        J = _stencil_jacobian(fun, x)
-        g = J.T @ F
-        if float(np.abs(g).max()) < gtol:
+        live = np.flatnonzero(running)
+        if not len(live):
             break
-        H = J.T @ J
-        stepped = False
+        J = _stencil_jacobian(evaluate, X[live])
+        g = (J.transpose(0, 2, 1) @ F[live][:, :, None])[:, :, 0]
+        flat = np.abs(g).max(axis=1) < gtol
+        stop(live[flat], "gtol")
+        live, J, g = live[~flat], J[~flat], g[~flat]
+        H = J.transpose(0, 2, 1) @ J
+        d = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-12)
+        seek = np.arange(len(live))  # positions in live still without a step
         for _ in range(24):
-            try:
-                dx = np.linalg.solve(H + lam * np.diag(np.maximum(np.diag(H), 1e-12)), -g)
-            except np.linalg.LinAlgError:
-                lam *= 4.0
-                continue
-            if float(np.abs(dx).max()) < xtol * (1.0 + float(np.abs(x).max())):
-                return x, cost
-            xt = x + dx
-            Ft = fun(xt[None])[0]
-            cost_t = 0.5 * float(Ft @ Ft)
-            predicted = -float(g @ dx) - 0.5 * float(dx @ (H @ dx))
-            gain = (cost - cost_t) / predicted if predicted > 0 else -1.0
-            if cost_t < cost:
-                x, F, cost = xt, Ft, cost_t
-                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
-                stepped = True
+            if not len(seek):
                 break
-            lam *= 4.0
-        if not stepped:
-            break
-    return x, cost
+            r = live[seek]
+            A = H[seek]
+            A[:, diag, diag] += lam[r, None] * d[seek]
+            dx, singular = _solve_rows(A, -g[seek])
+            lam[r[singular]] *= 4.0
+            short = ~singular & (np.abs(dx).max(axis=1) < xtol * (1.0 + np.abs(X[r]).max(axis=1)))
+            stop(r[short], "xtol")
+            trial = ~singular & ~short
+            t, dx = r[trial], dx[trial]
+            xt = X[t] + dx
+            Ft = evaluate(xt) if len(t) else np.empty((0, F.shape[1]))
+            cost_t = 0.5 * _dot_rows(Ft, Ft)
+            hdx = (H[seek[trial]] @ dx[:, :, None])[:, :, 0]
+            predicted = -_dot_rows(g[seek[trial]], dx) - 0.5 * _dot_rows(dx, hdx)
+            down = cost_t < cost[t]
+            a = t[down]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.where(predicted > 0, (cost[t] - cost_t) / predicted, -1.0)[down]
+            # Nielsen's factor one restart at a time in C pow, which numpy's
+            # vector power can miss in the last bit; from a gain of 1 on the
+            # factor is 1/3, and the clip keeps the cube finite
+            lam[a] = [max(l * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
+                      for l, q in zip(lam[a], gain)]
+            X[a], F[a], cost[a] = xt[down], Ft[down], cost_t[down]
+            iterations[a] += 1
+            lam[t[~down]] *= 4.0
+            stepped = np.zeros(len(seek), dtype=bool)
+            stepped[np.flatnonzero(trial)[down]] = True
+            seek = seek[~short & ~stepped]
+        stop(live[seek], "no_step")
+    return _Solve(X, cost, iterations, reasons, calls, rows)
 
 
 def _initial_guesses(oracle):
@@ -522,8 +599,11 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     translation lengths match the oracle on a word budget.
 
     Returns a dict with the fitted rep, parameters, per-word residuals,
-    the RMS residual, and held-out errors.  Raises ValueError for an
-    elementary oracle, RuntimeError when no restart converges."""
+    the RMS residual, and held-out errors, plus diagnostics: for each
+    restart its start, accepted iterations, termination reason and final
+    cost, and the count of engine calls and rows of the solve.  Raises
+    ValueError for an elementary oracle, RuntimeError when no restart
+    converges."""
     if arity != 2:
         raise ValueError("reconstruction is supported for arity 2 (got %d)" % arity)
     if oracle.rep is not None and not is_nonelementary(oracle.rep):
@@ -560,22 +640,21 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     if max(targets) <= 1e-12:
         raise ValueError("oracle lengths all vanish; elementary or trivial source")
 
-    starts = _initial_guesses(oracle)
+    starts = np.array(_initial_guesses(oracle))
     plan = _word_plan(fit_words)
-    results = [
-        _levenberg_marquardt(lambda P: _residual_batch(P, plan, targets), x0)
-        for x0 in starts
-    ]
+    solve = _lockstep_levenberg_marquardt(lambda P: _residual_batch(P, plan, targets), starts)
 
-    best_idx = min(range(len(results)), key=lambda i: results[i][1])
-    best_x, best_cost = results[best_idx]
-    rms = math.sqrt(2.0 * best_cost / len(fit_words))
+    best_idx = min(range(len(starts)), key=lambda i: solve.cost[i])
+    best_x = solve.x[best_idx]
+    rms = math.sqrt(2.0 * float(solve.cost[best_idx]) / len(fit_words))
     rep = _rep_from_params(best_x)
     # a NaN rms fails this test too
     if rep is None or not rms <= 1e-2 * max(1.0, float(np.abs(targets).max())):
         raise RuntimeError(
-            "reconstruction did not converge: best residual RMS %.3e over %d words"
-            % (rms, len(fit_words))
+            "reconstruction did not converge: best residual RMS %.3e over %d words, "
+            "from restart %d, which stopped on %s after %d iterations"
+            % (rms, len(fit_words), best_idx, solve.reasons[best_idx],
+               solve.iterations[best_idx])
         )
 
     covered, hold_targets = [], []
@@ -596,6 +675,15 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         "rms": rms,
         "restart_index": best_idx,
         "holdout_errors": {" ".join(str(l) for l in w): float(e) for w, e in zip(covered, hold_errors)},
+        "diagnostics": {
+            "restarts": [
+                {"start": [float(v) for v in x0], "iterations": int(n),
+                 "reason": reason, "cost": float(c)}
+                for x0, n, reason, c in zip(starts, solve.iterations, solve.reasons, solve.cost)
+            ],
+            "engine_calls": solve.calls,
+            "engine_rows": solve.rows,
+        },
     }
 
 

@@ -256,6 +256,7 @@ def test_reconstruct_from_csv_table(tmp_path):
     data = json.loads(out)
     assert data["rms"] <= 1e-6
     assert "conjugacy_distance" not in data  # no reference provided
+    assert "diagnostics" not in data  # the solver's own record stays in the library
 
 
 def test_reconstruct_nonconvergence_exit_code(tmp_path):
@@ -292,6 +293,25 @@ def test_reconstruct_rejects_non_finite_lengths(tmp_path, bad):
         rc, _, err = run_quiet(["reconstruct", "--input", source, "--output", outp])
         assert rc == 1 and "finite" in err
         assert not os.path.exists(outp)
+
+
+# JSON true and false load as Python bools, which are ints
+@pytest.mark.parametrize("command,payload,field", [
+    ("reconstruct", {"table": {"1": True, "2": 1.5, "1 2": 2.5}}, "1"),
+    ("lemma2", {"trace": True}, "trace"),
+    ("lemma2", {"trace": [2.5, False]}, "trace"),
+    ("reconstruct", {"generators": [[[True, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 1.0]]]},
+     "generators[0][0][0]"),
+    ("reconstruct", {"generators": [[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [1.0, 1.0]]],
+                     "noise": True}, "noise"),
+    ("reconstruct", {"generators": [[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [1.0, 1.0]]],
+                     "noise": "nan"}, "noise"),
+])
+def test_non_numbers_are_rejected(tmp_path, command, payload, field):
+    inp = write_json(tmp_path / "in.json", payload)
+    rc, out, err = run_quiet([command, "--input", inp])
+    assert rc == 1 and out == ""
+    assert repr(field) in err and "must be a" in err and "number" in err
 
 
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):

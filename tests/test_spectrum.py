@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,9 +278,10 @@ def test_stencil_jacobian_matches_column_differences():
     def fun(P):
         return spectrum._residual_batch(P, plan, targets)
 
-    for x in _random_params(rng, 5):
-        J = spectrum._stencil_jacobian(fun, x)
-        assert J.shape == (len(words), 6)
+    X = _random_params(rng, 5)
+    Js = spectrum._stencil_jacobian(fun, X)
+    assert Js.shape == (5, len(words), 6)
+    for x, J in zip(X, Js):
         for j in range(6):
             h = 1e-6 * max(1.0, abs(x[j]))
             xp, xm = x.copy(), x.copy()
@@ -288,6 +291,74 @@ def test_stencil_jacobian_matches_column_differences():
             # rounding of the residuals, divided by the step 2h, is all
             # that may differ between one batch and two single rows
             assert np.abs(J[:, j] - col).max() <= 1e-8 * max(1.0, np.abs(col).max())
+
+
+def _solver_case(seed):
+    # the full word budget of a seeded pair, and the solver's 32 starts
+    oracle = LengthOracle(rep=random_schottky_pair(np.random.default_rng(seed)))
+    words = default_budget_words(2)
+    plan = spectrum._word_plan(words)
+    targets = np.array([oracle(w) for w in words])
+    starts = np.array(spectrum._initial_guesses(oracle))
+    return (lambda P: spectrum._residual_batch(P, plan, targets)), starts
+
+
+def test_lockstep_restarts_are_independent():
+    fun, starts = _solver_case(0)
+    joint = spectrum._lockstep_levenberg_marquardt(fun, starts)
+    # restarts leave the lockstep at different iterations and for
+    # different reasons
+    assert len(set(joint.reasons)) >= 2 and len(set(joint.iterations)) >= 2
+    for i, x0 in enumerate(starts):
+        alone = spectrum._lockstep_levenberg_marquardt(fun, x0[None])
+        assert alone.reasons == [joint.reasons[i]]
+        # equal up to the rounding of a converged cost
+        assert np.allclose(alone.cost, joint.cost[i], rtol=1e-9, atol=1e-24)
+
+
+def test_lockstep_poisoned_starts_leave_the_others():
+    fun, starts = _solver_case(0)
+    clean = spectrum._lockstep_levenberg_marquardt(fun, starts[:8])
+    on_one = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]  # z on 1: every row reads 1e6
+    overflow = [1e3, 0.0, 1e3, 0.0, 0.5, 0.5]  # every residual overflows
+    mixed_starts = np.vstack([starts[:4], [on_one], starts[4:8], [overflow]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = spectrum._lockstep_levenberg_marquardt(fun, mixed_starts)
+    others = [0, 1, 2, 3, 5, 6, 7, 8]
+    assert [mixed.reasons[i] for i in others] == clean.reasons
+    assert np.allclose(mixed.cost[others], clean.cost, rtol=1e-9, atol=1e-24)
+    assert mixed.reasons[9] == "no_step" and mixed.iterations[9] == 0
+
+
+def test_solve_rows_marks_singular_systems():
+    A = np.array([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    b = np.arange(9.0).reshape(3, 3)
+    x, singular = spectrum._solve_rows(A, b)
+    assert singular.tolist() == [False, True, False]
+    assert np.array_equal(x[0], b[0]) and np.array_equal(x[2], b[2] / 2.0)
+
+
+def test_reconstruct_report_diagnostics():
+    oracle = LengthOracle(rep=random_schottky_pair(np.random.default_rng(12)))
+    report = reconstruct_report(oracle)
+    diag = report["diagnostics"]
+    starts = spectrum._initial_guesses(oracle)
+    assert len(diag["restarts"]) == len(starts) == 32
+    for entry, x0 in zip(diag["restarts"], starts):
+        assert set(entry) == {"start", "iterations", "reason", "cost"}
+        assert entry["start"] == [float(v) for v in x0]
+        assert entry["reason"] in ("gtol", "xtol", "no_step", "max_iter")
+        # the gradient test runs before each of the 160 iterations, so
+        # only max_iter reaches 160 accepted steps
+        assert 0 <= entry["iterations"] <= 160
+        assert (entry["reason"] == "max_iter") == (entry["iterations"] == 160)
+    best = diag["restarts"][report["restart_index"]]
+    assert best["cost"] == min(e["cost"] for e in diag["restarts"])
+    assert best["reason"] in ("gtol", "xtol")
+    assert report["rms"] == math.sqrt(2.0 * best["cost"] / len(report["words"]))
+    assert 3 <= diag["engine_calls"] < diag["engine_rows"]
+    json.dumps(diag, allow_nan=False)
 
 
 def test_reconstruct_nan_length_does_not_converge():
@@ -322,6 +393,7 @@ def test_reconstruct_nonconvergent_table():
     with pytest.raises(RuntimeError) as err:
         reconstruct(LengthOracle(table=table))
     assert "did not converge" in str(err.value)
+    assert "max_iter" in str(err.value) or "no_step" in str(err.value)
 
 
 def test_conjugacy_distance_invariances():
