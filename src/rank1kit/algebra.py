@@ -14,12 +14,17 @@ doubling rule
 which is the unique placement of the conjugations, with this first slot,
 that keeps the norm multiplicative. Every product is encoded once as a
 structure tensor T with e_a e_b = sum_c T[a,b,c] e_c; single elements and
-batched coefficient arrays then share one einsum code path.
+batched coefficient arrays then share one code path. It multiplies the
+right factor by T with one matmul, which is exact because each (a, c)
+meets a single b, and then sums over the left factor's index a in order.
+Summing in that order keeps every product bit-identical to the plain
+einsum over T.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -37,6 +42,7 @@ __all__ = [
     "inv_coeffs",
     "mat_mul",
     "pairing",
+    "decode_coeffs",
     "structure_tensor",
 ]
 
@@ -52,9 +58,9 @@ class AlgebraKind(enum.Enum):
     H = 4
     O = 8
 
-    @property
-    def dim(self) -> int:
-        return self.value
+    def __init__(self, value):
+        # a plain attribute: the real dimension is read on every kernel call
+        self.dim = value
 
     @property
     def is_associative(self) -> bool:
@@ -119,7 +125,7 @@ _TENSORS = {
 }
 
 _CONJ_SIGNS = {
-    kind: np.concatenate([[1.0], -np.ones(kind.dim - 1)]) for kind in AlgebraKind
+    kind.dim: np.concatenate([[1.0], -np.ones(kind.dim - 1)]) for kind in AlgebraKind
 }
 
 
@@ -131,13 +137,50 @@ def structure_tensor(kind: AlgebraKind) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batched coefficient operations; the trailing axis is the coefficient axis
 
+# [b, (a, c)] = T[a, b, c]: y @ _RIGHT[kind] gives the left-multiplication
+# table sum_b T[a, b, c] y_b of y, whose entries are single signed coefficients
+# (keyed by dim, which hashes faster than the enum)
+_RIGHT = {
+    kind.dim: t.transpose(1, 0, 2).reshape(kind.dim, kind.dim * kind.dim)
+    for kind, t in _TENSORS.items()
+}
+# rows per block of mul_coeffs, which keeps its (rows, dim, dim) table small
+_BLOCK = 1024
+_reduce = np.add.reduce
 
-def mul_coeffs(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("abc,...a,...b->...c", _TENSORS[kind], x, y)
+
+def _table(kind: AlgebraKind, y: np.ndarray) -> np.ndarray:
+    d = kind.dim
+    return (y @ _RIGHT[d]).reshape(y.shape[:-1] + (d, d))
+
+
+def _products(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the sum over a runs in order down a non-contiguous axis
+    return _reduce(x[..., :, None] * _table(kind, y), axis=-2)
+
+
+def mul_coeffs(kind: AlgebraKind, x, y) -> np.ndarray:
+    """Products x y of broadcast coefficient arrays (..., dim).
+
+    A large batch walks its leading axis in blocks of _BLOCK rows, so
+    the (rows, dim, dim) multiplication table stays small.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if max(x.size, y.size) <= _BLOCK * kind.dim:
+        return _products(kind, x, y)
+    x, y = np.broadcast_arrays(x, y)
+    out = np.empty(x.shape)
+    for start in range(0, len(x), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        table = _table(kind, y[rows])
+        table *= x[rows, ..., :, None]
+        _reduce(table, axis=-2, out=out[rows])
+    return out
 
 
 def conj_coeffs(kind: AlgebraKind, x: np.ndarray) -> np.ndarray:
-    return x * _CONJ_SIGNS[kind]
+    return x * _CONJ_SIGNS[kind.dim]
 
 
 def norm_coeffs(x: np.ndarray) -> np.ndarray:
@@ -145,20 +188,60 @@ def norm_coeffs(x: np.ndarray) -> np.ndarray:
 
 
 def inv_coeffs(kind: AlgebraKind, x: np.ndarray) -> np.ndarray:
-    n2 = np.sum(x * x, axis=-1, keepdims=True)
-    if np.any(n2 == 0.0):
+    n2 = _reduce(x * x, axis=-1, keepdims=True)
+    if (n2 == 0.0).any():
         raise ZeroDivisionError("zero element has no inverse")
-    return conj_coeffs(kind, x) / n2
+    out = conj_coeffs(kind, x)
+    out /= n2
+    return out
 
 
 def mat_mul(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient matrices over F: (ab)_ij = sum_k a_ik b_kj.
 
-    a is (n, r, dim) and b is (r, p, dim). Every entry is a sum of binary
-    products, so the product is defined over O as well; it is the one
-    kernel behind matrix products, row actions and Hermitian pairings.
+    a is (..., n, r, dim) and b is (..., r, p, dim), with broadcast
+    leading axes. Every entry is a sum of binary products, summed over
+    k and then a in order, so the product is defined over O as well; it
+    is the one kernel behind matrix products, row actions and Hermitian
+    pairings.
     """
-    return np.einsum("abc,ika,kjb->ijc", _TENSORS[kind], a, b)
+    d = kind.dim
+    r, p = b.shape[-3], b.shape[-2]
+    # [..., j, (k, a), c]: the table of b_kj, rows ordered by k, then a
+    table = np.swapaxes(_table(kind, b), -4, -3).reshape(b.shape[:-3] + (1, p, r * d, d))
+    flat = a.reshape(a.shape[:-2] + (1, r * d, 1))
+    return _reduce(flat * table, axis=-2)
+
+
+def pairing(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hermitian pairing sum_i x_i conj(y_i) of (..., r, dim) arrays."""
+    terms = x[..., :, :, None] * _table(kind, conj_coeffs(kind, y))
+    # rows ordered by i, then a, as in mat_mul
+    return _reduce(terms.reshape(terms.shape[:-3] + (-1, kind.dim)), axis=-2)
+
+
+def decode_coeffs(value, shape: tuple, field: str) -> np.ndarray:
+    """Validated float array of the given shape from nested JSON lists.
+
+    Every leaf must be a finite JSON number; booleans, strings, NaN and
+    infinities raise ValueError naming the field.
+    """
+    def walk(v, dims, where):
+        if not dims:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"field {where!r} must be a number")
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise ValueError(f"field {where!r} must be a finite number")
+            return v
+        if not isinstance(v, list) or len(v) != dims[0]:
+            raise ValueError(f"field {where!r} must be a list of {dims[0]}")
+        return [walk(e, dims[1:], f"{where}[{i}]") for i, e in enumerate(v)]
+
+    return np.array(walk(value, tuple(shape), field), dtype=float).reshape(shape)
 
 
 class AlgebraElement:
@@ -302,14 +385,6 @@ class AlgebraElement:
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def pairing(xs, ys) -> AlgebraElement:
-    """Hermitian pairing sum_i x_i conj(y_i) of two equal-length sequences."""
-    kind = xs[0].kind
-    x = np.array([v.coeffs for v in xs])
-    y = conj_coeffs(kind, np.array([v.coeffs for v in ys]))
-    return AlgebraElement(kind, mat_mul(kind, x[None], y[:, None])[0, 0])
 
 
 def split(a: AlgebraElement) -> tuple[float, AlgebraElement]:

@@ -230,15 +230,17 @@ def _cmd_crossratio(cfg):
     if not isinstance(pts, list) or len(pts) != 4:
         raise CommandError("field 'points' must list exactly four points")
     model = data.get("model", "nil")
-    if model == "nil":
-        points = [NilPoint.from_dict(p) for p in pts]
-        value = crossratio_nil(*points)
-    elif model == "ball":
-        points = [BallPoint.from_dict(p) for p in pts]
-        value = crossratio_ball(*points)
-    else:
+    if model not in ("nil", "ball"):
         raise CommandError("field 'model' must be 'nil' or 'ball'")
-    return _json_text({"crossratio": _num_out(value)}), 0
+    decode, crossratio = {"nil": (NilPoint.from_dict, crossratio_nil),
+                          "ball": (BallPoint.from_dict, crossratio_ball)}[model]
+    points = []
+    for i, p in enumerate(pts):
+        try:
+            points.append(decode(p))
+        except ValueError as e:
+            raise CommandError(f"field 'points[{i}]': {e}") from None
+    return _json_text({"crossratio": _num_out(crossratio(*points))}), 0
 
 
 def _cmd_project(cfg):

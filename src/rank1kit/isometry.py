@@ -30,6 +30,9 @@ Translation lengths come in three flavors that agree on overlaps: |s|
 for a normal form, log of the spectral radius for real and complex
 matrices, and a stable-length iteration (displacement growth of the
 origin under repeated squaring) that works over H as well.
+
+The actions are kernels over point arrays (..., m, dim) with any
+leading batch axes, as in nilboundary and ballmodel.
 """
 
 from __future__ import annotations
@@ -42,13 +45,16 @@ from .algebra import (
     AlgebraElement,
     AlgebraKind,
     conj_coeffs,
+    decode_coeffs,
+    inv_coeffs,
     mat_mul,
+    mul_coeffs,
     norm_coeffs,
     pairing,
     random_unit,
 )
 from .ballmodel import BallPoint
-from .nilboundary import NilPoint, SpaceConfig
+from .nilboundary import NilPoint, SpaceConfig, _norm_sq
 
 __all__ = [
     "NormalIsometry",
@@ -57,6 +63,9 @@ __all__ = [
     "act_nil",
     "act_ball",
     "act_interior",
+    "act_nil_coeffs",
+    "act_ball_coeffs",
+    "act_interior_coeffs",
     "embed_normal",
     "translation_length",
     "stable_length",
@@ -108,12 +117,6 @@ def _mat_from_entries(kind: AlgebraKind, entries) -> np.ndarray:
             else:
                 out[i, j] = AlgebraElement(kind, e).coeffs
     return out
-
-
-def _row_times(kind: AlgebraKind, row, a: np.ndarray) -> tuple:
-    """Row vector of algebra elements times a coefficient matrix."""
-    out = mat_mul(kind, np.array([v.coeffs for v in row])[None], a)[0]
-    return tuple(AlgebraElement(kind, c) for c in out)
 
 
 def _jsigns(n: int) -> np.ndarray:
@@ -239,9 +242,13 @@ class GroupMatrix:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GroupMatrix":
-        config = SpaceConfig.from_dict(d["config"])
-        return cls.from_entries(config, d["entries"])
+    def from_dict(cls, d) -> "GroupMatrix":
+        """Validated matrix from JSON; malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("a matrix must be an object")
+        config = SpaceConfig.from_dict(d.get("config"))
+        n = config.m + 1
+        return cls(config, decode_coeffs(d.get("entries"), (n, n, config.kind.dim), "entries"))
 
     def __repr__(self):
         return f"GroupMatrix({self.config.kind.name}, size {self.size})"
@@ -290,13 +297,6 @@ class NormalIsometry:
             s,
         )
 
-    def rotation_entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.config.kind, self.M[i, j])
-
-    def apply_rotation(self, row: tuple) -> tuple:
-        """Row vector of horizontal coordinates times M."""
-        return _row_times(self.config.kind, row, self.M)
-
     def to_dict(self) -> dict:
         r = self.config.horizontal_len
         return {
@@ -307,18 +307,70 @@ class NormalIsometry:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormalIsometry":
-        config = SpaceConfig.from_dict(d["config"])
-        kind = config.kind
-        r = config.horizontal_len
-        M = np.zeros((r, r, kind.dim))
-        for i in range(r):
-            for j in range(r):
-                M[i, j] = np.asarray(d["M"][i][j], dtype=float)
-        return cls(config, M, AlgebraElement(kind, d["nu"]), float(d["s"]))
+    def from_dict(cls, d) -> "NormalIsometry":
+        """Validated normal form from JSON; malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("an isometry must be an object")
+        config = SpaceConfig.from_dict(d.get("config"))
+        kind, r = config.kind, config.horizontal_len
+        M = decode_coeffs(d.get("M"), (r, r, kind.dim), "M")
+        nu = decode_coeffs(d.get("nu"), (kind.dim,), "nu")
+        s = decode_coeffs(d.get("s"), (), "s")
+        return cls(config, M, AlgebraElement(kind, nu), float(s))
 
     def __repr__(self):
         return f"NormalIsometry({self.config.kind.name}, s={self.s!r})"
+
+
+def act_nil_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s: float,
+                   g: np.ndarray) -> np.ndarray:
+    """Normal-form action (M, nu, s) on finite group coordinates (..., m, dim)."""
+    nu_inv = conj_coeffs(kind, nu)  # unit
+    c, k = g[..., :1, :], g[..., 1:, :]
+    k2 = _norm_sq(k)
+    # Ds = e^2s + |k|^2 - c and D1 = 1 + |k|^2 - c
+    dd = np.concatenate([-c, -c], axis=-2)
+    dd[..., 0, 0] += math.exp(2.0 * s) + k2
+    dd[..., 1, 0] += 1.0 + k2
+    # (nu^-1 c) nu, the center before scaling, and lead = (nu^-1 Ds) nu
+    twisted = mul_coeffs(kind, mul_coeffs(kind, nu_inv, np.concatenate([c, dd[..., :1, :]], axis=-2)), nu)
+    dd_inv = inv_coeffs(kind, dd)
+    mid = mul_coeffs(kind, nu_inv, mul_coeffs(kind, dd_inv[..., 0, :], dd[..., 1, :]))
+    scaled = mul_coeffs(kind, dd_inv[..., 1, None, :], k)
+    rotated = mat_mul(kind, scaled[..., None, :, :], M)[..., 0, :, :]
+    inner = mul_coeffs(kind, mid[..., None, :], rotated)
+    out = np.empty(np.shape(g))
+    out[..., 0, :] = math.exp(-2.0 * s) * twisted[..., 0, :]
+    out[..., 0, 0] = 0.0
+    out[..., 1:, :] = math.exp(-s) * mul_coeffs(kind, twisted[..., 1, None, :], inner)
+    return out
+
+
+def act_ball_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s: float,
+                    x: np.ndarray) -> np.ndarray:
+    """Normal-form action (M, nu, s) on ball coordinates (..., m, dim)."""
+    ch = math.cosh(s)
+    sh = math.sinh(s)
+    w2nu = mul_coeffs(kind, x[..., -1, :], nu)
+    e_inv = inv_coeffs(kind, w2nu * sh + ch * nu)
+    rows = np.empty(np.shape(x))
+    rows[..., :-1, :] = mat_mul(kind, x[..., None, :-1, :], M)[..., 0, :, :]
+    rows[..., -1, :] = w2nu * ch + sh * nu
+    return mul_coeffs(kind, e_inv[..., None, :], rows)
+
+
+def act_interior_coeffs(kind: AlgebraKind, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row action of the matrix A on homogeneous coordinates (x, 1).
+
+    The image is renormalized into the affine chart by left
+    multiplication with the inverse of the last coordinate, which is
+    the operation that stays inside a left F-line.
+    """
+    row = np.zeros(np.shape(x)[:-2] + (1, x.shape[-2] + 1, kind.dim))
+    row[..., 0, :-1, :] = x
+    row[..., 0, -1, 0] = 1.0
+    image = mat_mul(kind, row, A)[..., 0, :, :]
+    return mul_coeffs(kind, inv_coeffs(kind, image[..., -1, :])[..., None, :], image[..., :-1, :])
 
 
 def act_nil(iso: NormalIsometry, g: NilPoint) -> NilPoint:
@@ -327,37 +379,14 @@ def act_nil(iso: NormalIsometry, g: NilPoint) -> NilPoint:
         raise ValueError("configuration mismatch")
     if g.is_infinity:
         return g
-    kind = iso.config.kind
-    nu = iso.nu
-    nu_inv = nu.conj()  # unit
-    e2s = math.exp(2.0 * iso.s)
-    k2 = g.horizontal_norm_sq()
-    c = g.center
-    center = math.exp(-2.0 * iso.s) * ((nu_inv * c) * nu)
-
-    ds = AlgebraElement.from_real(kind, e2s + k2) - c
-    d1 = AlgebraElement.from_real(kind, 1.0 + k2) - c
-    d1_inv = d1.inv()
-    lead = (nu_inv * ds) * nu
-    mid = nu_inv * (ds.inv() * d1)
-    rotated = iso.apply_rotation(tuple(d1_inv * k for k in g.horizontal))
-    es = math.exp(-iso.s)
-    horizontal = tuple(es * (lead * (mid * v)) for v in rotated)
-    return NilPoint(iso.config, center.im(), horizontal)
+    return NilPoint._wrap(g.config, act_nil_coeffs(g.config.kind, iso.M, iso.nu.coeffs, iso.s, g.coeffs))
 
 
 def act_ball(iso: NormalIsometry, x: BallPoint) -> BallPoint:
     """Normal-form action on the closed ball; fixes (0, 1) and (0, -1)."""
     if iso.config != x.config:
         raise ValueError("configuration mismatch")
-    nu = iso.nu
-    ch = math.cosh(iso.s)
-    sh = math.sinh(iso.s)
-    e = (x.w2 * nu) * sh + ch * nu
-    e_inv = e.inv()
-    w1 = tuple(e_inv * v for v in iso.apply_rotation(x.w1))
-    w2 = e_inv * ((x.w2 * nu) * ch + sh * nu)
-    return BallPoint(iso.config, w1, w2)
+    return BallPoint._wrap(x.config, act_ball_coeffs(x.config.kind, iso.M, iso.nu.coeffs, iso.s, x.coeffs))
 
 
 def embed_normal(iso: NormalIsometry) -> GroupMatrix:
@@ -381,20 +410,11 @@ def embed_normal(iso: NormalIsometry) -> GroupMatrix:
 
 
 def act_interior(A: GroupMatrix, x: BallPoint) -> BallPoint:
-    """Row action on homogeneous coordinates (x, 1).
-
-    The result is renormalized into the affine chart by left
-    multiplication with the inverse of the last coordinate, which is
-    the operation that stays inside a left F-line. Works on interior
-    and boundary points alike.
-    """
+    """Row action on homogeneous coordinates (x, 1); works on interior
+    and boundary points alike (see act_interior_coeffs)."""
     if A.config != x.config:
         raise ValueError("configuration mismatch")
-    kind = A.config.kind
-    image = _row_times(kind, x.coords() + (AlgebraElement.one(kind),), A.coeffs)
-    last_inv = image[-1].inv()
-    w = tuple(last_inv * y for y in image[:-1])
-    return BallPoint(A.config, w[:-1], w[-1])
+    return BallPoint._wrap(x.config, act_interior_coeffs(x.config.kind, A.coeffs, x.coeffs))
 
 
 def stable_length(A: GroupMatrix, n_start: int = 8, n_max: int = 1024, tol: float = 1e-8) -> float:
@@ -500,16 +520,9 @@ def boundary_fixed_points(A: GroupMatrix) -> tuple[BallPoint, BallPoint]:
     order = np.argsort(np.abs(vals))
     out = []
     for idx in (order[-1], order[0]):
-        v = vecs[:, idx]
-        v = v / v[-1]
-        if kind is AlgebraKind.R:
-            coords = [AlgebraElement(kind, [float(np.real(c))]) for c in v[:-1]]
-        else:
-            coords = [
-                AlgebraElement(kind, [float(np.real(c)), float(np.imag(c))]) for c in v[:-1]
-            ]
-        point = BallPoint(A.config, coords[:-1], coords[-1]).renormalized()
-        out.append(point)
+        v = vecs[:-1, idx] / vecs[-1, idx]
+        coeffs = np.stack([v.real, v.imag], axis=-1)[:, : kind.dim]
+        out.append(BallPoint._wrap(A.config, coeffs).renormalized())
     return out[0], out[1]
 
 
@@ -567,25 +580,19 @@ def action_identity_residual(
 
 def _random_unitary(kind: AlgebraKind, size: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary size x size coefficient matrix by Euclidean Gram-Schmidt."""
-    rows: list[list[AlgebraElement]] = []
+    out = np.zeros((size, size, kind.dim))
     for i in range(size):
         for attempt in range(64):
-            u = [AlgebraElement(kind, rng.standard_normal(kind.dim)) for _ in range(size)]
-            for prev in rows:
-                coef = pairing(u, prev)
-                u = [a - coef * b for a, b in zip(u, prev)]
-            phi = pairing(u, u).re
+            u = rng.standard_normal((size, kind.dim))
+            for prev in out[:i]:
+                u = u - mul_coeffs(kind, pairing(kind, u, prev), prev)
+            phi = pairing(kind, u, u)[0]
             if phi <= 1e-3:
                 continue
-            scale = 1.0 / math.sqrt(phi)
-            rows.append([scale * a for a in u])
+            out[i] = (1.0 / math.sqrt(phi)) * u
             break
         else:
             raise ArithmeticError("unitary Gram-Schmidt failed to converge")
-    out = np.zeros((size, size, kind.dim))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[i, j] = e.coeffs
     return out
 
 

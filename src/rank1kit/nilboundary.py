@@ -24,16 +24,22 @@ cross-ratio
 
 where any factor whose argument contains the point at infinity is
 replaced by 1.
+
+A point is one read-only (m, dim) coefficient array: the center in row
+0 and the horizontal coordinates in rows 1..m-1. Every primitive is a
+kernel over arrays (..., m, dim) with any leading batch axes, and a
+batch marks its points at infinity with a boolean mask (...); the
+scalar functions check the configuration and infinity, call the kernel
+once and wrap the result.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraKind, pairing
+from .algebra import AlgebraElement, AlgebraKind, decode_coeffs, pairing
 
 __all__ = [
     "SpaceConfig",
@@ -46,9 +52,16 @@ __all__ = [
     "horizontal_inner",
     "crossratio_nil",
     "random_point",
+    "nmul_coeffs",
+    "ninv_coeffs",
+    "gauge_coeffs",
+    "qnorm_coeffs",
+    "dist_coeffs",
+    "crossratio_nil_coeffs",
 ]
 
 _CENTER_TOL = 1e-9
+_reduce = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -73,48 +86,76 @@ class SpaceConfig:
         # horizontal block plus the imaginary center directions
         return self.kind.dim * self.m - 1
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape (m, dim) of one point's coefficient array."""
+        return (self.m, self.kind.dim)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind.name, "m": self.m}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SpaceConfig":
-        return cls(AlgebraKind.from_name(d["kind"]), int(d["m"]))
+    def from_dict(cls, d) -> "SpaceConfig":
+        if not isinstance(d, dict):
+            raise ValueError("field 'config' must be an object")
+        kind = d.get("kind")
+        if not isinstance(kind, str):
+            raise ValueError("field 'config.kind' must be one of R, C, H, O")
+        m = d.get("m")
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ValueError("field 'config.m' must be an integer")
+        return cls(AlgebraKind.from_name(kind), m)
+
+
+def _frozen(coeffs: np.ndarray) -> np.ndarray:
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _norm_sq(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over the trailing (rows, coefficients) axes."""
+    return _reduce(_reduce(x * x, axis=-1), axis=-1)
 
 
 class NilPoint:
-    """A boundary point: group element [center, horizontal] or infinity."""
+    """A boundary point: group element [center, horizontal] or infinity.
 
-    __slots__ = ("config", "center", "horizontal", "is_infinity")
+    `coeffs` holds the center in row 0 and the horizontal coordinates in
+    rows 1..m-1; it is all zeros at infinity.
+    """
+
+    __slots__ = ("config", "coeffs", "is_infinity")
 
     def __init__(self, config: SpaceConfig, center: AlgebraElement | None = None,
                  horizontal=None, is_infinity: bool = False):
+        coeffs = np.zeros(config.shape)
+        if not is_infinity:
+            if center is not None:
+                if center.kind is not config.kind:
+                    raise ValueError("center kind does not match the configuration")
+                coeffs[0] = center.coeffs
+            if horizontal is not None:
+                horizontal = tuple(horizontal)
+                if len(horizontal) != config.horizontal_len:
+                    raise ValueError(f"expected {config.horizontal_len} horizontal coordinates")
+                for i, h in enumerate(horizontal, 1):
+                    if h.kind is not config.kind:
+                        raise ValueError("horizontal kind does not match the configuration")
+                    coeffs[i] = h.coeffs
+            _check_center(coeffs)
+        self._set(config, _frozen(coeffs), bool(is_infinity))
+
+    def _set(self, config, coeffs, is_infinity):
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "is_infinity", bool(is_infinity))
-        if is_infinity:
-            object.__setattr__(self, "center", None)
-            object.__setattr__(self, "horizontal", None)
-            return
-        if center is None:
-            center = AlgebraElement.zero(config.kind)
-        if center.kind is not config.kind:
-            raise ValueError("center kind does not match the configuration")
-        scale = max(1.0, center.norm())
-        if abs(center.re) > _CENTER_TOL * scale:
-            raise ValueError("center must be purely imaginary")
-        if abs(center.re) > 0.0:
-            c = center.coeffs.copy()
-            c[0] = 0.0
-            center = AlgebraElement(config.kind, c)
-        if horizontal is None:
-            horizontal = tuple(AlgebraElement.zero(config.kind) for _ in range(config.horizontal_len))
-        horizontal = tuple(horizontal)
-        if len(horizontal) != config.horizontal_len:
-            raise ValueError(f"expected {config.horizontal_len} horizontal coordinates")
-        for h in horizontal:
-            if h.kind is not config.kind:
-                raise ValueError("horizontal kind does not match the configuration")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "horizontal", horizontal)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "is_infinity", is_infinity)
+
+    @classmethod
+    def _wrap(cls, config: SpaceConfig, coeffs: np.ndarray, is_infinity: bool = False) -> "NilPoint":
+        """A point around a kernel result, without validation."""
+        self = object.__new__(cls)
+        self._set(config, _frozen(coeffs), is_infinity)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("NilPoint is immutable")
@@ -127,25 +168,33 @@ class NilPoint:
     def infinity(cls, config: SpaceConfig) -> "NilPoint":
         return cls(config, is_infinity=True)
 
+    @property
+    def center(self) -> AlgebraElement | None:
+        if self.is_infinity:
+            return None
+        return AlgebraElement(self.config.kind, self.coeffs[0])
+
+    @property
+    def horizontal(self) -> tuple[AlgebraElement, ...] | None:
+        if self.is_infinity:
+            return None
+        return tuple(AlgebraElement(self.config.kind, c) for c in self.coeffs[1:])
+
     def horizontal_norm_sq(self) -> float:
-        return sum(h.norm_sq() for h in self.horizontal)
+        return float(_norm_sq(self.coeffs[1:]))
 
     def isclose(self, other: "NilPoint", tol: float = 1e-9) -> bool:
         if self.config != other.config:
             return False
         if self.is_infinity or other.is_infinity:
             return self.is_infinity and other.is_infinity
+        a, b = self.coeffs, other.coeffs
         scale = max(
             1.0,
-            self.center.norm(), other.center.norm(),
-            math.sqrt(self.horizontal_norm_sq()), math.sqrt(other.horizontal_norm_sq()),
+            float(np.linalg.norm(a[0])), float(np.linalg.norm(b[0])),
+            float(np.linalg.norm(a[1:])), float(np.linalg.norm(b[1:])),
         )
-        if np.max(np.abs(self.center.coeffs - other.center.coeffs)) > tol * scale:
-            return False
-        return all(
-            np.max(np.abs(a.coeffs - b.coeffs)) <= tol * scale
-            for a, b in zip(self.horizontal, other.horizontal)
-        )
+        return bool(np.max(np.abs(a - b)) <= tol * scale)
 
     def __repr__(self):
         if self.is_infinity:
@@ -155,18 +204,44 @@ class NilPoint:
     def to_dict(self) -> dict:
         d = {"config": self.config.to_dict(), "infinity": self.is_infinity}
         if not self.is_infinity:
-            d["center"] = self.center.to_list()
-            d["horizontal"] = [h.to_list() for h in self.horizontal]
+            d["center"] = self.coeffs[0].tolist()
+            d["horizontal"] = self.coeffs[1:].tolist()
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NilPoint":
-        config = SpaceConfig.from_dict(d["config"])
-        if d.get("infinity"):
+    def from_dict(cls, d) -> "NilPoint":
+        """Validated point from JSON; malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("a point must be an object")
+        config = SpaceConfig.from_dict(d.get("config"))
+        infinity = d.get("infinity", False)
+        if not isinstance(infinity, bool):
+            raise ValueError("field 'infinity' must be true or false")
+        if infinity:
             return cls.infinity(config)
-        center = AlgebraElement(config.kind, d["center"])
-        horizontal = [AlgebraElement(config.kind, h) for h in d["horizontal"]]
-        return cls(config, center, horizontal)
+        if "center" not in d or "horizontal" not in d:
+            raise ValueError("a finite point needs fields 'center' and 'horizontal'")
+        # decoded before anything of size m is allocated
+        horizontal = decode_coeffs(d["horizontal"], (config.m - 1, config.kind.dim), "horizontal")
+        center = decode_coeffs(d["center"], (config.kind.dim,), "center")[None]
+        coeffs = np.concatenate([center, horizontal])
+        _check_center(coeffs)
+        return cls._wrap(config, coeffs)
+
+
+def _check_center(coeffs: np.ndarray):
+    """Validate that the center is imaginary, and clear its real part."""
+    c = coeffs[0]
+    if abs(c[0]) > _CENTER_TOL * max(1.0, float(np.linalg.norm(c))):
+        raise ValueError("center must be purely imaginary")
+    if c[0] != 0.0:
+        c[0] = 0.0
+
+
+def _check_pair(g, h):
+    """Points of either model must share their configuration."""
+    if g.config != h.config:
+        raise ValueError("configuration mismatch")
 
 
 def _require_finite(g: NilPoint, what: str):
@@ -174,69 +249,121 @@ def _require_finite(g: NilPoint, what: str):
         raise ValueError(f"{what} is not defined at infinity")
 
 
+# ---------------------------------------------------------------------------
+# kernels on (..., m, dim) coefficient arrays
+
+
+def nmul_coeffs(kind: AlgebraKind, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Group law; the center picks up twice the imaginary part of <k, k'>."""
+    out = g + h
+    out[..., 0, 1:] += 2.0 * pairing(kind, g[..., 1:, :], h[..., 1:, :])[..., 1:]
+    return out
+
+
+def ninv_coeffs(g: np.ndarray) -> np.ndarray:
+    return -g
+
+
+def gauge_coeffs(g: np.ndarray) -> np.ndarray:
+    """A(g) = |horizontal|^2 + center, as (..., dim) algebra elements."""
+    out = g[..., 0, :].copy()
+    out[..., 0] += _norm_sq(g[..., 1:, :])
+    return out
+
+
+def _gauge_sq(g: np.ndarray) -> np.ndarray:
+    """|A(g)|^2 = |k|^4 + |center|^2."""
+    k2 = _norm_sq(g[..., 1:, :])
+    return k2 * k2 + _reduce(g[..., 0, :] ** 2, axis=-1)
+
+
+def qnorm_coeffs(g: np.ndarray) -> np.ndarray:
+    """Homogeneous quasi-norm (|k|^4 + |center|^2)^(1/4)."""
+    # two correctly rounded square roots: a SIMD power would round a
+    # batch differently from a single point
+    return np.sqrt(np.sqrt(_gauge_sq(g)))
+
+
+def dist_coeffs(kind: AlgebraKind, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Left-invariant quasi-distance |h^-1 g|."""
+    return qnorm_coeffs(nmul_coeffs(kind, ninv_coeffs(h), g))
+
+
+def _crossratio_quotient(num, den):
+    """num / den, elementwise, under the one cross-ratio policy of every
+    model: a vanishing denominator gives inf, and 0/0 is indeterminate."""
+    num, den = np.asarray(num), np.asarray(den)
+    zero = den == 0
+    if zero.any():
+        if (zero & (num == 0)).any():
+            raise ArithmeticError("indeterminate cross-ratio (0/0)")
+        out = np.where(zero, np.inf, num / np.where(zero, 1.0, den))
+    else:
+        out = num / den
+    return out if out.ndim else out.item()
+
+
+# the four factors |A(h^-1 g)| of [g1, g2, g3, g4], as (h, g) point indices:
+# numerator (3, 1) and (4, 2), denominator (4, 1) and (3, 2)
+_FACTOR_H = [2, 3, 3, 2]
+_FACTOR_G = [0, 1, 0, 1]
+
+
+def crossratio_nil_coeffs(kind: AlgebraKind, pts: np.ndarray, infinity=None) -> np.ndarray:
+    """Cross-ratios of quadruples (..., 4, m, dim); `infinity` (..., 4)
+    marks points at infinity, whose factors are 1."""
+    h, g = pts[..., _FACTOR_H, :, :], pts[..., _FACTOR_G, :, :]
+    f = np.sqrt(_gauge_sq(nmul_coeffs(kind, ninv_coeffs(h), g)))
+    if infinity is not None:
+        infinity = np.asarray(infinity, dtype=bool)
+        if (np.count_nonzero(infinity, axis=-1) > 1).any():
+            raise ValueError("at most one cross-ratio argument may be infinity")
+        f = np.where(infinity[..., _FACTOR_H] | infinity[..., _FACTOR_G], 1.0, f)
+    return _crossratio_quotient(f[..., 0] * f[..., 1], f[..., 2] * f[..., 3])
+
+
+# ---------------------------------------------------------------------------
+# scalar API
+
+
 def horizontal_inner(g: NilPoint, h: NilPoint) -> AlgebraElement:
     """Hermitian pairing sum_i k_i conj(k'_i) of the horizontal parts."""
     _require_finite(g, "horizontal_inner")
     _require_finite(h, "horizontal_inner")
-    return pairing(g.horizontal, h.horizontal)
+    return AlgebraElement(g.config.kind, pairing(g.config.kind, g.coeffs[1:], h.coeffs[1:]))
 
 
 def nmul(g: NilPoint, h: NilPoint) -> NilPoint:
     """Group law; the center picks up twice the imaginary part of <k, k'>."""
-    if g.config != h.config:
-        raise ValueError("configuration mismatch")
+    _check_pair(g, h)
     _require_finite(g, "nmul")
     _require_finite(h, "nmul")
-    twist = horizontal_inner(g, h).im()
-    center = g.center + h.center + 2.0 * twist
-    horizontal = tuple(a + b for a, b in zip(g.horizontal, h.horizontal))
-    return NilPoint(g.config, center, horizontal)
+    return NilPoint._wrap(g.config, nmul_coeffs(g.config.kind, g.coeffs, h.coeffs))
 
 
 def ninv(g: NilPoint) -> NilPoint:
     _require_finite(g, "ninv")
-    return NilPoint(g.config, -g.center, tuple(-h for h in g.horizontal))
+    return NilPoint._wrap(g.config, ninv_coeffs(g.coeffs))
 
 
 def gauge(g: NilPoint) -> AlgebraElement:
     """A(g) = |horizontal|^2 + center, as one algebra element."""
     _require_finite(g, "gauge")
-    c = g.center.coeffs.copy()
-    c[0] += g.horizontal_norm_sq()
-    return AlgebraElement(g.config.kind, c)
+    return AlgebraElement(g.config.kind, gauge_coeffs(g.coeffs))
 
 
 def qnorm(g: NilPoint) -> float:
     """Homogeneous quasi-norm (|k|^4 + |center|^2)^(1/4)."""
     _require_finite(g, "qnorm")
-    k2 = g.horizontal_norm_sq()
-    return (k2 * k2 + g.center.norm_sq()) ** 0.25
+    return float(qnorm_coeffs(g.coeffs))
 
 
 def dist(g: NilPoint, h: NilPoint) -> float:
     """Left-invariant quasi-distance |h^-1 g|."""
-    if g.config != h.config:
-        raise ValueError("configuration mismatch")
+    _check_pair(g, h)
     if g.is_infinity or h.is_infinity:
         raise ValueError("distance to infinity is not defined")
-    return qnorm(nmul(ninv(h), g))
-
-
-def _gauge_factor(h: NilPoint, g: NilPoint) -> float:
-    """|A(h^-1 g)|, with the convention that factors involving infinity are 1."""
-    if h.is_infinity or g.is_infinity:
-        return 1.0
-    return gauge(nmul(ninv(h), g)).norm()
-
-
-def _crossratio_quotient(num, den):
-    """num / den under the one cross-ratio policy of every model: a
-    vanishing denominator gives math.inf, and 0/0 is indeterminate."""
-    if den == 0:
-        if num == 0:
-            raise ArithmeticError("indeterminate cross-ratio (0/0)")
-        return math.inf
-    return num / den
+    return float(dist_coeffs(g.config.kind, g.coeffs, h.coeffs))
 
 
 def crossratio_nil(g1: NilPoint, g2: NilPoint, g3: NilPoint, g4: NilPoint) -> float:
@@ -247,23 +374,24 @@ def crossratio_nil(g1: NilPoint, g2: NilPoint, g3: NilPoint, g4: NilPoint) -> fl
     the indeterminate 0/0 configuration.
     """
     pts = (g1, g2, g3, g4)
-    cfg = g1.config
-    if any(p.config != cfg for p in pts):
-        raise ValueError("configuration mismatch")
-    if sum(p.is_infinity for p in pts) > 1:
-        raise ValueError("at most one cross-ratio argument may be infinity")
-    num = _gauge_factor(g3, g1) * _gauge_factor(g4, g2)
-    den = _gauge_factor(g4, g1) * _gauge_factor(g3, g2)
-    return _crossratio_quotient(num, den)
+    for p in pts[1:]:
+        _check_pair(g1, p)
+    infinity = [p.is_infinity for p in pts]
+    return float(crossratio_nil_coeffs(
+        g1.config.kind, np.array([p.coeffs for p in pts]), infinity if any(infinity) else None))
 
 
 def random_point(config: SpaceConfig, rng: np.random.Generator, scale: float = 1.0) -> NilPoint:
-    """Random finite point with N(0, scale^2) coordinates."""
-    from .algebra import random_imaginary, random_element
+    """Random finite point with N(0, scale^2) coordinates.
 
+    One draw per point, in the order center then horizontals; R has no
+    center and draws only the horizontals.
+    """
+    m, d = config.shape
+    coeffs = np.zeros((m, d))
     if config.kind is AlgebraKind.R:
-        center = AlgebraElement.zero(config.kind)
+        coeffs[1:] = scale * rng.standard_normal((m - 1, d))
     else:
-        center = random_imaginary(config.kind, rng, scale)
-    horizontal = tuple(random_element(config.kind, rng, scale) for _ in range(config.horizontal_len))
-    return NilPoint(config, center, horizontal)
+        coeffs[:] = scale * rng.standard_normal((m, d))
+        coeffs[0, 0] = 0.0
+    return NilPoint._wrap(config, coeffs)

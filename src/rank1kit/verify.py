@@ -59,28 +59,17 @@ def _info(name, detail):
 
 
 def _nil_size(p):
-    if p.is_infinity:
-        return 1.0
-    size = float(np.max(np.abs(p.center.coeffs)))
-    for h in p.horizontal:
-        size = max(size, float(np.max(np.abs(h.coeffs))))
-    return size
+    return 1.0 if p.is_infinity else float(np.max(np.abs(p.coeffs)))
 
 
 def _nil_gap(p, q):
     if p.is_infinity or q.is_infinity:
         return 0.0 if (p.is_infinity and q.is_infinity) else math.inf
-    gap = float(np.max(np.abs(p.center.coeffs - q.center.coeffs)))
-    for a, b in zip(p.horizontal, q.horizontal):
-        gap = max(gap, float(np.max(np.abs(a.coeffs - b.coeffs))))
-    return gap
+    return float(np.max(np.abs(p.coeffs - q.coeffs)))
 
 
 def _ball_gap(x, y):
-    gap = float(np.max(np.abs(x.w2.coeffs - y.w2.coeffs)))
-    for a, b in zip(x.w1, y.w1):
-        gap = max(gap, float(np.max(np.abs(a.coeffs - b.coeffs))))
-    return gap
+    return float(np.max(np.abs(x.coeffs - y.coeffs)))
 
 
 # ---------------------------------------------------------------------------

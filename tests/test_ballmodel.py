@@ -241,6 +241,14 @@ def test_stereo_inv_rejects_interior():
         stereo_inv(BallPoint.origin(cfg))
 
 
+def test_stereo_inv_rejects_exterior():
+    # |x|^2 = 9.04: renormalizing would silently move the point
+    cfg = SpaceConfig(AlgebraKind.C, 2)
+    x = BallPoint(cfg, (AlgebraElement(cfg.kind, [3.0, 0.0]),), AlgebraElement(cfg.kind, [0.2, 0.0]))
+    with pytest.raises(ValueError, match="boundary point"):
+        stereo_inv(x)
+
+
 def test_expanded_projection_formula():
     # scalar-denominator form: with a = |k|^2, den = (1+a)^2 + |c|^2,
     # w1 = (2/den) ((1+a) + c) k and w2 = ((1 - a^2 - |c|^2) + 2c) / den

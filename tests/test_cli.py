@@ -314,6 +314,36 @@ def test_non_numbers_are_rejected(tmp_path, command, payload, field):
     assert repr(field) in err and "must be a" in err and "number" in err
 
 
+_C2 = {"kind": "C", "m": 2}
+_NIL = {"config": _C2, "infinity": False, "center": [0.0, 0.3], "horizontal": [[0.5, -0.2]]}
+_ISO = {"config": {"kind": "R", "m": 2}, "M": [[[1.0]]], "nu": [1.0], "s": 0.5}
+
+
+def _with(base, **fields):
+    return dict(base, **fields)
+
+
+# malformed points and isometries; each exits 1 and names the field
+@pytest.mark.parametrize("command,payload,field", [
+    ("project", {"points": [_with(_NIL, horizontal=[[True, 0.0]])]}, "points[0]"),
+    ("project", {"points": [_with(_NIL, center=[0.0, "1"])]}, "points[0]"),
+    ("project", {"points": [_NIL, _with(_NIL, horizontal=[[math.nan, 0.0]])]}, "points[1]"),
+    ("project", {"points": [_with(_NIL, infinity="no")]}, "points[0]"),
+    ("project", {"points": [_with(_NIL, config={"kind": "C", "m": 2.7})]}, "points[0]"),
+    ("project", {"points": [{"config": _C2, "w1": [[3.0, 0.0]], "w2": [0.2, 0.0]}],
+                 "inverse": True}, "points[0]"),
+    ("act", {"isometry": _with(_ISO, s=True), "points": [_NIL]}, "isometry"),
+    ("act", {"isometry": _with(_ISO, nu=[True]), "points": [_NIL]}, "isometry"),
+    ("crossratio", {"model": "nil", "points": [1, 2, 3, 4]}, "points[0]"),
+], ids=["bool", "string", "nan", "infinity-flag", "fractional-m", "off-sphere",
+        "bool-s", "bool-nu", "bare-numbers"])
+def test_malformed_geometry_input_exits_1(tmp_path, command, payload, field):
+    inp = write_json(tmp_path / "in.json", payload)
+    rc, out, err = run_quiet([command, "--input", inp])
+    assert rc == 1 and out == ""
+    assert repr(field) in err
+
+
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     inp = write_json(tmp_path / "v.json", {k: 2 for k in ("x1", "x2", "x3", "y12", "y13")})
     outp = tmp_path / "result.json"
