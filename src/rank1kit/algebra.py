@@ -62,14 +62,6 @@ class AlgebraKind(enum.Enum):
         # a plain attribute: the real dimension is read on every kernel call
         self.dim = value
 
-    @property
-    def is_associative(self) -> bool:
-        return self is not AlgebraKind.O
-
-    @property
-    def is_commutative(self) -> bool:
-        return self.value <= 2
-
     @classmethod
     def from_name(cls, name: str) -> "AlgebraKind":
         try:
@@ -292,14 +284,6 @@ class AlgebraElement:
         c[0] = float(value)
         return cls(kind, c)
 
-    @classmethod
-    def from_complex(cls, kind: AlgebraKind, value: complex) -> "AlgebraElement":
-        if kind.dim < 2:
-            raise ValueError("kind R cannot hold an imaginary part")
-        c = np.zeros(kind.dim)
-        c[0], c[1] = value.real, value.imag
-        return cls(kind, c)
-
     # -- arithmetic
 
     def _check(self, other: "AlgebraElement"):
@@ -352,9 +336,6 @@ class AlgebraElement:
         c = self.coeffs.copy()
         c[0] = 0.0
         return AlgebraElement(self.kind, c)
-
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
 
     def embed(self, kind: AlgebraKind) -> "AlgebraElement":
         if kind.dim < self.kind.dim:

@@ -129,12 +129,6 @@ class BallPoint:
     def norm_sq(self) -> float:
         return float(_norm_sq(self.coeffs))
 
-    def is_interior(self, tol: float = _SPHERE_TOL) -> bool:
-        return self.norm_sq() < 1.0 - tol
-
-    def is_boundary(self, tol: float = _SPHERE_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
     def renormalized(self) -> "BallPoint":
         """Radially projected onto the unit sphere."""
         return BallPoint._wrap(self.config, _renormalized(self.coeffs))

@@ -310,7 +310,7 @@ def _cmd_lemma1(cfg):
     seq = spectrum.lemma1_sequence(oracle, [1], [2], n)
     bad = next((i for i, v in enumerate(seq, start=1) if not math.isfinite(v)), None)
     if bad is not None:
-        raise ArithmeticError(f"sequence term n = {bad} is not finite (power words overflow)")
+        raise ArithmeticError(f"sequence term n = {bad} is not finite")
     ref = spectrum.crossratio_of_pair(A, B)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

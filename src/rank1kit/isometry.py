@@ -103,22 +103,6 @@ def _mat_identity(kind: AlgebraKind, n: int) -> np.ndarray:
     return out
 
 
-def _mat_from_entries(kind: AlgebraKind, entries) -> np.ndarray:
-    n = len(entries)
-    out = np.zeros((n, n, kind.dim))
-    for i, row in enumerate(entries):
-        if len(row) != n:
-            raise ValueError("entries must form a square matrix")
-        for j, e in enumerate(row):
-            if isinstance(e, AlgebraElement):
-                if e.kind is not kind:
-                    raise ValueError("kind mismatch")
-                out[i, j] = e.coeffs
-            else:
-                out[i, j] = AlgebraElement(kind, e).coeffs
-    return out
-
-
 def _jsigns(n: int) -> np.ndarray:
     s = np.ones(n)
     s[-1] = -1.0
@@ -158,10 +142,6 @@ class GroupMatrix:
     def identity(cls, config: SpaceConfig) -> "GroupMatrix":
         return cls(config, _mat_identity(config.kind, config.m + 1), check=False)
 
-    @classmethod
-    def from_entries(cls, config: SpaceConfig, entries, check: bool = True) -> "GroupMatrix":
-        return cls(config, _mat_from_entries(config.kind, entries), check=check)
-
     @property
     def size(self) -> int:
         return self.coeffs.shape[0]
@@ -182,9 +162,6 @@ class GroupMatrix:
         return GroupMatrix(
             self.config, mat_mul(self.config.kind, self.coeffs, other.coeffs), check=False
         )
-
-    def conj_transpose(self) -> "GroupMatrix":
-        return GroupMatrix(self.config, _mat_conj_t(self.config.kind, self.coeffs), check=False)
 
     def inverse(self) -> "GroupMatrix":
         # G^-1 = J G* J, entrywise sign flips on the conjugate transpose

@@ -82,11 +82,6 @@ class SpaceConfig:
         return self.m - 1
 
     @property
-    def boundary_dim(self) -> int:
-        # horizontal block plus the imaginary center directions
-        return self.kind.dim * self.m - 1
-
-    @property
     def shape(self) -> tuple[int, int]:
         """Shape (m, dim) of one point's coefficient array."""
         return (self.m, self.kind.dim)

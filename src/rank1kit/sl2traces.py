@@ -210,7 +210,12 @@ def classify(A):
     (within 1e-9).  On the boundary trace = +-2 the element is the
     identity when it equals +-I and parabolic otherwise.
     """
-    t = A.trace()
+    return _classify_trace(A.trace(), A.mat)
+
+
+def _classify_trace(t, m):
+    # classify from the trace t of the determinant-one matrix m; m is
+    # None for a matrix past the float range, which is not +-I
     if abs(t.imag) > CLASSIFY_TOL:
         return "loxodromic"
     x = t.real
@@ -218,15 +223,15 @@ def classify(A):
         return "loxodromic"
     if abs(x - 2.0) <= CLASSIFY_TOL or abs(x + 2.0) <= CLASSIFY_TOL:
         sign = 1.0 if x > 0 else -1.0
-        if np.abs(A.mat - sign * np.eye(2)).max() <= CLASSIFY_TOL:
+        if m is not None and np.abs(m - sign * np.eye(2)).max() <= CLASSIFY_TOL:
             return "identity"
         return "parabolic"
     return "elliptic"
 
 
-def _expanding_eigenvalue(A):
-    t = A.trace()
-    root = cmath.sqrt(t * t - 4.0)
+def _expanding_eigenvalue(t, det=1.0):
+    # the larger root of x^2 - t x + det
+    root = cmath.sqrt(t * t - 4.0 * det)
     lam1 = (t + root) / 2.0
     lam2 = (t - root) / 2.0
     return lam1 if abs(lam1) >= abs(lam2) else lam2
@@ -237,7 +242,15 @@ def length(A):
     kind = classify(A)
     if kind != "loxodromic":
         raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
-    return 2.0 * math.log(abs(_expanding_eigenvalue(A)))
+    return _scaled_length(A.trace(), 0)
+
+
+def _scaled_length(t, e):
+    """Translation length of the determinant-one matrix 2^e S from the
+    trace t of S: 2 (e log 2 + log|mu|), mu the expanding root of
+    x^2 - t x + 4^-e.  length(A) is the case S = A, e = 0."""
+    mu = _expanding_eigenvalue(t, math.ldexp(1.0, -2 * e))
+    return 2.0 * (e * math.log(2.0) + math.log(abs(mu)))
 
 
 def length_gauge(A):
@@ -406,7 +419,7 @@ def length_jacobian(rep, words, step=FD_STEP):
                 word=w,
                 classification=kind,
             )
-        lams.append(_expanding_eigenvalue(A))
+        lams.append(_expanding_eigenvalue(A.trace()))
     J = np.zeros((len(words), 6 * k))
     for r, w in enumerate(words):
         t = trace_word(rep, w)
@@ -482,7 +495,7 @@ def _sphere_fixed_points(A):
     m = A.mat
     if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
         return []
-    lam = _expanding_eigenvalue(A)
+    lam = _expanding_eigenvalue(A.trace())
     return [_eigenvector_ratio(m, lam), _eigenvector_ratio(m, 1.0 / lam)]
 
 

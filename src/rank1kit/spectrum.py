@@ -27,12 +27,12 @@ from .sl2traces import (
     classify,
     is_nonelementary,
     length,
-    random_loxodromic,
-    random_sl2,
     trace_word,
     word_inverse,
+    _classify_trace,
     _is_inf,
     _reduced_words,
+    _scaled_length,
     _sphere_distance,
     _sphere_fixed_points,
 )
@@ -98,18 +98,83 @@ class LengthOracle:
         if self._table is not None:
             if word not in self._table:
                 raise OracleMissError(word)
-            base = self._table[word]
-        else:
-            A = self._rep.evaluate(list(word))
-            kind = classify(A)
-            base = length(A) if kind == "loxodromic" else 0.0
+            return self._answer(word, self._table[word])
+        A = self._rep.evaluate(list(word))
+        return self._answer(word, length(A) if classify(A) == "loxodromic" else 0.0)
+
+    def __call__(self, word):
+        return self.length(word)
+
+    def _answer(self, word, base):
+        # the exact length base plus the word's deterministic noise draw,
+        # clamped at 0; the word tuple is read only by a noisy oracle
         if self._noise > 0.0:
             mix = np.random.default_rng((self._seed, 1789, abs(hash(word)) % (2**32)))
             base = base + self._noise * mix.standard_normal()
         return max(base, 0.0)
 
-    def __call__(self, word):
-        return self.length(word)
+    def power_lengths(self, a, b, N, check=True):
+        """The lengths of a^n, b^n and a^n b^n for n = 1..N, as N triples.
+
+        A table oracle looks each power word up.  A rep oracle forms the
+        images A, B of a, b once and takes three 2x2 products per n, so
+        the cost is linear in N; a power past 2^256 is divided by an exact
+        power of two whose exponent is kept, so every length is finite.
+        With check=True a non-loxodromic power raises NonLoxodromicError
+        naming the word; with check=False its length is 0."""
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+            raise ValueError("argument 'N' must be a positive integer, got %r" % (N,))
+        if not len(a) or not len(b):
+            raise ValueError("argument '%s' is an empty word" % ("b" if len(a) else "a"))
+        bound = max(abs(l) for l in list(a) + list(b))
+        a, b = tuple(check_word(a, bound)), tuple(check_word(b, bound))
+
+        def power(k, n):
+            return (a * n, b * n, a * n + b * n)[k]
+
+        if self._table is not None:
+            return [tuple(self.length(power(k, n)) for k in range(3)) for n in range(1, N + 1)]
+        A, B = self._rep.evaluate(a).mat, self._rep.evaluate(b).mat
+        An, ea, Bn, eb = A, 0, B, 0
+        rows = []
+        for n in range(1, N + 1):
+            if n > 1:
+                An, ea = _rescaled(An @ A, ea)
+                Bn, eb = _rescaled(Bn @ B, eb)
+            row = []
+            for k, (S, e) in enumerate(((An, ea), (Bn, eb), _rescaled(An @ Bn, ea + eb))):
+                t = complex(S[0, 0] + S[1, 1])
+                kind = _scaled_kind(S, e, t)
+                if kind != "loxodromic" and check:
+                    w = list(power(k, n))
+                    raise NonLoxodromicError(
+                        "power word %r is %s" % (w, kind), word=w, classification=kind)
+                base = _scaled_length(t, e) if kind == "loxodromic" else 0.0
+                row.append(self._answer(power(k, n) if self._noise > 0.0 else None, base))
+            rows.append(tuple(row))
+        return rows
+
+
+def _rescaled(S, e):
+    # (S', e') with 2^e' S' = 2^e S and entries of S' at most 2^256: the
+    # product of two such stays below 2^513 and, rescaled once more, has
+    # a finite squared trace
+    big = float(np.abs(S).max())
+    if big <= 2.0 ** 256:
+        return S, e
+    k = math.frexp(big)[1]
+    return S * math.ldexp(1.0, -k), e + k
+
+
+def _scaled_kind(S, e, t):
+    """classify of the determinant-one matrix 2^e S, where t = tr S;
+    past the float range 2^e S is not +-I and its trace decides."""
+    if not e:
+        return _classify_trace(t, S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = S * np.ldexp(1.0, e)
+        t = complex(np.ldexp(t.real, e), np.ldexp(t.imag, e))
+    return _classify_trace(t, M if np.isfinite(M).all() else None)
 
 
 class FixedPair:
@@ -185,42 +250,14 @@ def crossratio_of_pair(A, B):
     return abs(cr) ** 2
 
 
-def _power_word(word, n):
-    return list(word) * n
-
-
 def lemma1_sequence(oracle, a, b, N, check=True):
     """The sequence e^{l(a^n) + l(b^n) - l(a^n b^n)} for n = 1..N.
 
-    With check=True a non-loxodromic power raises; check=False lets the
+    The lengths come from oracle.power_lengths, so for a rep oracle the
+    terms are finite for any N and the cost is linear in N.  With
+    check=True a non-loxodromic power raises; check=False lets the
     degenerate cases through (b = a^{-1} gives a divergent sequence)."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    bound = max(abs(l) for l in list(a) + list(b))
-    a = check_word(a, bound)
-    b = check_word(b, bound)
-    seq = []
-    rep = oracle.rep
-    for n in range(1, N + 1):
-        wa, wb = _power_word(a, n), _power_word(b, n)
-        wab = wa + wb
-        if check and rep is not None:
-            for w in (wa, wb, wab):
-                kind = classify(rep.evaluate(w))
-                if kind != "loxodromic":
-                    raise NonLoxodromicError(
-                        "power word %r is %s" % (w, kind), word=w, classification=kind
-                    )
-        la, lb, lab = oracle(wa), oracle(wb), oracle(wab)
-        seq.append(math.exp(la + lb - lab))
-    return seq
-
-
-def _matrix_power(A, n):
-    out = A
-    for _ in range(n - 1):
-        out = out @ A
-    return out
+    return [math.exp(la + lb - lab) for la, lb, lab in oracle.power_lengths(a, b, N, check)]
 
 
 def lemma1_matrix_sequence(A, B, N):

@@ -95,13 +95,31 @@ def test_lemma2_infinite_gauge_is_encoded(tmp_path):
     assert data["gauge"] == "inf" and data["length"] == "inf"
 
 
-def test_lemma1_non_finite_terms_exit_2(tmp_path):
-    # seed 3 power words overflow from n = 211 on
+def test_lemma1_non_finite_terms_exit_2(tmp_path, monkeypatch):
+    # the power words stay finite for any n, so a non-finite term is
+    # planted to exercise the gate
+    def planted(oracle, a, b, N, check=True):
+        return [1.0, 2.0, math.nan] + [2.5] * (N - 3)
+
+    monkeypatch.setattr(cli.spectrum, "lemma1_sequence", planted)
     outp = tmp_path / "seq.csv"
-    rc, _, err = run_quiet(["lemma1", "--seed", "3", "--n", "212", "--output", str(outp)])
+    rc, _, err = run_quiet(["lemma1", "--seed", "3", "--n", "6", "--output", str(outp)])
     assert rc == 2
-    assert "n = 211" in err
+    assert "n = 3" in err
     assert not outp.exists()
+
+
+def test_lemma1_long_sequence_is_finite(tmp_path):
+    # the unscaled power words of seed 3 overflow from n = 211 on
+    outp = str(tmp_path / "seq.csv")
+    rc, _, _ = run_quiet(["lemma1", "--seed", "3", "--n", "400", "--output", outp])
+    assert rc == 0
+    rows = open(outp).read().splitlines()[1:]
+    assert len(rows) == 400
+    values = [[float(v) for v in r.split(",")] for r in rows]
+    assert all(math.isfinite(v) for row in values for v in row)
+    n, _, ref, err = values[-1]
+    assert n == 400 and err <= 1e-9 * ref
 
 
 def test_lemma1_bundled_table(tmp_path):

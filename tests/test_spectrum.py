@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1kit.algebra import AlgebraKind
 from rank1kit.isometry import embed_normal, random_form_preserving, random_normal_isometry
 from rank1kit.nilboundary import SpaceConfig
-from rank1kit.sl2traces import SL2, SL2Rep, NonLoxodromicError, random_loxodromic, random_sl2
+from rank1kit.sl2traces import (
+    SL2, SL2Rep, NonLoxodromicError, classify, length, random_loxodromic, random_sl2)
 from rank1kit import spectrum
 from rank1kit.spectrum import (
     FixedPair,
@@ -150,6 +152,77 @@ def test_lemma1_degenerate_inverse_pair():
     for n, v in enumerate(seq, start=1):
         assert abs(v - math.exp(2.0 * n * la)) <= 1e-9 * v
     assert seq[-1] > seq[0]
+
+
+def _letter_loop_lengths(rep, a, b, n):
+    # the reference: each power word evaluated letter by letter
+    return [length(rep.evaluate(w)) for w in (a * n, b * n, a * n + b * n)]
+
+
+@pytest.mark.parametrize("a, b", [([1], [2]), ([1, -2], [2, 2, 1]), ([1, 2], [-2])])
+def test_power_lengths_match_letter_loop(a, b):
+    rep = random_schottky_pair(np.random.default_rng(8))
+    rows = LengthOracle(rep=rep).power_lengths(a, b, 40)
+    assert len(rows) == 40
+    for n, row in enumerate(rows, start=1):
+        for got, want in zip(row, _letter_loop_lengths(rep, a, b, n)):
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_noisy_power_lengths_add_the_per_word_draw():
+    rep = random_schottky_pair(np.random.default_rng(9))
+    oracle = LengthOracle(rep=rep, noise=0.3, seed=4)
+    a, b = [1, -2], [2]
+    seq = lemma1_sequence(oracle, a, b, 12, check=False)
+    for n, v in enumerate(seq, start=1):
+        want = math.exp(oracle(a * n) + oracle(b * n) - oracle(a * n + b * n))
+        assert abs(v - want) <= 1e-12 * want
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_power_lengths_are_homogeneous_past_overflow(seed):
+    # the unscaled products overflow long before n = 400
+    rep = random_schottky_pair(np.random.default_rng(seed))
+    oracle = LengthOracle(rep=rep)
+    la, lb = oracle([1]), oracle([2])
+    rows = oracle.power_lengths([1], [2], 400)
+    assert all(math.isfinite(v) for row in rows for v in row)
+    assert abs(rows[-1][0] - 400 * la) <= 1e-12 * 400 * la
+    assert abs(rows[-1][1] - 400 * lb) <= 1e-12 * 400 * lb
+    ref = crossratio_of_pair(*rep.generators)
+    term = math.exp(rows[-1][0] + rows[-1][1] - rows[-1][2])
+    assert abs(term - ref) <= 1e-9 * ref
+
+
+def test_scaled_classification_agrees_with_classify():
+    rng = np.random.default_rng(10)
+    C = random_sl2(rng)
+    mats = [
+        SL2.identity(),
+        SL2(-np.eye(2)),
+        SL2([[1.0, 3.0], [0.0, 1.0]]),
+        C @ SL2([[-1.0, 2.0], [0.0, -1.0]]) @ C.inverse(),
+        C @ SL2.diagonal(cmath.exp(0.7j)) @ C.inverse(),
+        random_loxodromic(rng),
+    ]
+    for M in mats:
+        for e in (0, 1, 40, 700):
+            S = M.mat * math.ldexp(1.0, -e)
+            assert spectrum._scaled_kind(S, e, complex(S[0, 0] + S[1, 1])) == classify(M)
+    # 2^1100 S is past the float range; its trace still decides
+    S = random_loxodromic(rng).mat
+    assert spectrum._scaled_kind(S, 1100, complex(S[0, 0] + S[1, 1])) == "loxodromic"
+
+
+@pytest.mark.parametrize("a, b, N, name", [
+    ([], [2], 4, "a"), ([1], [], 4, "b"), ([], [], 4, "a"),
+    ([1], [2], True, "N"), ([1], [2], 3.5, "N"), ([1], [2], 0, "N"),
+])
+def test_lemma1_sequence_rejects_bad_arguments(a, b, N, name):
+    oracle = LengthOracle(rep=random_schottky_pair(np.random.default_rng(2)))
+    with pytest.raises(ValueError, match="argument '%s'" % name):
+        lemma1_sequence(oracle, a, b, N)
 
 
 def test_lemma1_matrix_route():
