@@ -5,12 +5,18 @@ the trace-length gauge, the Fricke/Vogt quadratic for triple products,
 and Jacobians of trace and length coordinates with respect to generator
 deformations.  Words in the generators are plain lists of signed 1-based
 indices: [1, -2, 1] means g1 g2^{-1} g1.
+
+Every many-word and derivative computation, here and in spectrum, goes
+through one engine: a prefix trie of the words (_word_plan) evaluated
+for a batch of generator tuples (_evaluate_plan).  SL2Rep.evaluate is
+the letter-by-letter product of a single word.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -160,9 +166,6 @@ class SL2Rep:
     def arity(self):
         return len(self._gens)
 
-    def generator(self, i):
-        return self._gens[i]
-
     def evaluate(self, word):
         check_word(word, self.arity)
         out = np.eye(2, dtype=complex)
@@ -289,70 +292,129 @@ def vogt(x1, x2, x3, y12, y13, y23):
     return P, Q, delta, ((P + root) / 2.0, (P - root) / 2.0)
 
 
-def _word_matrices(rep, word):
-    mats = []
-    for letter in word:
-        g = rep.generator(abs(letter) - 1)
-        mats.append(g.mat if letter > 0 else g.inverse().mat)
-    return mats
+_WordPlan = namedtuple("_WordPlan", "size levels ends")
 
 
-def _prefix_suffix(mats):
-    n = len(mats)
-    pre = [np.eye(2, dtype=complex)]
-    for m in mats:
-        pre.append(pre[-1] @ m)
-    suf = [np.eye(2, dtype=complex)]
-    for m in reversed(mats):
-        suf.append(m @ suf[-1])
-    suf.reverse()
-    return pre, suf
+def _word_plan(words, arity):
+    """A word list as a prefix trie, built once and evaluated per batch.
+
+    Node 0 is the empty word and every other node is its parent times
+    one generator slot, the slots ordered (g1..gk, g1^-1..gk^-1) for
+    arity k, so a prefix shared by several words is multiplied once.
+    Nodes are numbered by depth: each entry (lo, hi, parents, slots) of
+    levels makes nodes lo..hi-1, one depth deeper than their parents,
+    and ends[i] is the node of words[i]."""
+    edges = {}
+    nodes = [(0, 0, 0)]  # (depth, parent, slot) per node
+    ends = []
+    for w in words:
+        node = 0
+        for letter in check_word(w, arity):
+            key = (node, abs(letter) - 1 + (arity if letter < 0 else 0))
+            if key not in edges:
+                edges[key] = len(nodes)
+                nodes.append((nodes[node][0] + 1,) + key)
+            node = edges[key]
+        ends.append(node)
+    depth, parent, slot = (np.array(c) for c in zip(*nodes))
+    order = np.argsort(depth, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    bounds = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
+    levels = [(lo, hi, rank[parent[order[lo:hi]]], slot[order[lo:hi]])
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _WordPlan(len(nodes), levels, rank[np.array(ends, dtype=int)])
 
 
-def _dtrace_word(rep, word, gen_index, xi):
-    # d/dt tr(word) along the curve X_i exp(t xi); for an inverse letter
-    # the derivative of X^{-1} is -xi X^{-1}
-    word = check_word(word, rep.arity)
-    mats = _word_matrices(rep, word)
-    pre, suf = _prefix_suffix(mats)
-    g = rep.generator(gen_index)
-    ginv = g.inverse().mat
-    total = 0.0 + 0.0j
-    for p, letter in enumerate(word):
-        if abs(letter) - 1 != gen_index:
-            continue
-        dL = g.mat @ xi if letter > 0 else -(xi @ ginv)
-        total += np.trace(pre[p] @ dL @ suf[p + 1])
-    return complex(total)
+def _matmul(A, B, out=None, scratch=None):
+    """Products of the n x n matrices of (..., n, n, P) batches, summed in
+    the order of A @ B, into out with the later terms in scratch."""
+    out = np.multiply(A[..., :, 0, None, :], B[..., None, 0, :, :], out)
+    for j in range(1, A.shape[-2]):
+        out += np.multiply(A[..., :, j, None, :], B[..., None, j, :, :], scratch)
+    return out
 
 
-def _trace_jacobian_analytic(rep, words):
+def _adjugate(A):
+    # the inverses of determinant-one 2x2 matrices (..., 2, 2, P)
+    a, b, c, d = (A[..., i, j, :] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (-3, -2))
+
+
+def _with_inverses(gens):
+    """Engine slots (g1..gk, g1^-1..gk^-1) of P tuples (k, 2, 2, P)."""
+    return np.concatenate([gens, _adjugate(gens)])
+
+
+def _evaluate_plan(plan, slots):
+    """The (size, n, n, P) node matrices of a plan, plan.ends the words'
+    ends, for P slot tuples (S, n, n, P): one product per node and row,
+    so a row does not depend on the rest of the batch.  The nodes and each
+    depth's factors and terms share one work array allocated per call."""
+    n, P = slots.shape[1], slots.shape[3]
+    width = max((hi - lo for lo, hi, _, _ in plan.levels), default=0)
+    work = np.empty((plan.size + 3 * width, n, n, P), dtype=complex)
+    nodes = work[:plan.size]
+    nodes[0] = np.eye(n)[:, :, None]
+    for lo, hi, parents, s in plan.levels:
+        A, B, T = (work[plan.size + i * width:][:hi - lo] for i in range(3))
+        nodes.take(parents, axis=0, out=A, mode="clip")
+        slots.take(s, axis=0, out=B, mode="clip")
+        _matmul(A, B, nodes[lo:hi], T)
+    return nodes
+
+
+def _rep_slots(rep):
+    return _with_inverses(np.stack([g.mat for g in rep.generators])[..., None])
+
+
+def _word_ends(rep, words):
+    """The images of words under rep, a (W, 2, 2) array: one engine call."""
+    plan = _word_plan(words, rep.arity)
+    return _evaluate_plan(plan, _rep_slots(rep))[plan.ends, :, :, 0]
+
+
+def _kinds(ends):
+    """classify of each (2, 2) end matrix, from its trace."""
+    return [_classify_trace(complex(m[0, 0] + m[1, 1]), m) for m in ends]
+
+
+def _tangent_ends(rep, words):
+    """The images (W, 2, 2) of words under rep and their trace
+    differentials (W, 3k) along the curves X_i exp(t E_j), column 3i + j,
+    from one engine call: direction 3i + j is the batch row of block
+    slots [[G, dG], [0, G]], whose products are [[M, dM], [0, M]]."""
     k = rep.arity
-    J = np.zeros((len(words), 3 * k), dtype=complex)
-    for r, w in enumerate(words):
-        for i in range(k):
-            for j, e in enumerate(TRACELESS_BASIS):
-                J[r, 3 * i + j] = _dtrace_word(rep, w, i, e)
-    return J
-
-
-def _trace_jacobian_fd(rep, words, step=FD_STEP):
-    k = rep.arity
-    J = np.zeros((len(words), 3 * k), dtype=complex)
-    gens = [g.mat for g in rep.generators]
-    scale = [max(1.0, float(np.abs(m).max())) for m in gens]
+    G = _rep_slots(rep)
+    slots = np.zeros((2 * k, 4, 4, 3 * k), dtype=complex)
+    slots[:, :2, :2] = slots[:, 2:, 2:] = G
     for i in range(k):
-        h = step * scale[i]
-        for j, e in enumerate(TRACELESS_BASIS):
-            plus = list(gens)
-            minus = list(gens)
-            plus[i] = gens[i] @ _expm_traceless(h * e)
-            minus[i] = gens[i] @ _expm_traceless(-h * e)
-            rp = SL2Rep([SL2(m, check=False) for m in plus])
-            rm = SL2Rep([SL2(m, check=False) for m in minus])
-            for r, w in enumerate(words):
-                J[r, 3 * i + j] = (trace_word(rp, w) - trace_word(rm, w)) / (2.0 * h)
-    return J
+        for j, E in enumerate(TRACELESS_BASIS):
+            # X exp(t E) moves X by X E and X^-1 by -E X^-1
+            slots[i, :2, 2:, 3 * i + j] = G[i, :, :, 0] @ E
+            slots[k + i, :2, 2:, 3 * i + j] = -(E @ G[k + i, :, :, 0])
+    plan = _word_plan(words, k)
+    ends = _evaluate_plan(plan, slots)[plan.ends]
+    return ends[:, :2, :2, 0], ends[:, 0, 2] + ends[:, 1, 3]
+
+
+def _trace_jacobian_fd(rep, words):
+    # central differences along X_i exp(+-h E_j), h = FD_STEP max(1, |X_i|);
+    # the 6k perturbed generator tuples are one engine batch
+    k = rep.arity
+    mats = [g.mat for g in rep.generators]
+    stacks = np.repeat(np.stack(mats)[..., None], 6 * k, axis=3)
+    h = np.empty(3 * k)
+    for i, X in enumerate(mats):
+        for j, E in enumerate(TRACELESS_BASIS):
+            c = 3 * i + j
+            h[c] = FD_STEP * max(1.0, float(np.abs(X).max()))
+            stacks[i, :, :, 2 * c] = X @ _expm_traceless(h[c] * E)
+            stacks[i, :, :, 2 * c + 1] = X @ _expm_traceless(-h[c] * E)
+    plan = _word_plan(words, k)
+    ends = _evaluate_plan(plan, _with_inverses(stacks))[plan.ends]
+    t = ends[:, 0, 0] + ends[:, 1, 1]
+    return (t[:, 0::2] - t[:, 1::2]) / (2.0 * h)
 
 
 def svd_rank(matrix, rtol=RANK_RTOL):
@@ -381,24 +443,24 @@ def rank_report(matrix, rtol=RANK_RTOL):
     }
 
 
-def trace_jacobian(rep, words, method="analytic", step=FD_STEP):
+def trace_jacobian(rep, words, method="analytic"):
     """Complex Jacobian of word traces with respect to traceless tangent
     directions at each generator (three per generator).
 
-    method 'analytic' differentiates the word product directly;
-    'fd' uses central differences along determinant-preserving curves.
-    Returns (matrix, rank)."""
+    method 'analytic' carries each word product and its derivative
+    through the word engine; 'fd' uses central differences along
+    determinant-preserving curves.  Returns (matrix, rank)."""
     if method == "analytic":
-        J = _trace_jacobian_analytic(rep, words)
+        J = _tangent_ends(rep, words)[1]
     elif method == "fd":
-        J = _trace_jacobian_fd(rep, words, step)
+        J = _trace_jacobian_fd(rep, words)
     else:
         raise ValueError("method must be 'analytic' or 'fd'")
     rank, _, _ = svd_rank(J)
     return J, rank
 
 
-def length_jacobian(rep, words, step=FD_STEP):
+def length_jacobian(rep, words):
     """Real Jacobian of word translation lengths over the 6 * arity real
     tangent parameters of the generator tuple.
 
@@ -408,30 +470,28 @@ def length_jacobian(rep, words, step=FD_STEP):
     perturbation dt is 2 Re(dt / (2 lambda - t)).  Raises
     NonLoxodromicError naming the first offending word.  Returns
     (matrix, rank)."""
-    k = rep.arity
-    lams = []
-    for w in words:
-        A = rep.evaluate(w)
-        kind = classify(A)
+    ends, dT = _tangent_ends(rep, words)
+    for w, kind in zip(words, _kinds(ends)):
         if kind != "loxodromic":
             raise NonLoxodromicError(
                 "word %r evaluates to a %s element" % (list(w), kind),
                 word=w,
                 classification=kind,
             )
-        lams.append(_expanding_eigenvalue(A.trace()))
-    J = np.zeros((len(words), 6 * k))
-    for r, w in enumerate(words):
-        t = trace_word(rep, w)
-        denom = 2.0 * lams[r] - t
-        for i in range(k):
-            for j, e in enumerate(TRACELESS_BASIS):
-                dt = _dtrace_word(rep, w, i, e)
-                J[r, 6 * i + j] = 2.0 * (dt / denom).real
-                dt_im = 1j * dt  # direction i*X*E is the real curve X exp(t i E)
-                J[r, 6 * i + 3 + j] = 2.0 * (dt_im / denom).real
+    J = _length_rows(ends, dT)
     rank, _, _ = svd_rank(J)
     return J, rank
+
+
+def _length_rows(ends, dT):
+    # length differentials of loxodromic words from their images and
+    # trace differentials; the direction i X E moves the trace by i dt
+    t = ends[:, 0, 0] + ends[:, 1, 1]
+    lam = np.array([_expanding_eigenvalue(complex(z)) for z in t], dtype=complex)
+    q = dT / (2.0 * lam - t)[:, None]
+    k = dT.shape[1] // 3
+    rows = np.concatenate([q.real.reshape(-1, k, 3), -q.imag.reshape(-1, k, 3)], axis=2)
+    return 2.0 * rows.reshape(len(t), 6 * k)
 
 
 def default_f2_words():
@@ -487,49 +547,44 @@ def _eigenvector_ratio(m, lam):
     return complex(-b / a)
 
 
-def _sphere_fixed_points(A):
-    """Fixed points of the Mobius action of A on the Riemann sphere, as
-    [attracting, repelling]: the eigenvector ratios of the expanding
-    eigenvalue lambda and of 1/lambda.  The two coincide for parabolics;
-    +-I fixes every point and gives []."""
-    m = A.mat
+def _sphere_fixed_points(m):
+    """Fixed points of the Mobius action of the determinant-one matrix m
+    on the Riemann sphere, as [attracting, repelling]: the eigenvector
+    ratios of the expanding eigenvalue lambda and of 1/lambda.  The two
+    coincide for parabolics; +-I fixes every point and gives []."""
     if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
         return []
-    lam = _expanding_eigenvalue(A.trace())
+    lam = _expanding_eigenvalue(complex(m[0, 0] + m[1, 1]))
     return [_eigenvector_ratio(m, lam), _eigenvector_ratio(m, 1.0 / lam)]
 
 
-def is_nonelementary(rep, tol=1e-8, extra_words=None):
-    """Numeric proxy: some pair of words has four distinct fixed points
-    and no common fixed point within tol."""
-    words = [[i + 1] for i in range(rep.arity)]
-    for i in range(rep.arity):
-        for j in range(rep.arity):
-            if i != j:
-                words.append([i + 1, j + 1])
-    if extra_words:
-        words.extend(extra_words)
+def is_nonelementary(rep):
+    """Numeric proxy: among the generators and their pairwise products,
+    some pair of words has four distinct fixed points and no common
+    fixed point within 1e-8."""
+    k = rep.arity
+    words = [[i + 1] for i in range(k)]
+    words += [[i + 1, j + 1] for i in range(k) for j in range(k) if i != j]
     fixed = []
-    for w in words:
-        pts = _sphere_fixed_points(rep.evaluate(w))
-        if len(pts) == 2 and _sphere_distance(pts[0], pts[1]) > tol:
+    for m in _word_ends(rep, words):
+        pts = _sphere_fixed_points(m)
+        if len(pts) == 2 and _sphere_distance(pts[0], pts[1]) > 1e-8:
             fixed.append(pts)
     for a in range(len(fixed)):
         for b in range(a + 1, len(fixed)):
-            shared = False
-            for u in fixed[a]:
-                for v in fixed[b]:
-                    if _sphere_distance(u, v) <= tol:
-                        shared = True
-            if not shared:
+            if not any(_sphere_distance(u, v) <= 1e-8 for u in fixed[a] for v in fixed[b]):
                 return True
     return False
 
 
-def _commutes(A, B, tol=1e-9):
-    m = A.mat @ B.mat - B.mat @ A.mat
-    scale = max(1.0, float(np.abs(A.mat).max() * np.abs(B.mat).max()))
-    return float(np.abs(m).max()) <= tol * scale
+def _commutes(A, B):
+    m = A @ B - B @ A
+    scale = max(1.0, float(np.abs(A).max() * np.abs(B).max()))
+    return float(np.abs(m).max()) <= 1e-9 * scale
+
+
+def _loxodromic(rep, words):
+    return [kind == "loxodromic" for kind in _kinds(_word_ends(rep, words))]
 
 
 def coordinate_words(rep, seed_words, budget=40):
@@ -539,32 +594,29 @@ def coordinate_words(rep, seed_words, budget=40):
     """
     if not is_nonelementary(rep):
         raise ValueError("representation is elementary; no length chart exists")
-    words = [check_word(w, rep.arity) for w in seed_words]
+    k = rep.arity
+    words = [check_word(w, k) for w in seed_words]
 
     # find a loxodromic pivot among seeds, generators, and short products
-    pivot = None
-    candidates = list(words) + [[i + 1] for i in range(rep.arity)]
-    for i in range(rep.arity):
-        for j in range(rep.arity):
+    candidates = list(words) + [[i + 1] for i in range(k)]
+    for i in range(k):
+        for j in range(k):
             candidates.append([i + 1, j + 1])
             candidates.append([i + 1, -(j + 1)])
-    for w in candidates:
-        if classify(rep.evaluate(w)) == "loxodromic":
-            pivot = w
-            break
-    if pivot is None:
+    lox = _loxodromic(rep, candidates)
+    if not any(lox):
         raise ValueError("no loxodromic element found among short words")
+    pivot = candidates[lox.index(True)]
 
+    # a seed that is not loxodromic gives way to its product with the
+    # pivot or the pivot's inverse, or is dropped; traces of dropped
+    # words are recoverable via tr(XY)+tr(XY^{-1})=tr(X)tr(Y)
+    repairs = [c for w in words for c in (pivot + w, word_inverse(pivot) + w)]
+    repaired = _loxodromic(rep, repairs)
     fixed = []
-    for w in words:
-        if classify(rep.evaluate(w)) == "loxodromic":
-            fixed.append(w)
-            continue
-        for candidate in (pivot + w, word_inverse(pivot) + w):
-            if classify(rep.evaluate(candidate)) == "loxodromic":
-                fixed.append(candidate)
-                break
-        # traces of dropped words are recoverable via tr(XY)+tr(XY^{-1})=tr(X)tr(Y)
+    for n, w in enumerate(words):
+        options = zip([w] + repairs[2 * n:2 * n + 2], [lox[n]] + repaired[2 * n:2 * n + 2])
+        fixed += [c for c, ok in options if ok][:1]
     if pivot not in fixed:
         fixed.insert(0, pivot)
 
@@ -572,7 +624,7 @@ def coordinate_words(rep, seed_words, budget=40):
     # products with the pivot word
     def reorder_noncommuting(ws):
         n = len(ws)
-        mats = [rep.evaluate(w) for w in ws]
+        mats = _word_ends(rep, ws)
         for a in range(n):
             for b in range(a + 1, n):
                 if _commutes(mats[a], mats[b]):
@@ -588,9 +640,9 @@ def coordinate_words(rep, seed_words, budget=40):
                     if c in (a, b):
                         continue
                     trio = [ws[a] + ws[c], ws[a] + ws[b], ws[b]]
-                    tm = [rep.evaluate(w) for w in trio]
+                    tm = _word_ends(rep, trio)
                     if (
-                        all(classify(m) == "loxodromic" for m in tm)
+                        all(kind == "loxodromic" for kind in _kinds(tm))
                         and not _commutes(tm[0], tm[1])
                         and not _commutes(tm[0], tm[2])
                         and not _commutes(tm[1], tm[2])
@@ -604,43 +656,37 @@ def coordinate_words(rep, seed_words, budget=40):
         if not ok:
             # seeds too degenerate; fall back to generator products
             extras = []
-            for i in range(rep.arity):
+            for i in range(k):
                 extras.append([i + 1])
-                for j in range(i + 1, rep.arity):
+                for j in range(i + 1, k):
                     extras.append([i + 1, j + 1])
-            extras = [w for w in extras if classify(rep.evaluate(w)) == "loxodromic"]
+            extras = [w for w, ok in zip(extras, _loxodromic(rep, extras)) if ok]
             fixed, ok = reorder_noncommuting(fixed + extras)
             if not ok:
                 raise ValueError("could not arrange three pairwise non-commuting words")
 
-    target = 6 * rep.arity - 6
-    max_len = 4 if rep.arity <= 2 else 3
-    pool = list(_reduced_words(rep.arity, max_len))
+    # grow from the pool of short reduced words in order, keeping a word
+    # when it raises the rank; the length Jacobian rows of the chosen
+    # words and of the whole pool come from one engine call
+    target = 6 * k - 6
     seen = {tuple(w) for w in fixed}
-    result = list(fixed)
-
-    def current_rank(ws):
-        try:
-            _, rank = length_jacobian(rep, ws)
-        except NonLoxodromicError:
-            return -1
-        return rank
-
-    rank = current_rank(result)
-    for w in pool:
-        if len(result) >= budget or rank >= target:
+    pool = [w for w in _reduced_words(k, 4 if k <= 2 else 3) if tuple(w) not in seen]
+    ends, dT = _tangent_ends(rep, fixed + pool)
+    lox = np.array([kind == "loxodromic" for kind in _kinds(ends)])
+    if not lox[:len(fixed)].all():
+        return fixed
+    rows = np.zeros((len(lox), 6 * k))
+    rows[lox] = _length_rows(ends[lox], dT[lox])
+    chosen = list(range(len(fixed)))
+    rank = svd_rank(rows[chosen])[0]
+    for n in np.flatnonzero(lox[len(fixed):]) + len(fixed):
+        if len(chosen) >= budget or rank >= target:
             break
-        if tuple(w) in seen:
-            continue
-        if classify(rep.evaluate(w)) != "loxodromic":
-            continue
-        trial = result + [w]
-        r2 = current_rank(trial)
-        if r2 > rank:
-            result = trial
-            rank = r2
-            seen.add(tuple(w))
-    return result
+        trial = svd_rank(rows[chosen + [n]])[0]
+        if trial > rank:
+            chosen.append(n)
+            rank = trial
+    return [(fixed + pool)[n] for n in chosen]
 
 
 def random_sl2(rng, scale=1.0):

@@ -6,6 +6,7 @@ module computes the sequence, extrapolates its limit, and inverts a
 length oracle back to a representation, unique up to conjugacy and
 entrywise complex conjugation.  The same sequence is available for
 form-preserving matrix isometries of real and complex hyperbolic space.
+Many-word evaluations go through the word engine of sl2traces.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .ballmodel import crossratio_ball
 from .isometry import boundary_fixed_points, translation_length
 from .nilboundary import _crossratio_quotient
+from . import sl2traces
 from .sl2traces import (
     SL2,
     SL2Rep,
@@ -26,15 +28,19 @@ from .sl2traces import (
     check_word,
     classify,
     is_nonelementary,
-    length,
-    trace_word,
     word_inverse,
     _classify_trace,
+    _evaluate_plan,
     _is_inf,
+    _loxodromic,
+    _matmul,
     _reduced_words,
+    _rep_slots,
     _scaled_length,
     _sphere_distance,
     _sphere_fixed_points,
+    _with_inverses,
+    _word_ends,
 )
 
 __all__ = [
@@ -87,20 +93,16 @@ class LengthOracle:
     def rep(self):
         return self._rep
 
-    @property
-    def arity(self):
-        if self._rep is not None:
-            return self._rep.arity
-        return max((max(abs(l) for l in w) for w in self._table if w), default=0)
-
     def length(self, word):
         word = tuple(int(l) for l in word)
         if self._table is not None:
             if word not in self._table:
                 raise OracleMissError(word)
             return self._answer(word, self._table[word])
-        A = self._rep.evaluate(list(word))
-        return self._answer(word, length(A) if classify(A) == "loxodromic" else 0.0)
+        m = _word_ends(self._rep, [word])[0]
+        t = complex(m[0, 0] + m[1, 1])
+        loxodromic = _classify_trace(t, m) == "loxodromic"
+        return self._answer(word, _scaled_length(t, 0) if loxodromic else 0.0)
 
     def __call__(self, word):
         return self.length(word)
@@ -208,7 +210,7 @@ def fixed_points(A):
     kind = classify(A)
     if kind != "loxodromic":
         raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
-    att, rep = _sphere_fixed_points(A)
+    att, rep = _sphere_fixed_points(A.mat)
     return FixedPair(rep, att)
 
 
@@ -368,7 +370,7 @@ def default_budget_words(arity=2, max_len=4, power_max=8):
 def _generator_batch(params):
     """The generators of a batch of parameter vectors.
 
-    Returns (gens, bad): gens[i, j, s, p] is entry (i, j) of generator
+    Returns (gens, bad): gens[s, i, j, p] is entry (i, j) of generator
     slot s (a, b, a^-1, b^-1) for parameter row p, and bad marks the rows
     whose b has its repelling point z on its attracting point 1."""
     # gauge: a diagonal with fixed points (repelling 0, attracting inf),
@@ -386,60 +388,21 @@ def _generator_batch(params):
     s = np.array([[one, z], [one, one]])
     si = np.array([[one, -z], [-one, one]]) / (1.0 - z)
     d = np.array([[mu, zero], [zero, 1.0 / mu]])
-    b = _mul_2x2(_mul_2x2(s, d), si)
-    # inverses by adjugate, exact for determinant one
-    gens = np.stack([a, b, _adjugate(a), _adjugate(b)], axis=2)
-    return gens, bad
-
-
-def _mul_2x2(A, B):
-    # 2x2 products with the matrix axes first and the batch axes last,
-    # summed in the order of A @ B
-    return A[:, 0, None] * B[None, 0] + A[:, 1, None] * B[None, 1]
-
-
-def _adjugate(A):
-    return np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+    b = _matmul(_matmul(s, d), si)
+    return _with_inverses(np.stack([a, b])), bad
 
 
 def _rep_from_params(p):
     gens, bad = _generator_batch(np.asarray(p, dtype=float)[None])
     if bad[0]:
         return None
-    return SL2Rep([SL2(gens[:, :, s, 0], check=False) for s in (0, 1)])
-
-
-_WordPlan = namedtuple("_WordPlan", "size levels ends")
+    return SL2Rep([SL2(gens[s, :, :, 0], check=False) for s in (0, 1)])
 
 
 def _word_plan(words):
-    """A word list as a prefix trie, built once and evaluated per batch.
-
-    Node 0 is the empty word and every other node is its parent times
-    one generator slot (a, b, a^-1, b^-1), so a prefix shared by several
-    words is multiplied once.  Nodes are numbered by depth: each entry
-    (lo, hi, parents, slots) of levels makes nodes lo..hi-1, one depth
-    deeper than their parents, and ends[i] is the node of words[i]."""
-    edges = {}
-    nodes = [(0, 0, 0)]  # (depth, parent, slot) per node
-    ends = []
-    for w in words:
-        node = 0
-        for letter in check_word(w, 2):
-            key = (node, abs(letter) - 1 + (2 if letter < 0 else 0))
-            if key not in edges:
-                edges[key] = len(nodes)
-                nodes.append((nodes[node][0] + 1,) + key)
-            node = edges[key]
-        ends.append(node)
-    depth, parent, slot = (np.array(c) for c in zip(*nodes))
-    order = np.argsort(depth, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    bounds = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
-    levels = [(lo, hi, rank[parent[order[lo:hi]]], slot[order[lo:hi]])
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return _WordPlan(len(nodes), levels, rank[np.array(ends, dtype=int)])
+    """The solver's prefix trie of two-generator words, built once and
+    evaluated per batch by the word engine of sl2traces."""
+    return sl2traces._word_plan(words, 2)
 
 
 def _residual_batch(params, plan, targets):
@@ -452,11 +415,8 @@ def _residual_batch(params, plan, targets):
     # which the solver rejects like any other uphill step
     with np.errstate(over="ignore", invalid="ignore"):
         gens, bad = _generator_batch(params)
-        nodes = np.empty((2, 2, plan.size, len(bad)), dtype=complex)
-        nodes[:, :, 0] = np.eye(2)[:, :, None]
-        for lo, hi, parents, slots in plan.levels:
-            nodes[:, :, lo:hi] = _mul_2x2(nodes[:, :, parents], gens[:, :, slots])
-        t = (nodes[0, 0, plan.ends] + nodes[1, 1, plan.ends]).T
+        nodes = _evaluate_plan(plan, gens)
+        t = (nodes[plan.ends, 0, 0] + nodes[plan.ends, 1, 1]).T
         root = np.sqrt(t * t - 4.0)
         lam = np.maximum(np.abs((t + root) / 2.0), np.abs((t - root) / 2.0))
         out = 2.0 * np.log(np.maximum(lam, 1.0)) - np.asarray(targets, dtype=float)
@@ -661,17 +621,9 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         candidates = [w for w in default_budget_words(2, max_len=5, power_max=0) if w not in words]
         hold_words = candidates[-holdout:] if len(candidates) >= holdout else candidates
 
-    targets = []
-    usable = []
-    for w in fit_words:
-        try:
-            targets.append(oracle(w))
-            usable.append(w)
-        except OracleMissError:
-            continue
-    if len(usable) < 8:
-        raise ValueError("oracle covers only %d of the budget words" % len(usable))
-    fit_words = usable
+    fit_words, targets = _covered(oracle, fit_words)
+    if len(fit_words) < 8:
+        raise ValueError("oracle covers only %d of the budget words" % len(fit_words))
     targets = np.asarray(targets)
 
     if max(targets) <= 1e-12:
@@ -694,13 +646,7 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
                solve.iterations[best_idx])
         )
 
-    covered, hold_targets = [], []
-    for w in hold_words:
-        try:
-            hold_targets.append(oracle(w))
-        except OracleMissError:
-            continue
-        covered.append(w)
+    covered, hold_targets = _covered(oracle, hold_words)
     hold_errors = np.abs(_residual_batch(best_x[None], _word_plan(covered), hold_targets)[0])
 
     residuals = _residual_batch(best_x[None], plan, targets)[0]
@@ -722,6 +668,18 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
             "engine_rows": solve.rows,
         },
     }
+
+
+def _covered(oracle, words):
+    """The words the oracle answers, in order, and their lengths."""
+    covered, lengths = [], []
+    for w in words:
+        try:
+            lengths.append(oracle(w))
+        except OracleMissError:
+            continue
+        covered.append(w)
+    return covered, lengths
 
 
 def _is_power_word(w):
@@ -749,10 +707,6 @@ def _coordinate_word_list(arity):
     return words
 
 
-def _coordinate_traces(rep):
-    return np.array([trace_word(rep, w) for w in _coordinate_word_list(rep.arity)])
-
-
 def conjugacy_distance(r1, r2):
     """Max deviation of the trace coordinates, minimized over the moves
     that every translation length is blind to: entrywise conjugation of
@@ -760,11 +714,14 @@ def conjugacy_distance(r1, r2):
     matrix but not its projective action, so lengths cannot see it)."""
     if r1.arity != r2.arity:
         raise ValueError("representations have different arities")
+    # the coordinate traces of r1, r2 and its twin from one engine batch
     words = _coordinate_word_list(r1.arity)
-    c1 = _coordinate_traces(r1)
+    slots = np.concatenate([_rep_slots(r) for r in (r1, r2, r2.entrywise_conj())], axis=3)
+    plan = sl2traces._word_plan(words, r1.arity)
+    ends = _evaluate_plan(plan, slots)[plan.ends]
+    c1, *candidates = (ends[:, 0, 0] + ends[:, 1, 1]).T
     best = math.inf
-    for cand in (r2, r2.entrywise_conj()):
-        c2 = _coordinate_traces(cand)
+    for c2 in candidates:
         for mask in range(1 << r1.arity):
             # generator i flipped iff bit i-1 is set; a word's trace picks
             # up one factor of -1 per flipped letter occurrence
@@ -806,10 +763,5 @@ def random_schottky_pair(rng, length_range=(0.8, 2.2), separation=0.6):
         rep = SL2Rep([A, B])
         if not is_nonelementary(rep):
             continue
-        ok = True
-        for w in ([1, 2], [1, -2], [1, 1, 2], [1, 2, 2]):
-            if classify(rep.evaluate(w)) != "loxodromic":
-                ok = False
-                break
-        if ok:
+        if all(_loxodromic(rep, [[1, 2], [1, -2], [1, 1, 2], [1, 2, 2]])):
             return rep

@@ -208,6 +208,70 @@ def test_length_jacobian_conjugation_kernel():
         assert float(np.abs(J @ v).max()) / norm <= 1e-8 * float(np.abs(J).max())
 
 
+def _expm_traceless(M):
+    # exp of a traceless 2x2 matrix: M^2 = -det(M) I, and M^2 = 0 when
+    # M is nilpotent
+    mu = cmath.sqrt(-(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]))
+    return cmath.cosh(mu) * np.eye(2) + (cmath.sinh(mu) / mu if mu else 1.0) * M
+
+
+def test_length_jacobian_values_match_central_differences():
+    # column 6i + j moves generator i along X exp(t E_j), column
+    # 6i + 3 + j along X exp(t i E_j)
+    rng = np.random.default_rng(15)
+    cases = [
+        (random_schottky_pair(rng), [[1], [2, 2, -1], [1, -2, 1, 2], [-1, -1, 2], [1, 2, -1, -2, -2]]),
+        (SL2Rep([random_loxodromic(rng) for _ in range(3)]),
+         [[3], [1, -3], [2, 3, 3], [-1, 2, -3, 2], [3, -2, -2, 1, 1]]),
+    ]
+    h = 1e-5
+    for rep, words in cases:
+        J, _ = length_jacobian(rep, words)
+        mats = [g.mat for g in rep.generators]
+        for i in range(rep.arity):
+            for j, E in enumerate(TRACELESS):
+                for col, xi in ((6 * i + j, E), (6 * i + 3 + j, 1j * E)):
+                    sided = []
+                    for sign in (1.0, -1.0):
+                        moved = list(mats)
+                        moved[i] = mats[i] @ _expm_traceless(sign * h * xi)
+                        rep_h = SL2Rep([SL2(m, check=False) for m in moved])
+                        sided.append(np.array([length(rep_h.evaluate(w)) for w in words]))
+                    fd = (sided[0] - sided[1]) / (2.0 * h)
+                    assert np.abs(J[:, col] - fd).max() <= 1e-7 * max(1.0, np.abs(J).max())
+
+
+def test_word_engine_arity3_inverse_letters():
+    from rank1kit import sl2traces
+    from rank1kit.spectrum import LengthOracle
+
+    rng = np.random.default_rng(16)
+    reps = [SL2Rep([random_sl2(rng) for _ in range(3)]) for _ in range(4)]
+    words = [[], [-3], [1, -2, 3], [3, 3, -1], [-2, -2, -1, 3, 1], [1, -2, 3, -3, 2]]
+    plan = sl2traces._word_plan(words, 3)
+    gens = np.stack([np.stack([g.mat for g in r.generators]) for r in reps], axis=-1)
+    slots = sl2traces._with_inverses(gens)
+    ends = sl2traces._evaluate_plan(plan, slots)[plan.ends]
+    assert ends.shape == (len(words), 2, 2, len(reps))
+    for p, rep in enumerate(reps):
+        for n, w in enumerate(words):
+            ref = rep.evaluate(w).mat
+            assert np.abs(ends[n, :, :, p] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        # a batch of one gives its row of the larger batch bit for bit
+        alone = sl2traces._evaluate_plan(plan, slots[..., p:p + 1])[plan.ends, :, :, 0]
+        assert np.array_equal(alone, ends[..., p])
+        # and a plan of one word the same end as a plan of many
+        for n, w in enumerate(words):
+            assert np.array_equal(sl2traces._word_ends(rep, [w])[0], ends[n, :, :, p])
+
+    c, s = math.cos(0.7), math.sin(0.7)
+    rep = SL2Rep([SL2.diagonal(2.0), SL2([[1.0, 1.0], [0.0, 1.0]]), SL2([[c, -s], [s, c]])])
+    oracle = LengthOracle(rep=rep)
+    for w in ((2,), (3,), (-3, -3), (1, 3, -3, -1), (-2, 3, 2)):
+        assert oracle(w) == 0.0
+    assert abs(oracle((-1,)) - 2.0 * math.log(2.0)) <= 1e-15
+
+
 def test_length_jacobian_names_bad_word():
     A = random_loxodromic(np.random.default_rng(9))
     rep = SL2Rep([A, A])
