@@ -26,13 +26,13 @@ The image point is recovered by left multiplying with the inverse of
 the last coordinate: left normalization is what keeps left F-lines and
 the displacement formula intact over the quaternions.
 
-Translation lengths come in three flavors that agree on overlaps: |s|
-for a normal form, log of the spectral radius for real and complex
-matrices, and a stable-length iteration (displacement growth of the
-origin under repeated squaring) that works over H as well.
+Translation lengths come in two flavors that agree on overlaps: |s|
+for a normal form, and for a matrix over R, C or H the log of the
+spectral radius of its complex embedding.
 
 The actions are kernels over point arrays (..., m, dim) with any
-leading batch axes, as in nilboundary and ballmodel.
+leading batch axes, as in nilboundary and ballmodel; the normal-form
+data (M, nu, s) may carry the same batch axes, one isometry per point.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ __all__ = [
     "act_interior_coeffs",
     "embed_normal",
     "translation_length",
-    "stable_length",
     "boundary_fixed_points",
     "action_identity_residual",
+    "action_identity_coeffs",
     "random_form_preserving",
     "random_rotation_block",
     "random_normal_isometry",
@@ -107,6 +107,45 @@ def _jsigns(n: int) -> np.ndarray:
     s = np.ones(n)
     s[-1] = -1.0
     return s
+
+
+def _complex_embedding(kind: AlgebraKind, coeffs: np.ndarray) -> np.ndarray:
+    n = coeffs.shape[0]
+    if kind is AlgebraKind.R:
+        return coeffs[:, :, 0].astype(complex)
+    if kind is AlgebraKind.C:
+        return coeffs[:, :, 0] + 1j * coeffs[:, :, 1]
+    z = coeffs[:, :, 0] + 1j * coeffs[:, :, 1]
+    w = coeffs[:, :, 2] + 1j * coeffs[:, :, 3]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[0::2, 0::2] = z
+    out[0::2, 1::2] = w
+    out[1::2, 0::2] = -np.conj(w)
+    out[1::2, 1::2] = np.conj(z)
+    return out
+
+
+def _radius(e: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(e))))
+
+
+def _classify(e: np.ndarray, radius: float) -> str:
+    # the classification of a complex embedding e with spectral radius radius
+    if radius > 1.0 + _RADIUS_TOL:
+        return "hyperbolic"
+    _, vecs = np.linalg.eig(e)
+    if np.linalg.cond(vecs) > 1e8:
+        return "parabolic"
+    return "elliptic"
+
+
+def _matrix_length(kind: AlgebraKind, S: np.ndarray, e: int) -> tuple[str, float]:
+    """Classification and translation length e log 2 + log rho(S) of the
+    matrix 2^e S over kind, rho the spectral radius of the complex
+    embedding; a scaled power (e > 0) grew exponentially: hyperbolic."""
+    emb = _complex_embedding(kind, S)
+    radius = _radius(emb)
+    return ("hyperbolic" if e else _classify(emb, radius)), e * math.log(2.0) + math.log(radius)
 
 
 class GroupMatrix:
@@ -176,38 +215,17 @@ class GroupMatrix:
         R and C embed entrywise; a quaternion a+bi+cj+dk becomes the
         2x2 block [[a+bi, c+di], [-c+di, a-bi]].
         """
-        kind = self.config.kind
-        n = self.size
-        if kind is AlgebraKind.R:
-            return self.coeffs[:, :, 0].astype(complex)
-        if kind is AlgebraKind.C:
-            return self.coeffs[:, :, 0] + 1j * self.coeffs[:, :, 1]
-        z = self.coeffs[:, :, 0] + 1j * self.coeffs[:, :, 1]
-        w = self.coeffs[:, :, 2] + 1j * self.coeffs[:, :, 3]
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        out[0::2, 0::2] = z
-        out[0::2, 1::2] = w
-        out[1::2, 0::2] = -np.conj(w)
-        out[1::2, 1::2] = np.conj(z)
-        return out
+        return _complex_embedding(self.config.kind, self.coeffs)
 
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.complex_embedding()))))
-
-    def classify(self, tol: float = _RADIUS_TOL) -> str:
+    def classify(self) -> str:
         """'hyperbolic', 'elliptic' or 'parabolic' by spectral radius.
 
         Unit-modulus spectra are split by diagonalizability of the
         complex embedding; genuinely borderline inputs (radius within
-        tol of 1) are reported as non-hyperbolic.
+        1e-9 of 1) are reported as non-hyperbolic.
         """
-        if self.spectral_radius() > 1.0 + tol:
-            return "hyperbolic"
         e = self.complex_embedding()
-        _, vecs = np.linalg.eig(e)
-        if np.linalg.cond(vecs) > 1e8:
-            return "parabolic"
-        return "elliptic"
+        return _classify(e, _radius(e))
 
     def to_dict(self) -> dict:
         return {
@@ -299,35 +317,38 @@ class NormalIsometry:
         return f"NormalIsometry({self.config.kind.name}, s={self.s!r})"
 
 
-def act_nil_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s: float,
+def act_nil_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s,
                    g: np.ndarray) -> np.ndarray:
-    """Normal-form action (M, nu, s) on finite group coordinates (..., m, dim)."""
+    """Normal-form action (M, nu, s) on finite group coordinates (..., m, dim);
+    M (..., r, r, dim), nu (..., dim) and s (...) broadcast with the points."""
     nu_inv = conj_coeffs(kind, nu)  # unit
     c, k = g[..., :1, :], g[..., 1:, :]
     k2 = _norm_sq(k)
     # Ds = e^2s + |k|^2 - c and D1 = 1 + |k|^2 - c
     dd = np.concatenate([-c, -c], axis=-2)
-    dd[..., 0, 0] += math.exp(2.0 * s) + k2
+    dd[..., 0, 0] += np.exp(2.0 * s) + k2
     dd[..., 1, 0] += 1.0 + k2
     # (nu^-1 c) nu, the center before scaling, and lead = (nu^-1 Ds) nu
-    twisted = mul_coeffs(kind, mul_coeffs(kind, nu_inv, np.concatenate([c, dd[..., :1, :]], axis=-2)), nu)
+    pair = np.concatenate([c, dd[..., :1, :]], axis=-2)
+    twisted = mul_coeffs(kind, mul_coeffs(kind, nu_inv[..., None, :], pair), nu[..., None, :])
     dd_inv = inv_coeffs(kind, dd)
     mid = mul_coeffs(kind, nu_inv, mul_coeffs(kind, dd_inv[..., 0, :], dd[..., 1, :]))
     scaled = mul_coeffs(kind, dd_inv[..., 1, None, :], k)
     rotated = mat_mul(kind, scaled[..., None, :, :], M)[..., 0, :, :]
     inner = mul_coeffs(kind, mid[..., None, :], rotated)
     out = np.empty(np.shape(g))
-    out[..., 0, :] = math.exp(-2.0 * s) * twisted[..., 0, :]
+    out[..., 0, :] = np.exp(-2.0 * s)[..., None] * twisted[..., 0, :]
     out[..., 0, 0] = 0.0
-    out[..., 1:, :] = math.exp(-s) * mul_coeffs(kind, twisted[..., 1, None, :], inner)
+    out[..., 1:, :] = np.exp(-s)[..., None, None] * mul_coeffs(kind, twisted[..., 1, None, :], inner)
     return out
 
 
-def act_ball_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s: float,
+def act_ball_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s,
                     x: np.ndarray) -> np.ndarray:
-    """Normal-form action (M, nu, s) on ball coordinates (..., m, dim)."""
-    ch = math.cosh(s)
-    sh = math.sinh(s)
+    """Normal-form action (M, nu, s) on ball coordinates (..., m, dim);
+    M, nu and s broadcast with the points as in act_nil_coeffs."""
+    ch = np.cosh(s)[..., None]
+    sh = np.sinh(s)[..., None]
     w2nu = mul_coeffs(kind, x[..., -1, :], nu)
     e_inv = inv_coeffs(kind, w2nu * sh + ch * nu)
     rows = np.empty(np.shape(x))
@@ -394,76 +415,11 @@ def act_interior(A: GroupMatrix, x: BallPoint) -> BallPoint:
     return BallPoint._wrap(x.config, act_interior_coeffs(x.config.kind, A.coeffs, x.coeffs))
 
 
-def stable_length(A: GroupMatrix, n_start: int = 8, n_max: int = 1024, tol: float = 1e-8) -> float:
-    """Translation length as the growth rate of origin displacements.
-
-    Form preservation gives cosh d(o, o A^n) = |last diagonal entry of
-    A^n| exactly, so the estimates (d_2n - d_n)/n converge
-    geometrically. Powers are computed by repeated squaring with the
-    coefficient array renormalized at every step and the discarded
-    scale tracked additively in log space, so overflow never occurs.
-    The final pair of estimates is combined by a geometric-tail
-    (Richardson) extrapolation when the tail ratio is contractive.
-    """
-    if 1 << max(n_start - 1, 0).bit_length() >= n_max:
-        raise ValueError(
-            f"stable_length needs a power of two >= n_start below n_max "
-            f"(n_start={n_start}, n_max={n_max})"
-        )
-    kind = A.config.kind
-    p = np.asarray(A.coeffs, dtype=float)
-    logscale = 0.0
-    n = 1
-
-    def displacement(mat: np.ndarray, lscale: float) -> float:
-        t = math.sqrt(float(np.sum(mat[-1, -1] ** 2)))
-        if t <= 0.0:
-            raise ArithmeticError("vanishing corner entry in power iteration")
-        logt = lscale + math.log(t)
-        if logt > 30.0:
-            # acosh(x) = log(2x) + O(x^-2)
-            return logt + math.log(2.0)
-        x = math.exp(logt)
-        if x < 1.0:
-            x = 1.0
-        return math.acosh(x)
-
-    while n < n_start:
-        p = mat_mul(kind, p, p)
-        scale = float(np.max(np.abs(p)))
-        p /= scale
-        logscale = 2.0 * logscale + math.log(scale)
-        n *= 2
-
-    d_prev = displacement(p, logscale)
-    estimates = []
-    while n < n_max:
-        p = mat_mul(kind, p, p)
-        scale = float(np.max(np.abs(p)))
-        p /= scale
-        logscale = 2.0 * logscale + math.log(scale)
-        d_cur = displacement(p, logscale)
-        estimates.append((d_cur - d_prev) / n)
-        d_prev = d_cur
-        n *= 2
-        if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol:
-            break
-
-    if len(estimates) >= 3:
-        e1, e2, e3 = estimates[-3:]
-        denom = e2 - e1
-        if denom != 0.0:
-            r = (e3 - e2) / denom
-            if abs(r) < 1.0:
-                return e3 + (e3 - e2) * r / (1.0 - r)
-    return estimates[-1]
-
-
 def translation_length(A) -> float:
     """Length of the axis translation; error for elliptic/parabolic.
 
-    Accepts a NormalIsometry (returns |s|) or a GroupMatrix (log of
-    the spectral radius for R and C, stable-length iteration for H).
+    Accepts a NormalIsometry (returns |s|) or a GroupMatrix (log of the
+    spectral radius of its complex embedding, over R, C and H).
     """
     if isinstance(A, NormalIsometry):
         if A.s == 0.0:
@@ -471,12 +427,10 @@ def translation_length(A) -> float:
         return abs(A.s)
     if not isinstance(A, GroupMatrix):
         raise TypeError("expected a NormalIsometry or a GroupMatrix")
-    cls = A.classify()
+    cls, length = _matrix_length(A.config.kind, A.coeffs, 0)
     if cls != "hyperbolic":
         raise NotHyperbolicError(cls)
-    if A.config.kind is AlgebraKind.H:
-        return stable_length(A)
-    return math.log(A.spectral_radius())
+    return length
 
 
 def boundary_fixed_points(A: GroupMatrix) -> tuple[BallPoint, BallPoint]:
@@ -490,8 +444,9 @@ def boundary_fixed_points(A: GroupMatrix) -> tuple[BallPoint, BallPoint]:
     kind = A.config.kind
     if kind not in (AlgebraKind.R, AlgebraKind.C):
         raise NotImplementedError("fixed points via eigenvectors need a commutative kind")
-    if A.classify() != "hyperbolic":
-        raise NotHyperbolicError(A.classify())
+    cls = A.classify()
+    if cls != "hyperbolic":
+        raise NotHyperbolicError(cls)
     e = A.complex_embedding()
     vals, vecs = np.linalg.eig(e.T)
     order = np.argsort(np.abs(vals))
@@ -534,21 +489,31 @@ def action_identity_residual(
         raise ValueError("Q must be purely imaginary")
     if abs(nu.norm() - 1.0) > 1e-9:
         raise ValueError("nu must be a unit")
-    e2s = math.exp(2.0 * s)
-    k2 = float(knorm) ** 2
-    r1 = AlgebraElement.from_real(kind, e2s + k2)
-    r2 = AlgebraElement.from_real(kind, e2s - k2)
-    r3 = AlgebraElement.from_real(kind, 1.0 + k2)
-    nu_inv = nu.conj()
+    return float(action_identity_coeffs(kind, s, Q.coeffs, nu.coeffs, knorm, reading))
 
+
+def action_identity_coeffs(kind: AlgebraKind, s, Q: np.ndarray, nu: np.ndarray, knorm,
+                           reading: str) -> np.ndarray:
+    """action_identity_residual over batches: s and knorm (...), the
+    imaginary Q and the unit nu (..., dim)."""
+    e2s, k2 = np.exp(2.0 * np.asarray(s, dtype=float)), np.square(knorm)
+    r1, r2, r3 = (np.multiply.outer(r, np.eye(1, kind.dim)[0]) for r in (e2s + k2, e2s - k2, 1.0 + k2))
+
+    def mul(x, y):
+        return mul_coeffs(kind, x, y)
+
+    def inv(x):
+        return inv_coeffs(kind, x)
+
+    nu_inv = conj_coeffs(kind, nu)
     if reading == "corrected":
-        lhs = (nu_inv * ((r1 - Q).inv() * (r3 - Q))) * (((r3 - Q).inv() * (r2 + Q)) * nu)
+        lhs = mul(mul(nu_inv, mul(inv(r1 - Q), r3 - Q)), mul(mul(inv(r3 - Q), r2 + Q), nu))
     elif reading == "literal":
-        lhs = (nu_inv * ((r1 + Q).inv() * (r3 - Q))) * (((r3 + Q) * (r2 + Q)) * nu)
+        lhs = mul(mul(nu_inv, mul(inv(r1 + Q), r3 - Q)), mul(mul(r3 + Q, r2 + Q), nu))
     else:
         raise ValueError(f"unknown reading {reading!r}")
-    rhs = ((nu_inv * (r1 - Q).inv()) * nu) * (nu_inv * ((r2 + Q) * nu))
-    return (lhs - rhs).norm()
+    rhs = mul(mul(mul(nu_inv, inv(r1 - Q)), nu), mul(nu_inv, mul(r2 + Q, nu)))
+    return norm_coeffs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

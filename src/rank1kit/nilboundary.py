@@ -52,6 +52,7 @@ __all__ = [
     "horizontal_inner",
     "crossratio_nil",
     "random_point",
+    "random_point_coeffs",
     "nmul_coeffs",
     "ninv_coeffs",
     "gauge_coeffs",
@@ -376,17 +377,22 @@ def crossratio_nil(g1: NilPoint, g2: NilPoint, g3: NilPoint, g4: NilPoint) -> fl
         g1.config.kind, np.array([p.coeffs for p in pts]), infinity if any(infinity) else None))
 
 
-def random_point(config: SpaceConfig, rng: np.random.Generator, scale: float = 1.0) -> NilPoint:
-    """Random finite point with N(0, scale^2) coordinates.
-
-    One draw per point, in the order center then horizontals; R has no
-    center and draws only the horizontals.
-    """
+def random_point_coeffs(config: SpaceConfig, rng: np.random.Generator, shape) -> np.ndarray:
+    """Coefficient arrays shape + (m, dim) of random finite points with
+    N(0, 1) coordinates, one draw per point in the order center then
+    horizontals (R has no center), as consecutive random_point calls."""
+    shape = tuple(shape)
     m, d = config.shape
-    coeffs = np.zeros((m, d))
     if config.kind is AlgebraKind.R:
-        coeffs[1:] = scale * rng.standard_normal((m - 1, d))
+        out = np.zeros(shape + (m, d))
+        out[..., 1:, :] = rng.standard_normal(shape + (m - 1, d))
     else:
-        coeffs[:] = scale * rng.standard_normal((m, d))
-        coeffs[0, 0] = 0.0
-    return NilPoint._wrap(config, coeffs)
+        out = rng.standard_normal(shape + (m, d))
+        out[..., 0, 0] = 0.0
+    return out
+
+
+def random_point(config: SpaceConfig, rng: np.random.Generator, scale: float = 1.0) -> NilPoint:
+    """Random finite point with N(0, scale^2) coordinates, drawn as in
+    random_point_coeffs."""
+    return NilPoint._wrap(config, scale * random_point_coeffs(config, rng, ()))

@@ -278,7 +278,8 @@ def trace_word(rep, word):
 def vogt(x1, x2, x3, y12, y13, y23):
     """Fricke quadratic data for a triple with the given single and
     double traces.  Returns (P, Q, Delta, roots); the two roots are the
-    possible triple-product traces."""
+    possible triple-product traces.  The traces may be arrays of
+    triples."""
     P = x1 * y23 + x2 * y13 + x3 * y12 - x1 * x2 * x3
     Q = (
         x1 * x1 + x2 * x2 + x3 * x3
@@ -288,7 +289,7 @@ def vogt(x1, x2, x3, y12, y13, y23):
         - 4.0
     )
     delta = P * P - 4.0 * Q
-    root = cmath.sqrt(delta)
+    root = np.sqrt(np.asarray(delta, dtype=complex))
     return P, Q, delta, ((P + root) / 2.0, (P - root) / 2.0)
 
 

@@ -17,8 +17,9 @@ from collections import namedtuple
 
 import numpy as np
 
+from .algebra import mat_mul
 from .ballmodel import crossratio_ball
-from .isometry import boundary_fixed_points, translation_length
+from .isometry import _matrix_length, boundary_fixed_points
 from .nilboundary import _crossratio_quotient
 from . import sl2traces
 from .sl2traces import (
@@ -137,14 +138,10 @@ class LengthOracle:
         if self._table is not None:
             return [tuple(self.length(power(k, n)) for k in range(3)) for n in range(1, N + 1)]
         A, B = self._rep.evaluate(a).mat, self._rep.evaluate(b).mat
-        An, ea, Bn, eb = A, 0, B, 0
         rows = []
-        for n in range(1, N + 1):
-            if n > 1:
-                An, ea = _rescaled(An @ A, ea)
-                Bn, eb = _rescaled(Bn @ B, eb)
+        for n, powers in enumerate(_scaled_powers(A, B, N, np.matmul), 1):
             row = []
-            for k, (S, e) in enumerate(((An, ea), (Bn, eb), _rescaled(An @ Bn, ea + eb))):
+            for k, (S, e) in enumerate(powers):
                 t = complex(S[0, 0] + S[1, 1])
                 kind = _scaled_kind(S, e, t)
                 if kind != "loxodromic" and check:
@@ -155,6 +152,17 @@ class LengthOracle:
                 row.append(self._answer(power(k, n) if self._noise > 0.0 else None, base))
             rows.append(tuple(row))
         return rows
+
+
+def _scaled_powers(A, B, N, mul):
+    """For n = 1..N the powers A^n, B^n and A^n B^n as pairs (S, e), each
+    the matrix 2^e S: one product mul per power, rescaled past 2^256."""
+    An, ea, Bn, eb = A, 0, B, 0
+    for n in range(1, N + 1):
+        if n > 1:
+            An, ea = _rescaled(mul(An, A), ea)
+            Bn, eb = _rescaled(mul(Bn, B), eb)
+        yield (An, ea), (Bn, eb), _rescaled(mul(An, Bn), ea + eb)
 
 
 def _rescaled(S, e):
@@ -265,25 +273,15 @@ def lemma1_sequence(oracle, a, b, N, check=True):
 def lemma1_matrix_sequence(A, B, N):
     """Product-length sequence for two hyperbolic form-preserving
     matrices acting on real or complex hyperbolic space.  Early powers
-    whose product is not hyperbolic contribute geometric length 0."""
-    from .isometry import NotHyperbolicError
-
-    def safe_length(M):
-        try:
-            return translation_length(M)
-        except NotHyperbolicError:
-            return 0.0
-
+    whose product is not hyperbolic contribute geometric length 0.
+    The powers are rescaled as in LengthOracle.power_lengths, so every
+    term is finite for any N and the cost is linear in N."""
+    kind = A.config.kind
     seq = []
-    An, Bn = A, B
-    for n in range(1, N + 1):
-        la = safe_length(An)
-        lb = safe_length(Bn)
-        lab = safe_length(An @ Bn)
+    for powers in _scaled_powers(A.coeffs, B.coeffs, N, lambda x, y: mat_mul(kind, x, y)):
+        lengths = [_matrix_length(kind, S, e) for S, e in powers]
+        la, lb, lab = (length if cls == "hyperbolic" else 0.0 for cls, length in lengths)
         seq.append(math.exp(la + lb - lab))
-        if n < N:
-            An = An @ A
-            Bn = Bn @ B
     return seq
 
 

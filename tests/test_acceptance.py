@@ -2,44 +2,33 @@
 
 Each test is one stated requirement at its stated load and tolerance;
 the module-level suites cover API details and edge cases at lighter
-loads.  Runtime-budgeted tests measure wall time and assert the cap.
+loads.  The residuals are the ones `rank1kit verify` scores, evaluated
+on each criterion's own draws.  Runtime-budgeted tests measure wall
+time and assert the cap.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 from rank1kit.algebra import (
-    AlgebraElement,
     AlgebraKind,
-    conj_coeffs,
     inv_coeffs,
     mul_coeffs,
     norm_coeffs,
     random_imaginary,
     random_unit,
 )
-from rank1kit.ballmodel import BallPoint, crossratio_ball, stereo, stereo_inv
+from rank1kit.ballmodel import stereo, stereo_coeffs, stereo_inv_coeffs
 from rank1kit.isometry import (
     NormalIsometry,
-    act_ball,
-    act_nil,
-    action_identity_residual,
+    action_identity_coeffs,
     embed_normal,
     random_form_preserving,
     random_normal_isometry,
 )
-from rank1kit.nilboundary import (
-    NilPoint,
-    SpaceConfig,
-    dist,
-    ninv,
-    nmul,
-    qnorm,
-    random_point,
-)
+from rank1kit.nilboundary import NilPoint, SpaceConfig, random_point_coeffs
 from rank1kit import sl2traces, spectrum, verify
 
 KINDS = (
@@ -48,6 +37,19 @@ KINDS = (
     (AlgebraKind.H, 2),
     (AlgebraKind.O, 2),
 )
+
+
+def worst(*residuals):
+    # np.max keeps a NaN, which then fails every bound
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+
+
+def stacked(rows):
+    return [np.array(v) for v in zip(*rows)]
+
+
+def normal_form(iso):
+    return iso.M, iso.nu.coeffs, iso.s
 
 
 def test_criterion_01_octonion_algebra_laws():
@@ -60,55 +62,34 @@ def test_criterion_01_octonion_algebra_laws():
     x = rng.standard_normal((n, 8))
     y = rng.standard_normal((n, 8))
 
-    nq = norm_coeffs(q)
-    prod = mul_coeffs(kind, q, conj_coeffs(kind, q))
-    res = prod.copy()
-    res[:, 0] -= nq * nq
-    worst = float(np.max(norm_coeffs(res) / (nq * nq)))
-
-    npq = norm_coeffs(mul_coeffs(kind, q, p))
-    worst = max(worst, float(np.max(np.abs(npq - nq * norm_coeffs(p)) / npq)))
-
-    xy = mul_coeffs(kind, x, y)
-    back = mul_coeffs(kind, xy, inv_coeffs(kind, y))
-    worst = max(
-        worst, float(np.max(norm_coeffs(back - x) / np.maximum(norm_coeffs(x), 1e-300)))
-    )
-
-    lhs = inv_coeffs(kind, xy)
+    lhs = inv_coeffs(kind, mul_coeffs(kind, x, y))
     rhs = mul_coeffs(kind, inv_coeffs(kind, y), inv_coeffs(kind, x))
-    worst = max(worst, float(np.max(norm_coeffs(lhs - rhs) / norm_coeffs(lhs))))
-
+    w = worst(
+        verify.conj_square(kind, q),
+        verify.norm_product(kind, q, p),
+        verify.right_division(kind, x, y),
+        norm_coeffs(lhs - rhs) / norm_coeffs(lhs),
+    )
     elapsed = time.time() - t0
-    assert worst <= 1e-12, f"worst relative law violation {worst:.3e}"
+    assert w <= 1e-12, f"worst relative law violation {w:.3e}"
     assert elapsed < 5.0, f"algebra law sweep took {elapsed:.2f}s"
 
 
 def test_criterion_02_boundary_metric_invariances():
     rng = np.random.default_rng(101)
-    worst_left = 0.0
-    worst_dil = 0.0
+    worst_left = []
+    worst_dil = []
     for kind, m in KINDS:
         cfg = SpaceConfig(kind, m)
+        c, g, h = np.moveaxis(random_point_coeffs(cfg, rng, (1000, 3)), 1, 0)
+        worst_left.append(verify.left_invariance(kind, g, h, c))
+        rows = []
         for _ in range(1000):
-            c = random_point(cfg, rng)
-            g = random_point(cfg, rng)
-            h = random_point(cfg, rng)
-            d = dist(g, h)
-            worst_left = max(
-                worst_left, abs(dist(nmul(c, g), nmul(c, h)) - d) / d
-            )
-        for _ in range(1000):
-            s = float(rng.uniform(-1.5, 1.5))
-            iso = NormalIsometry.dilation(cfg, s)
-            g = random_point(cfg, rng)
-            h = random_point(cfg, rng)
-            ref = math.exp(-s) * dist(g, h)
-            worst_dil = max(
-                worst_dil, abs(dist(act_nil(iso, g), act_nil(iso, h)) - ref) / ref
-            )
-    assert worst_left <= 1e-12, f"left-invariance violation {worst_left:.3e}"
-    assert worst_dil <= 1e-12, f"dilation homogeneity violation {worst_dil:.3e}"
+            iso = NormalIsometry.dilation(cfg, float(rng.uniform(-1.5, 1.5)))
+            rows.append(normal_form(iso) + tuple(random_point_coeffs(cfg, rng, (2,))))
+        worst_dil.append(verify.distance_scaling(kind, *stacked(rows)))
+    assert worst(*worst_left) <= 1e-12, f"left-invariance violation {worst(*worst_left):.3e}"
+    assert worst(*worst_dil) <= 1e-12, f"dilation homogeneity violation {worst(*worst_dil):.3e}"
 
 
 def test_criterion_03_projection_fixed_values_and_round_trip():
@@ -121,53 +102,43 @@ def test_criterion_03_projection_fixed_values_and_round_trip():
             assert np.all(c.coeffs == 0.0)
         assert north.w2.re == 1.0 and north.w2.im().norm() == 0.0
         assert south.w2.re == -1.0 and south.w2.im().norm() == 0.0
-        for _ in range(250):
-            g = random_point(cfg, rng)
-            x = stereo(g)
-            assert abs(x.norm_sq() - 1.0) <= 1e-10
-            back = stereo_inv(x)
-            assert (back.center - g.center).norm() <= 1e-10
-            for a, b in zip(back.horizontal, g.horizontal):
-                assert (a - b).norm() <= 1e-10
+        g = random_point_coeffs(cfg, rng, (250,))
+        x = stereo_coeffs(kind, g)
+        assert np.max(np.abs(np.sum(x * x, axis=(1, 2)) - 1.0)) <= 1e-10
+        back, _ = stereo_inv_coeffs(kind, x)
+        # every coordinate within 1e-10, absolutely
+        assert np.max(norm_coeffs(back - g)) <= 1e-10
+        assert worst(verify.round_trip_gap(kind, g, None)) <= 1e-10
 
 
 def test_criterion_04_crossratio_gauge_identity():
     rng = np.random.default_rng(103)
     cfg = SpaceConfig(AlgebraKind.O, 2)
-    south = BallPoint.pole(cfg, -1)
-    north = BallPoint.pole(cfg, 1)
-    worst = 0.0
-    for _ in range(1000):
-        g1 = random_point(cfg, rng)
-        g2 = random_point(cfg, rng)
-        got = crossratio_ball(south, north, stereo(g1), stereo(g2))
-        ref = qnorm(g2) ** 2 / qnorm(g1) ** 2
-        worst = max(worst, abs(got - ref) / ref)
-    assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+    g = random_point_coeffs(cfg, rng, (1000, 2))
+    w = worst(verify.gauge_ratio(AlgebraKind.O, g[:, 0], g[:, 1]))
+    assert w <= 1e-9, f"worst relative deviation {w:.3e}"
 
 
 def test_criterion_05_model_equivalence():
     rng = np.random.default_rng(104)
     for kind, m in KINDS:
         cfg = SpaceConfig(kind, m)
-        for _ in range(1000):
-            iso = random_normal_isometry(cfg, rng)
-            g = random_point(cfg, rng)
-            assert stereo(act_nil(iso, g)).isclose(act_ball(iso, stereo(g)), tol=1e-9)
+        rows = [normal_form(random_normal_isometry(cfg, rng)) + (random_point_coeffs(cfg, rng, ()),)
+                for _ in range(1000)]
+        assert worst(verify.equivariance_gap(kind, *stacked(rows))) <= 1e-9
 
 
 def test_criterion_06_action_identity_and_disambiguation():
     rng = np.random.default_rng(105)
-    worst = 0.0
+    rows = []
     for _ in range(1000):
-        q = random_imaginary(AlgebraKind.O, rng)
-        nu = random_unit(AlgebraKind.O, rng)
-        s = float(rng.uniform(0.1, 1.5))
-        knorm = float(rng.uniform(0.1, 2.0))
-        worst = max(worst, action_identity_residual(s, q, nu, knorm))
-    assert worst <= 1e-10, f"corrected-reading residual {worst:.3e}"
+        q = random_imaginary(AlgebraKind.O, rng).coeffs
+        nu = random_unit(AlgebraKind.O, rng).coeffs
+        rows.append((float(rng.uniform(0.1, 1.5)), q, nu, float(rng.uniform(0.1, 2.0))))
+    w = worst(action_identity_coeffs(AlgebraKind.O, *stacked(rows), "corrected"))
+    assert w <= 1e-10, f"corrected-reading residual {w:.3e}"
     # the verifier must surface both readings of the ambiguous display
-    checks = verify.verify_isometry(seed=0)
+    [(_, checks)] = verify.run_all(seed=0, modules=["isometry"])
     names = {c["name"]: c["status"] for c in checks}
     corrected = [n for n in names if "corrected reading" in n]
     literal = [n for n in names if "literal reading" in n]
@@ -178,17 +149,10 @@ def test_criterion_06_action_identity_and_disambiguation():
 def test_criterion_07_product_length_crossratio_limit():
     t0 = time.time()
     rng = np.random.default_rng(106)
-    worst_sl2 = 0.0
-    for _ in range(100):
-        rep = spectrum.random_schottky_pair(rng)
-        A, B = rep.generators
-        oracle = spectrum.LengthOracle(rep=rep)
-        seq = spectrum.lemma1_sequence(oracle, [1], [2], 24)
-        ref = spectrum.crossratio_of_pair(A, B)
-        worst_sl2 = max(worst_sl2, abs(seq[-1] - ref) / ref)
-    assert worst_sl2 <= 1e-5, f"SL2 route worst rel err {worst_sl2:.3e}"
+    sl2 = [verify.product_length_errors(spectrum.random_schottky_pair(rng), 24)[-1] for _ in range(100)]
+    assert worst(sl2) <= 1e-5, f"SL2 route worst rel err {worst(sl2):.3e}"
 
-    worst_mat = 0.0
+    errs = []
     for kind, m in ((AlgebraKind.R, 3), (AlgebraKind.C, 2)):
         cfg = SpaceConfig(kind, m)
         for _ in range(20):
@@ -196,23 +160,17 @@ def test_criterion_07_product_length_crossratio_limit():
             D = random_form_preserving(cfg, rng)
             A = C @ embed_normal(random_normal_isometry(cfg, rng, s_range=(0.7, 1.8))) @ C.inverse()
             B = D @ embed_normal(random_normal_isometry(cfg, rng, s_range=(0.7, 1.8))) @ D.inverse()
-            seq = spectrum.lemma1_matrix_sequence(A, B, 24)
-            ref = spectrum.matrix_crossratio_reference(A, B)
-            worst_mat = max(worst_mat, abs(seq[-1] - ref) / ref)
+            errs.append(verify.matrix_route_error(A, B, 24))
     elapsed = time.time() - t0
-    assert worst_mat <= 1e-5, f"matrix route worst rel err {worst_mat:.3e}"
+    assert worst(errs) <= 1e-5, f"matrix route worst rel err {worst(errs):.3e}"
     assert elapsed < 60.0, f"product-length sweep took {elapsed:.2f}s"
 
 
 def test_criterion_08_trace_length_gauge():
     rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(10000):
-        A = sl2traces.random_loxodromic(rng)
-        l = sl2traces.length(A)
-        ref = 2.0 * (math.exp(l / 2.0) + math.exp(-l / 2.0))
-        worst = max(worst, abs(sl2traces.length_gauge(A) - ref) / ref)
-    assert worst <= 1e-12, f"worst relative gauge deviation {worst:.3e}"
+    mats = [sl2traces.random_loxodromic(rng) for _ in range(10000)]
+    w = worst(*verify.trace_length_gauge(mats))
+    assert w <= 1e-12, f"worst relative gauge deviation {w:.3e}"
     A = sl2traces.SL2.diagonal(2.0)  # trace 2.5
     assert sl2traces.length_gauge(A) == 5.0
     assert abs(sl2traces.length(A) - 2.0 * math.log(2.0)) <= 1e-15
@@ -220,19 +178,12 @@ def test_criterion_08_trace_length_gauge():
 
 def test_criterion_09_triple_trace_quadratic():
     rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(10000):
-        rep = sl2traces.SL2Rep([sl2traces.random_sl2(rng) for _ in range(3)])
-        x1, x2, x3 = (sl2traces.trace_word(rep, [i]) for i in (1, 2, 3))
-        y12 = sl2traces.trace_word(rep, [1, 2])
-        y13 = sl2traces.trace_word(rep, [1, 3])
-        y23 = sl2traces.trace_word(rep, [2, 3])
-        P, Q, delta, _ = sl2traces.vogt(x1, x2, x3, y12, y13, y23)
-        z = sl2traces.trace_word(rep, [1, 2, 3])
-        scale = max(1.0, abs(P), abs(Q))
-        worst = max(worst, abs(z * z - P * z + Q) / scale)
-        assert delta == P * P - 4.0 * Q
-    assert worst <= 1e-10, f"worst scaled quadratic residual {worst:.3e}"
+    mats = np.array([[sl2traces.random_sl2(rng).mat for _ in range(3)] for _ in range(10000)])
+    *traces, z = verify.triple_traces(mats)
+    P, Q, delta, _ = sl2traces.vogt(*traces)
+    assert np.all(delta == P * P - 4.0 * Q)
+    w = worst(verify.quadratic_residual(P, Q, z))
+    assert w <= 1e-10, f"worst scaled quadratic residual {w:.3e}"
     P, Q, delta, roots = sl2traces.vogt(2, 2, 2, 2, 2, 2)
     assert P == 4.0 and Q == 4.0 and delta == 0.0 and roots == (2.0, 2.0)
 
@@ -278,11 +229,10 @@ def test_criterion_12_rigidity_round_trip():
     rng = np.random.default_rng(111)
     truth = spectrum.random_schottky_pair(rng)
     report = spectrum.reconstruct_report(spectrum.LengthOracle(rep=truth))
-    d = spectrum.conjugacy_distance(report["rep"], truth)
+    holdout, d = verify.reconstruction_errors(truth, report)
     assert d <= 1e-4, f"round-trip class distance {d:.3e}"
-    assert report["holdout_errors"], "no held-out words were scored"
-    worst_hold = max(report["holdout_errors"].values())
-    assert worst_hold <= 1e-3, f"worst held-out length error {worst_hold:.3e}"
+    assert len(holdout), "no held-out words were scored"
+    assert worst(holdout) <= 1e-3, f"worst held-out length error {worst(holdout):.3e}"
 
     mirrored = spectrum.reconstruct(spectrum.LengthOracle(rep=truth.entrywise_conj()))
     d2 = spectrum.conjugacy_distance(mirrored, truth)

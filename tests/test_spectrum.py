@@ -236,6 +236,11 @@ def test_lemma1_matrix_route():
         seq = lemma1_matrix_sequence(A, B, 24)
         ref = matrix_crossratio_reference(A, B)
         assert abs(seq[-1] - ref) <= 1e-5 * ref
+        # the powers pass the float range near n = 300 and are rescaled
+        long = lemma1_matrix_sequence(A, B, 400)
+        assert long[:24] == seq
+        assert all(math.isfinite(v) for v in long)
+        assert abs(long[-1] - ref) <= 1e-9 * ref
 
 
 def test_crossratio_estimate_cases():

@@ -5,7 +5,9 @@ import contextlib
 import io
 import json
 
-from rank1kit import cli, verify
+import numpy as np
+
+from rank1kit import cli, nilboundary, verify
 
 
 def test_run_all_module_filter():
@@ -41,6 +43,22 @@ def test_format_report_lists_every_check():
         for c in checks:
             assert c["name"] in text
             assert c["status"] in text
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    # a NaN must fail the check it reaches, not vanish in a running maximum
+    dist = nilboundary.dist_coeffs
+
+    def nan_in_first_row(kind, g, h):
+        out = np.array(dist(kind, g, h), dtype=float)
+        out.reshape(-1)[0] = np.nan
+        return out
+
+    monkeypatch.setattr(nilboundary, "dist_coeffs", nan_in_first_row)
+    [(_, checks)] = verify.run_all(seed=0, modules=["nilboundary"])
+    status = {c["name"]: c["status"] for c in checks}
+    assert status["distance symmetry"] == "fail"
+    assert status["group product associativity (all kinds)"] == "pass"
 
 
 def test_verify_command_full_suite(tmp_path):
