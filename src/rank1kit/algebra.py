@@ -43,6 +43,8 @@ __all__ = [
     "mat_mul",
     "pairing",
     "decode_coeffs",
+    "decode_complex",
+    "encode_complex",
     "structure_tensor",
 ]
 
@@ -234,6 +236,26 @@ def decode_coeffs(value, shape: tuple, field: str) -> np.ndarray:
         return [walk(e, dims[1:], f"{where}[{i}]") for i, e in enumerate(v)]
 
     return np.array(walk(value, tuple(shape), field), dtype=float).reshape(shape)
+
+
+def decode_complex(value, field: str) -> complex:
+    """A complex number from JSON: a finite number, or an [re, im] pair of
+    finite numbers; anything else raises ValueError naming the field."""
+    pair = value if isinstance(value, list) else [value, 0.0]
+    try:
+        re, im = decode_coeffs(pair, (2,), field)
+    except ValueError:
+        raise ValueError(f"field {field!r} must be a finite number or an [re, im] pair of them") from None
+    return complex(re, im)
+
+
+def encode_complex(z):
+    """The JSON form decode_complex reads: a plain number when real, else an
+    [re, im] pair; a number with an infinite part encodes as "inf"."""
+    z = complex(z)
+    if math.isinf(z.real) or math.isinf(z.imag):
+        return "inf"
+    return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
 class AlgebraElement:

@@ -6,9 +6,16 @@ missing input fields), 2 numeric non-convergence.  Output files are
 written in one shot after the computation finishes, so a failing run
 never leaves a partial file, and a fixed seed plus config yields
 byte-identical bytes.
+
+Every command reads its input through one layer: --input holds one JSON
+object (or, for reconstruct, a CSV length table), and each kind of field
+has one decoder (complex numbers, words, length-table entries, points,
+SL2 matrices through SL2.from_list, choices and flags).  A malformed
+field exits 1 naming it before any computation starts.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -19,23 +26,13 @@ import sys
 
 import numpy as np
 
+from .algebra import decode_coeffs, decode_complex, encode_complex
 from .nilboundary import NilPoint, crossratio_nil
-from .ballmodel import BallPoint, crossratio_ball
+from .ballmodel import BallPoint, crossratio_ball, stereo, stereo_inv
 from .isometry import NormalIsometry, act_ball, act_nil
+from .sl2traces import SL2, SL2Rep
 from . import sl2traces
 from . import spectrum
-
-COMMANDS = (
-    "crossratio",
-    "project",
-    "act",
-    "lemma1",
-    "lemma2",
-    "vogt",
-    "jacobian",
-    "reconstruct",
-    "verify",
-)
 
 
 class CommandError(Exception):
@@ -72,16 +69,7 @@ def _build_parser():
 
 
 def parse(argv):
-    args = _build_parser().parse_args(argv)
-    return JobConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        seed=args.seed,
-        tol=args.tol,
-        n=args.n,
-        words=args.words,
-    )
+    return JobConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def render(cfg):
@@ -101,60 +89,121 @@ def render(cfg):
 
 
 # ---------------------------------------------------------------------------
-# value plumbing
+# the input layer: one decoder per kind of field
 
 
-def _is_number(value):
-    # JSON true and false arrive as bool, which is an int
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _read(cfg):
+    """The text of the --input file."""
+    if cfg.input is None:
+        raise CommandError("field 'input' is missing")
+    try:
+        with open(cfg.input, newline="") as fh:
+            return fh.read()
+    except (OSError, ValueError) as e:  # unreadable, or not text
+        raise CommandError(f"field 'input' cannot be read: {e}") from None
 
 
-def _num_in(value, field):
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(value[0], value[1])
-    raise CommandError(f"field {field!r} must be a number or an [re, im] pair")
-
-
-def _num_out(z):
-    z = complex(z)
-    if z.real in (math.inf, -math.inf) or z.imag in (math.inf, -math.inf):
-        return "inf"
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
+def _input(cfg):
+    """The JSON object in the --input file."""
+    try:
+        data = json.loads(_read(cfg))
+    except ValueError as e:
+        raise CommandError(f"field 'input' is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise CommandError("field 'input' must hold a JSON object")
+    return data
 
 
 def _field(data, name):
     if name not in data:
-        raise CommandError(f"missing field {name!r}")
+        raise CommandError(f"field {name!r} is missing")
     return data[name]
 
 
-def _sl2_in(value, field):
-    if not (isinstance(value, list) and len(value) == 2 and all(
-            isinstance(row, list) and len(row) == 2 for row in value)):
-        raise CommandError(f"field {field!r} must be a 2 x 2 matrix")
-    mat = np.array(
-        [[_num_in(value[i][j], f"{field}[{i}][{j}]") for j in range(2)] for i in range(2)]
-    )
+def _real(value, field):
+    """A finite real number; JSON booleans are not numbers."""
+    return float(decode_coeffs(value, (), field))
+
+
+def _word(value, field, arity):
+    """A word from a list of letters or a space-separated string of them,
+    the letters as check_word takes them: nonzero integers, not booleans."""
     try:
-        return sl2traces.SL2(mat)
-    except ValueError as e:
+        letters = [int(s) for s in value.split()] if isinstance(value, str) else value
+        if not isinstance(letters, list) or not letters:
+            raise ValueError
+        return sl2traces.check_word(letters, arity)
+    except ValueError:
+        raise CommandError(f"field {field!r} must be a word: a list or string of "
+                           f"nonzero integer letters of absolute value at most {arity}") from None
+
+
+def _table(entries):
+    """A length table from (word, length, field) entries of a CSV or JSON
+    table; the words are in two generators and the lengths finite."""
+    table = {tuple(_word(word, field, 2)): _real(length, field) for word, length, field in entries}
+    if not table:
+        raise CommandError("field 'table' has no entries")
+    return table
+
+
+def _csv_table(cfg):
+    """The length table in a CSV --input file: rows word,length after an
+    optional header."""
+    try:
+        rows = list(csv.reader(io.StringIO(_read(cfg), newline="")))
+    except csv.Error as e:
+        raise CommandError(f"field 'input' is not a CSV table: {e}") from None
+    entries = []
+    for i, row in enumerate(rows, start=1):
+        if not row or (i == 1 and row[0].strip().lower() == "word"):
+            continue
+        if len(row) != 2:
+            raise CommandError(f"field 'row {i}' must hold two columns, word and length")
+        word, length = row
+        with contextlib.suppress(ValueError):
+            length = float(length)  # text that is no number stays text, which _table rejects
+        entries.append((word, length, f"row {i}"))
+    return _table(entries)
+
+
+def _choice(data, name, choices):
+    """data[name], or choices[0] when absent: it must equal one of choices
+    and have its type, so 1 is not true and "no" is not a boolean."""
+    value = data.get(name, choices[0])
+    if not any(type(value) is type(c) and value == c for c in choices):
+        raise CommandError(f"field {name!r} must be one of {', '.join(map(json.dumps, choices))}")
+    return value
+
+
+def _points(data, fn, count):
+    """fn of each entry of the list data['points'], which holds count
+    entries (any nonzero number for None); an entry that fn rejects with
+    ValueError or KeyError is named, as in 'points[2]'."""
+    pts = _field(data, "points")
+    if not isinstance(pts, list) or not pts or count not in (None, len(pts)):
+        raise CommandError(f"field 'points' must list {count or 'one or more'} points")
+    return [_decoded(fn, p, f"points[{i}]") for i, p in enumerate(pts)]
+
+
+def _decoded(fn, value, field):
+    """fn(value); a ValueError or KeyError it raises names field."""
+    try:
+        return fn(value)
+    except (KeyError, ValueError) as e:
         raise CommandError(f"field {field!r}: {e}") from None
 
 
-def _sl2_out(A):
-    return [[_num_out(A.mat[i, j]) for j in range(2)] for i in range(2)]
+def _pair(data):
+    return SL2.from_list(_field(data, "a"), "a"), SL2.from_list(_field(data, "b"), "b")
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise CommandError(f"input is not valid JSON: {e}") from None
+def _rep(data, name, arity):
+    """The representation in field name, of the given arity unless it is None."""
+    rep = SL2Rep.from_list(_field(data, name), name)
+    if arity not in (None, rep.arity):
+        raise CommandError(f"field {name!r} must list {arity} matrices")
+    return rep
 
 
 def _json_text(obj):
@@ -166,42 +215,8 @@ def _json_text(obj):
         raise ArithmeticError(f"non-finite number in the result: {e}") from None
 
 
-def _word_in(value, field):
-    if isinstance(value, str):
-        parts = value.split()
-    elif isinstance(value, list):
-        parts = value
-    else:
-        raise CommandError(f"field {field!r} must be a word (list of nonzero letters)")
-    try:
-        word = [int(v) for v in parts]
-    except (TypeError, ValueError):
-        raise CommandError(f"field {field!r} must contain integer letters") from None
-    if any(l == 0 for l in word) or not word:
-        raise CommandError(f"field {field!r} must contain nonzero letters")
-    return word
-
-
-def _read_length_table(path):
-    table = {}
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            if i == 0 and row[0].strip().lower() == "word":
-                continue
-            if len(row) != 2:
-                raise CommandError(f"length table row {i + 1} needs two columns")
-            word = tuple(_word_in(row[0], f"row {i + 1} word"))
-            try:
-                table[word] = float(row[1])
-            except ValueError:
-                raise CommandError(f"length table row {i + 1} has a bad length") from None
-            if not math.isfinite(table[word]):
-                raise CommandError(f"length table row {i + 1} has a non-finite length")
-    if not table:
-        raise CommandError("length table is empty")
-    return table
+def _word_text(words):
+    return [" ".join(str(l) for l in w) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -209,104 +224,50 @@ def _read_length_table(path):
 
 
 def _cmd_crossratio(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
-    data = _load_json(cfg.input)
+    data = _input(cfg)
     if "a" in data or "b" in data:
-        A = _sl2_in(_field(data, "a"), "a")
-        B = _sl2_in(_field(data, "b"), "b")
+        A, B = _pair(data)
         value = spectrum.crossratio_of_pair(A, B)
         fa = spectrum.fixed_points(A)
         fb = spectrum.fixed_points(B)
         out = {
-            "crossratio": _num_out(value),
+            "crossratio": encode_complex(value),
             "fixed_points": {
-                "a": {"attracting": _num_out(fa.attracting), "repelling": _num_out(fa.repelling)},
-                "b": {"attracting": _num_out(fb.attracting), "repelling": _num_out(fb.repelling)},
+                "a": {"attracting": encode_complex(fa.attracting), "repelling": encode_complex(fa.repelling)},
+                "b": {"attracting": encode_complex(fb.attracting), "repelling": encode_complex(fb.repelling)},
             },
         }
         return _json_text(out), 0
-    pts = _field(data, "points")
-    if not isinstance(pts, list) or len(pts) != 4:
-        raise CommandError("field 'points' must list exactly four points")
-    model = data.get("model", "nil")
-    if model not in ("nil", "ball"):
-        raise CommandError("field 'model' must be 'nil' or 'ball'")
+    model = _choice(data, "model", ("nil", "ball"))
     decode, crossratio = {"nil": (NilPoint.from_dict, crossratio_nil),
                           "ball": (BallPoint.from_dict, crossratio_ball)}[model]
-    points = []
-    for i, p in enumerate(pts):
-        try:
-            points.append(decode(p))
-        except ValueError as e:
-            raise CommandError(f"field 'points[{i}]': {e}") from None
-    return _json_text({"crossratio": _num_out(crossratio(*points))}), 0
+    return _json_text({"crossratio": encode_complex(crossratio(*_points(data, decode, 4)))}), 0
 
 
 def _cmd_project(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
-    data = _load_json(cfg.input)
-    pts = _field(data, "points")
-    if not isinstance(pts, list) or not pts:
-        raise CommandError("field 'points' must be a nonempty list")
-    inverse = bool(data.get("inverse", False))
-    out = []
-    from .ballmodel import stereo, stereo_inv
-
-    for i, p in enumerate(pts):
-        try:
-            if inverse:
-                out.append(stereo_inv(BallPoint.from_dict(p)).to_dict())
-            else:
-                out.append(stereo(NilPoint.from_dict(p)).to_dict())
-        except (KeyError, ValueError) as e:
-            raise CommandError(f"field 'points[{i}]': {e}") from None
-    return _json_text({"points": out}), 0
+    data = _input(cfg)
+    decode, project = ((BallPoint.from_dict, stereo_inv) if _choice(data, "inverse", (False, True))
+                       else (NilPoint.from_dict, stereo))
+    return _json_text({"points": _points(data, lambda p: project(decode(p)).to_dict(), None)}), 0
 
 
 def _cmd_act(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
-    data = _load_json(cfg.input)
-    try:
-        iso = NormalIsometry.from_dict(_field(data, "isometry"))
-    except (KeyError, ValueError) as e:
-        raise CommandError(f"field 'isometry': {e}") from None
-    model = data.get("model", "nil")
-    pts = _field(data, "points")
-    if not isinstance(pts, list) or not pts:
-        raise CommandError("field 'points' must be a nonempty list")
-    out = []
-    for i, p in enumerate(pts):
-        try:
-            if model == "nil":
-                out.append(act_nil(iso, NilPoint.from_dict(p)).to_dict())
-            elif model == "ball":
-                out.append(act_ball(iso, BallPoint.from_dict(p)).to_dict())
-            else:
-                raise CommandError("field 'model' must be 'nil' or 'ball'")
-        except CommandError:
-            raise
-        except (KeyError, ValueError) as e:
-            raise CommandError(f"field 'points[{i}]': {e}") from None
-    return _json_text({"points": out}), 0
-
-
-def _lemma1_pair(cfg):
-    if cfg.input is not None:
-        data = _load_json(cfg.input)
-        return _sl2_in(_field(data, "a"), "a"), _sl2_in(_field(data, "b"), "b")
-    rep = spectrum.random_schottky_pair(np.random.default_rng(cfg.seed))
-    return rep.generators
+    data = _input(cfg)
+    iso = _decoded(NormalIsometry.from_dict, _field(data, "isometry"), "isometry")
+    decode, act = {"nil": (NilPoint.from_dict, act_nil),
+                   "ball": (BallPoint.from_dict, act_ball)}[_choice(data, "model", ("nil", "ball"))]
+    return _json_text({"points": _points(data, lambda p: act(iso, decode(p)).to_dict(), None)}), 0
 
 
 def _cmd_lemma1(cfg):
-    A, B = _lemma1_pair(cfg)
+    if cfg.input is not None:
+        A, B = _pair(_input(cfg))
+    else:
+        A, B = spectrum.random_schottky_pair(np.random.default_rng(cfg.seed)).generators
     n = cfg.n if cfg.n is not None else 24
     if n < 1:
         raise CommandError("field 'n' must be at least 1")
-    oracle = spectrum.LengthOracle(rep=sl2traces.SL2Rep([A, B]))
+    oracle = spectrum.LengthOracle(rep=SL2Rep([A, B]))
     seq = spectrum.lemma1_sequence(oracle, [1], [2], n)
     bad = next((i for i, v in enumerate(seq, start=1) if not math.isfinite(v)), None)
     if bad is not None:
@@ -321,67 +282,55 @@ def _cmd_lemma1(cfg):
 
 
 def _cmd_lemma2(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
-    data = _load_json(cfg.input)
+    data = _input(cfg)
     if "matrix" in data:
-        t = _sl2_in(data["matrix"], "matrix").trace()
+        t = SL2.from_list(data["matrix"], "matrix").trace()
     else:
-        t = _num_in(_field(data, "trace"), "trace")
-    g = abs(t - 2.0) + abs(t + 2.0)
-    try:
-        length = sl2traces.gauge_to_length(g)
-    except ValueError as e:
-        raise CommandError(str(e)) from None
-    return _json_text({"trace": _num_out(t), "gauge": _num_out(g), "length": _num_out(length)}), 0
+        t = decode_complex(_field(data, "trace"), "trace")
+    g = sl2traces.length_gauge(t)
+    length = sl2traces.gauge_to_length(g)
+    return _json_text({"trace": encode_complex(t), "gauge": encode_complex(g),
+                       "length": encode_complex(length)}), 0
 
 
 def _cmd_vogt(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
-    data = _load_json(cfg.input)
-    vals = [_num_in(_field(data, k), k) for k in ("x1", "x2", "x3", "y12", "y13", "y23")]
+    data = _input(cfg)
+    vals = [decode_complex(_field(data, k), k) for k in ("x1", "x2", "x3", "y12", "y13", "y23")]
     P, Q, delta, roots = sl2traces.vogt(*vals)
     out = {
-        "P": _num_out(P),
-        "Q": _num_out(Q),
-        "Delta": _num_out(delta),
-        "roots": [_num_out(z) for z in roots],
+        "P": encode_complex(P),
+        "Q": encode_complex(Q),
+        "Delta": encode_complex(delta),
+        "roots": [encode_complex(z) for z in roots],
     }
     return _json_text(out), 0
 
 
 def _cmd_jacobian(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
-    data = _load_json(cfg.input)
-    gens = _field(data, "generators")
-    if not isinstance(gens, list) or not gens:
-        raise CommandError("field 'generators' must be a nonempty list")
-    rep = sl2traces.SL2Rep([_sl2_in(g, f"generators[{i}]") for i, g in enumerate(gens)])
+    data = _input(cfg)
+    rep = _rep(data, "generators", None)
     if "words" in data:
-        words = [_word_in(w, f"words[{i}]") for i, w in enumerate(_field(data, "words"))]
+        words = data["words"]
+        if not isinstance(words, list) or not words:
+            raise CommandError("field 'words' must be a nonempty list of words")
+        words = [_word(w, f"words[{i}]", rep.arity) for i, w in enumerate(words)]
     elif rep.arity == 2:
         words = sl2traces.default_f2_words()
     else:
-        raise CommandError(f"missing field 'words' (required for arity {rep.arity})")
-    target = data.get("target", "trace")
+        raise CommandError(f"field 'words' is missing (required for arity {rep.arity})")
+    target = _choice(data, "target", ("trace", "length"))
+    method = _choice(data, "method", ("analytic", "fd"))
     rtol = cfg.tol if cfg.tol is not None else sl2traces.RANK_RTOL
     if target == "trace":
-        method = data.get("method", "analytic")
-        if method not in ("analytic", "fd"):
-            raise CommandError("field 'method' must be 'analytic' or 'fd'")
         matrix, _ = sl2traces.trace_jacobian(rep, words, method=method)
-        entries = [[_num_out(v) for v in row] for row in matrix]
-    elif target == "length":
+        entries = [[encode_complex(v) for v in row] for row in matrix]
+    else:
         matrix, _ = sl2traces.length_jacobian(rep, words)
         entries = [[float(v) for v in row] for row in matrix]
-    else:
-        raise CommandError("field 'target' must be 'trace' or 'length'")
     report = sl2traces.rank_report(matrix, rtol=rtol)
     out = {
         "matrix": entries,
-        "words": [" ".join(str(l) for l in w) for w in words],
+        "words": _word_text(words),
         "rank": report["rank"],
         "singular_values": [float(s) for s in report["singular_values"]],
         "tolerance": report["tolerance"],
@@ -390,42 +339,27 @@ def _cmd_jacobian(cfg):
 
 
 def _cmd_reconstruct(cfg):
-    if cfg.input is None:
-        raise CommandError("missing field 'input'")
     reference = None
-    if cfg.input.endswith(".csv"):
-        oracle = spectrum.LengthOracle(table=_read_length_table(cfg.input))
+    if cfg.input is not None and cfg.input.endswith(".csv"):
+        oracle = spectrum.LengthOracle(table=_csv_table(cfg))
     else:
-        data = _load_json(cfg.input)
-        noise = data.get("noise", 0.0)
-        if not _is_number(noise) or not math.isfinite(noise) or noise < 0:
+        data = _input(cfg)
+        noise = _real(data.get("noise", 0.0), "noise")
+        if noise < 0:
             raise CommandError("field 'noise' must be a finite number >= 0")
         if "table" in data:
-            table = {}
-            for key, val in _field(data, "table").items():
-                word = tuple(_word_in(key, f"table key {key!r}"))
-                if not _is_number(val) or not math.isfinite(val):
-                    raise CommandError(f"table entry {key!r} must be a finite number")
-                table[word] = float(val)
+            table = data["table"]
+            if not isinstance(table, dict):
+                raise CommandError("field 'table' must be an object from words to lengths")
+            table = _table((k, v, f"table[{k!r}]") for k, v in table.items())
             oracle = spectrum.LengthOracle(table=table, noise=noise, seed=cfg.seed)
         elif "generators" in data:
-            gens = data["generators"]
-            if not isinstance(gens, list) or len(gens) != 2:
-                raise CommandError("field 'generators' must list two matrices")
-            rep = sl2traces.SL2Rep(
-                [_sl2_in(g, f"generators[{i}]") for i, g in enumerate(gens)]
-            )
-            oracle = spectrum.LengthOracle(rep=rep, noise=noise, seed=cfg.seed)
-            reference = rep
+            reference = _rep(data, "generators", 2)
+            oracle = spectrum.LengthOracle(rep=reference, noise=noise, seed=cfg.seed)
         else:
-            raise CommandError("input must provide 'table' or 'generators'")
+            raise CommandError("field 'table' or 'generators' is missing")
         if "reference" in data:
-            refs = data["reference"]
-            if not isinstance(refs, list) or len(refs) != 2:
-                raise CommandError("field 'reference' must list two matrices")
-            reference = sl2traces.SL2Rep(
-                [_sl2_in(g, f"reference[{i}]") for i, g in enumerate(refs)]
-            )
+            reference = _rep(data, "reference", 2)
     budget = cfg.words if cfg.words is not None else 30
     report = spectrum.reconstruct_report(oracle, budget=budget)
     la, ta, lb, tb, re_p, im_p = report["parameters"]
@@ -437,8 +371,8 @@ def _cmd_reconstruct(cfg):
             "angle_b": tb,
             "second_fixed_point_b": [re_p, im_p],
         },
-        "generators": [_sl2_out(g) for g in report["rep"].generators],
-        "words": [" ".join(str(l) for l in w) for w in report["words"]],
+        "generators": report["rep"].to_list(),
+        "words": _word_text(report["words"]),
         "residuals": report["residuals"],
         "rms": report["rms"],
         "restart_index": report["restart_index"],
@@ -475,6 +409,8 @@ _RUNNERS = {
     "verify": _cmd_verify,
 }
 
+COMMANDS = tuple(_RUNNERS)
+
 
 def _write_output(path, text):
     """Write text to path through a temporary file in the same directory
@@ -499,13 +435,12 @@ def run(cfg):
     try:
         if cfg.command not in _RUNNERS:
             raise CommandError(f"unknown command {cfg.command!r}")
-        if cfg.input is not None and not os.path.exists(cfg.input):
-            raise CommandError(f"input file does not exist: {cfg.input}")
+        if cfg.input is not None and not os.path.isfile(cfg.input):
+            raise CommandError(f"field 'input': file does not exist: {cfg.input}")
+        if cfg.tol is not None and not 0.0 <= cfg.tol < math.inf:
+            raise CommandError("field 'tol' must be a finite number >= 0")
         text, rc = _RUNNERS[cfg.command](cfg)
-    except CommandError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as e:
+    except (CommandError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as e:

@@ -20,6 +20,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .algebra import decode_complex, encode_complex
+
 DET_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
 RANK_RTOL = 1e-8
@@ -86,6 +88,8 @@ class SL2:
         if m.shape != (2, 2):
             raise ValueError("SL2 expects a 2x2 matrix, got shape %s" % (m.shape,))
         if check:
+            if not np.isfinite(m).all():
+                raise ValueError("SL2 entries must be finite")
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             if abs(det - 1.0) > DET_TOL * max(1.0, float(np.abs(m).max()) ** 2):
                 raise ValueError("determinant %s is not 1 within tolerance" % det)
@@ -133,12 +137,24 @@ class SL2:
         return bool(np.abs(self._m - other._m).max() <= tol)
 
     def to_list(self):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in self._m]
+        """The matrix as JSON rows; each entry a plain number when real,
+        else an [re, im] pair."""
+        return [[encode_complex(z) for z in row] for row in self._m]
 
     @classmethod
-    def from_list(cls, data):
-        m = np.array([[complex(z[0], z[1]) for z in row] for row in data])
-        return cls(m)
+    def from_list(cls, data, field):
+        """Validated matrix from to_list's rows: malformed JSON, a
+        non-finite entry or a determinant off 1 raises ValueError naming
+        field or the failing entry, as in 'a[1][0]'."""
+        if not (isinstance(data, list) and len(data) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in data)):
+            raise ValueError("field %r must be a 2 x 2 matrix" % field)
+        m = [[decode_complex(z, "%s[%d][%d]" % (field, i, j)) for j, z in enumerate(row)]
+             for i, row in enumerate(data)]
+        try:
+            return cls(m)
+        except ValueError as e:
+            raise ValueError("field %r: %s" % (field, e)) from None
 
     def __repr__(self):
         return "SL2(%r)" % (self._m.tolist(),)
@@ -185,8 +201,12 @@ class SL2Rep:
         return [g.to_list() for g in self._gens]
 
     @classmethod
-    def from_list(cls, data):
-        return cls([SL2.from_list(g) for g in data])
+    def from_list(cls, data, field):
+        """Validated representation from a nonempty list of SL2.to_list
+        matrices; errors name the entry, as in 'generators[0][1][0]'."""
+        if not isinstance(data, list) or not data:
+            raise ValueError("field %r must be a nonempty list of 2 x 2 matrices" % field)
+        return cls([SL2.from_list(g, "%s[%d]" % (field, k)) for k, g in enumerate(data)])
 
     def __repr__(self):
         return "SL2Rep(arity=%d)" % self.arity
@@ -257,8 +277,9 @@ def _scaled_length(t, e):
 
 
 def length_gauge(A):
-    """|tr - 2| + |tr + 2|; equals 2(e^{l/2} + e^{-l/2}) for loxodromics."""
-    t = A.trace()
+    """|tr - 2| + |tr + 2| of an SL2 element A, or of the trace A itself;
+    equals 2(e^{l/2} + e^{-l/2}) for loxodromics."""
+    t = A.trace() if isinstance(A, SL2) else A
     return abs(t - 2.0) + abs(t + 2.0)
 
 

@@ -3,7 +3,8 @@
 Each check is one record: a name, a bound, a sample count, a sampler, a
 batched residual and a detail template, reported as {"name", "status",
 "detail"}.  It passes when its worst residual meets the bound and fails
-otherwise or on a NaN residual; "info" marks the two unscored
+otherwise, on a NaN residual, or when drawing or scoring it raises (the
+detail then names the exception); "info" marks the two unscored
 measurements (the displayed rotation action of the non-associative kind,
 and the two readings of the product-form action identity).  A fixed seed
 yields a byte-identical report.  The public residual functions are the
@@ -19,6 +20,7 @@ import math
 import operator
 import os
 import tempfile
+import traceback
 from collections import namedtuple
 
 import numpy as np
@@ -203,8 +205,9 @@ def _crossratio_ball_invariance(kind, M, nu, s, *g):
     return np.abs(ballmodel.crossratio_ball_coeffs(kind, moved) - ref) / np.abs(ref)
 
 
-def _crossratio_translation_invariance(kind, g):
-    # [stereo f gi] = [stereo gi] for g (N, 5, m, dim) = (g1, ..., g4, f)
+def crossratio_translation_invariance(kind, g):
+    """|[x1', ..., x4'] - [x1, ..., x4]| / |[x1, ..., x4]| for xi = stereo(gi)
+    and xi' = stereo(f gi), g (N, 5, m, dim) = (g1, ..., g4, f)."""
     gs, f = g[:, :4], g[:, 4:]
     ref = ballmodel.crossratio_ball_coeffs(kind, ballmodel.stereo_coeffs(kind, gs))
     moved = ballmodel.stereo_coeffs(kind, nilboundary.nmul_coeffs(kind, f, gs))
@@ -455,8 +458,12 @@ def _per_case(fn):
     return lambda draws: np.concatenate([np.ravel(fn(*case)) for case in draws])
 
 
-def _run(check, draws):
-    out = check.residual(draws)
+def _run(check, draw):
+    try:
+        out = check.residual(draw(check.sample, check.count))
+    except Exception as e:  # a check that raises fails, and the others still run
+        traceback.print_exc()
+        return {"name": check.name, "status": "fail", "detail": f"{type(e).__name__}: {e}"}
     r, values = out if isinstance(out, tuple) else (out, {})
     worst = float(np.max(r))  # a NaN residual stays NaN here
     status = ("fail" if math.isnan(worst) else "info" if check.bound is None
@@ -576,7 +583,7 @@ _ISOMETRY = [
            "worst rel {worst:.3e} over {count} quadruples per case"),
     _Check("cross-ratio invariance under left translations (all kinds)", 1e-9, 150,
            _per_kind(46, _KINDS, lambda cfg, rng, n: [nilboundary.random_point_coeffs(cfg, rng, (n, 5))]),
-           _per_case(_crossratio_translation_invariance),
+           _per_case(crossratio_translation_invariance),
            "worst rel {worst:.3e} over {count} quadruples per kind"),
     _Check("model equivariance of the two actions (all kinds)", 1e-9, 150,
            _per_kind(47, _KINDS, _form_then(_random_form, 1)), _per_case(equivariance_gap),
@@ -616,9 +623,11 @@ def _seventh_pairings(reps):
 
 
 def _vogt_residuals(mats):
-    # the quadratic residuals of the returned roots, and Delta - (P^2 - 4Q)
-    P, Q, delta, roots = sl2traces.vogt(*triple_traces(np.array(mats))[:6])
-    return np.concatenate([quadratic_residual(P, Q, z) for z in roots]), np.abs(delta - (P * P - 4.0 * Q))
+    # the quadratic residuals of the returned roots and of tr(A B C), and Delta - (P^2 - 4Q)
+    *traces, z = triple_traces(np.array(mats))
+    P, Q, delta, roots = sl2traces.vogt(*traces)
+    return (np.concatenate([quadratic_residual(P, Q, r) for r in roots]), quadratic_residual(P, Q, z),
+            np.abs(delta - (P * P - 4.0 * Q)))
 
 
 _sl2_triples = _repeat(52, lambda rng: [sl2traces.random_sl2(rng).mat for _ in range(3)])
@@ -629,8 +638,10 @@ _SL2TRACES = [
            "worst rel {worst:.3e} over {count} random loxodromics"),
     _Check("triple-trace quadratic has the returned roots", 1e-10, 10000, _sl2_triples,
            lambda m: _vogt_residuals(m)[0], "worst scaled residual {worst:.3e} over {count} random triples"),
+    _Check("triple-product trace is a root of the quadratic", 1e-10, 10000, _sl2_triples,
+           lambda m: _vogt_residuals(m)[1], "worst scaled residual {worst:.3e} over {count} random triples"),
     _Check("discriminant equals P^2 - 4Q as computed", 0.0, 10000, _sl2_triples,
-           lambda m: _vogt_residuals(m)[1], "largest deviation {worst:.3e}"),
+           lambda m: _vogt_residuals(m)[2], "largest deviation {worst:.3e}"),
     _Check("analytic and finite-difference trace differentials agree", 1e-7, 20,
            _repeat(53, lambda rng: sl2traces.SL2Rep([sl2traces.random_loxodromic(rng) for _ in range(2)])),
            _fd_gaps, "worst entrywise rel gap {worst:.3e} over {count} two-generator draws"),
@@ -715,7 +726,7 @@ def run_all(seed=0, modules=None):
         # the records with one sampler and count share one draw, made in table order
         streams = _Streams(seed)
         draw = functools.lru_cache(None)(lambda sample, n: sample(streams, n))
-        results.append((name, [_run(check, draw(check.sample, check.count)) for check in table]))
+        results.append((name, [_run(check, draw) for check in table]))
     return results
 
 

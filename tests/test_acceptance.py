@@ -90,6 +90,12 @@ def test_criterion_02_boundary_metric_invariances():
         worst_dil.append(verify.distance_scaling(kind, *stacked(rows)))
     assert worst(*worst_left) <= 1e-12, f"left-invariance violation {worst(*worst_left):.3e}"
     assert worst(*worst_dil) <= 1e-12, f"dilation homogeneity violation {worst(*worst_dil):.3e}"
+    # left translations fix the ball cross-ratio, which reads the twist of the
+    # group law and the octonionic seminorm term; drawn apart from the above
+    rng = np.random.default_rng(1010)
+    cr = [verify.crossratio_translation_invariance(kind, random_point_coeffs(SpaceConfig(kind, m), rng, (250, 5)))
+          for kind, m in KINDS]
+    assert worst(*cr) <= 1e-9, f"cross-ratio translation invariance violation {worst(*cr):.3e}"
 
 
 def test_criterion_03_projection_fixed_values_and_round_trip():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_lemma1_long_sequence_is_finite(tmp_path):
     outp = str(tmp_path / "seq.csv")
     rc, _, _ = run_quiet(["lemma1", "--seed", "3", "--n", "400", "--output", outp])
     assert rc == 0
-    rows = open(outp).read().splitlines()[1:]
+    rows = Path(outp).read_text().splitlines()[1:]
     assert len(rows) == 400
     values = [[float(v) for v in r.split(",")] for r in rows]
     assert all(math.isfinite(v) for row in values for v in row)
@@ -127,7 +128,7 @@ def test_lemma1_bundled_table(tmp_path):
     rc, out, _ = run_quiet(["lemma1", "--seed", "5", "--n", "20", "--output", outp])
     assert rc == 0
     assert f"wrote {outp}" in out
-    lines = open(outp).read().splitlines()
+    lines = Path(outp).read_text().splitlines()
     assert lines[0] == "n,sequence,crossratio,error"
     assert len(lines) == 21
     last = lines[-1].split(",")
@@ -142,8 +143,8 @@ def test_lemma1_seeded_reproducibility(tmp_path):
         assert rc == 0
     rc, _, _ = run_quiet(["lemma1", "--seed", "12", "--n", "10", "--output", p3])
     assert rc == 0
-    assert open(p1).read() == open(p2).read()
-    assert open(p1).read() != open(p3).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
+    assert Path(p1).read_text() != Path(p3).read_text()
 
 
 def test_crossratio_from_matrix_pair(tmp_path):
@@ -151,19 +152,13 @@ def test_crossratio_from_matrix_pair(tmp_path):
     A, B = rep.generators
     inp = write_json(
         tmp_path / "cr.json",
-        {"a": [[c_out(z) for z in row] for row in A.mat],
-         "b": [[c_out(z) for z in row] for row in B.mat]},
+        {"a": A.to_list(), "b": B.to_list()},
     )
     rc, out, _ = run_quiet(["crossratio", "--input", inp])
     assert rc == 0
     data = json.loads(out)
     assert data["crossratio"] > 0.0
     assert "fixed_points" in data
-
-
-def c_out(z):
-    z = complex(z)
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
 def test_crossratio_nil_gauge_identity(tmp_path):
@@ -219,7 +214,7 @@ def test_act_matches_library(tmp_path):
 
 def test_jacobian_ranks(tmp_path):
     rep = random_schottky_pair(np.random.default_rng(6))
-    gens = [[[c_out(z) for z in row] for row in g.mat] for g in rep.generators]
+    gens = rep.to_list()
     inp = write_json(tmp_path / "jac.json", {"generators": gens, "target": "trace"})
     rc, out, _ = run_quiet(["jacobian", "--input", inp])
     assert rc == 0
@@ -235,7 +230,7 @@ def test_jacobian_ranks(tmp_path):
 
 def test_jacobian_validation(tmp_path):
     rep = random_schottky_pair(np.random.default_rng(7))
-    gens = [[[c_out(z) for z in row] for row in g.mat] for g in rep.generators]
+    gens = rep.to_list()
     inp = write_json(tmp_path / "bad.json", {"generators": gens, "words": ["1 0"]})
     rc, _, err = run_quiet(["jacobian", "--input", inp])
     assert rc == 1 and "words[0]" in err
@@ -246,14 +241,16 @@ def test_jacobian_validation(tmp_path):
 
 def test_reconstruct_from_generators(tmp_path):
     rep = random_schottky_pair(np.random.default_rng(8))
-    gens = [[[c_out(z) for z in row] for row in g.mat] for g in rep.generators]
+    gens = rep.to_list()
     inp = write_json(tmp_path / "rec.json", {"generators": gens})
     outp = str(tmp_path / "rec_out.json")
     rc, _, _ = run_quiet(["reconstruct", "--input", inp, "--output", outp])
     assert rc == 0
-    data = json.loads(open(outp).read())
+    data = json.loads(Path(outp).read_text())
     assert data["rms"] <= 1e-6
     assert data["conjugacy_distance"] <= 1e-4
+    # the printed generators load back into the library as printed
+    assert SL2Rep.from_list(data["generators"], "generators").to_list() == data["generators"]
     assert set(data["parameters"]) == {
         "length_a", "angle_a", "length_b", "angle_b", "second_fixed_point_b",
     }
@@ -362,6 +359,40 @@ def test_malformed_geometry_input_exits_1(tmp_path, command, payload, field):
     assert repr(field) in err
 
 
+_PAIR = '[[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [1.0, 1.0]]]'
+_NAN_PAIR = '[[[2.0, 0.0], [NaN, 0.5]], [[2.0, 1.0], [1.0, 1.0]]]'
+
+
+# input files as raw JSON text, so that NaN and Infinity literals reach the
+# decoders; each run exits 1 before computing, naming the field
+@pytest.mark.parametrize("argv,text,field", [
+    (["lemma2"], '{"trace": NaN}', "trace"),
+    (["vogt"], '{"x1": NaN, "x2": 2, "x3": 2, "y12": 2, "y13": 2, "y23": 2}', "x1"),
+    (["vogt"], '{"x1": [1.0, Infinity], "x2": 2, "x3": 2, "y12": 2, "y13": 2, "y23": 2}', "x1"),
+    (["vogt"], '["x1"]', "input"),
+    (["vogt"], '"x1 x2"', "input"),
+    (["crossratio"], '{"a": [[Infinity, 0.0], [0.0, 0.5]], "b": [[2.0, 1.0], [1.0, 1.0]]}', "a[0][0]"),
+    (["reconstruct"], '{"generators": %s}' % _NAN_PAIR, "generators[0][1][0]"),
+    (["jacobian"], '{"generators": %s}' % _NAN_PAIR, "generators[0][1][0]"),
+    (["project"], '{"points": [%s], "inverse": "no"}' % json.dumps(_NIL), "inverse"),
+    (["jacobian"], '{"generators": %s, "words": 5}' % _PAIR, "words"),
+    (["jacobian"], '{"generators": %s, "words": [[true, 2], [1]]}' % _PAIR, "words[0]"),
+    (["jacobian"], '{"generators": %s, "words": [[1.7], [2]]}' % _PAIR, "words[0]"),
+    (["reconstruct"], '{"table": [1, 2]}', "table"),
+    (["jacobian", "--tol", "nan"], '{"generators": %s}' % _PAIR, "tol"),
+], ids=["lemma2-nan", "vogt-nan", "vogt-infinity", "vogt-list", "vogt-string", "crossratio-infinity",
+        "reconstruct-nan", "jacobian-nan", "project-inverse-string", "jacobian-words-number",
+        "jacobian-bool-letter", "jacobian-fractional-letter", "reconstruct-table-list", "tol-nan"])
+def test_malformed_input_exits_1_naming_the_field(tmp_path, argv, text, field):
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    outp = tmp_path / "out.json"
+    rc, out, err = run_quiet(argv + ["--input", str(inp), "--output", str(outp)])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: field {field!r}")
+    assert not outp.exists()
+
+
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     inp = write_json(tmp_path / "v.json", {k: 2 for k in ("x1", "x2", "x3", "y12", "y13")})
     outp = tmp_path / "result.json"
@@ -389,7 +420,7 @@ def test_outputs_are_byte_identical(tmp_path):
     for p in (p1, p2):
         rc, _, _ = run_quiet(["vogt", "--input", inp, "--output", p])
         assert rc == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_console_script_subprocess(tmp_path):

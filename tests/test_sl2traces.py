@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,9 +347,35 @@ def test_rank_helpers():
 def test_serialization_round_trip():
     rng = np.random.default_rng(13)
     rep = SL2Rep([random_sl2(rng), random_sl2(rng)])
-    back = SL2Rep.from_list(rep.to_list())
+    back = SL2Rep.from_list(rep.to_list(), "generators")
     for a, b in zip(rep.generators, back.generators):
         assert a.isclose(b, tol=1e-15)
+    # the CLI's format: a real entry is a plain number, others [re, im]
+    assert SL2.diagonal(2.0).to_list() == [[2.0, 0.0], [0.0, 0.5]]
+    assert SL2.diagonal(1j).to_list() == [[[0.0, 1.0], 0.0], [0.0, [0.0, -1.0]]]
+
+
+@pytest.mark.parametrize("entries", [
+    [[math.nan, 0.0], [0.0, 0.5]],
+    [[math.inf, 0.0], [0.0, 0.0]],
+    [[2.0, complex(0.0, math.inf)], [0.0, 0.5]],
+])
+def test_sl2_rejects_non_finite_entries(entries):
+    with pytest.raises(ValueError, match="finite"):
+        SL2(entries)
+
+
+@pytest.mark.parametrize("data,field", [
+    ([[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [math.nan, 1.0]]], "generators[1][1][0]"),
+    ([[[2.0, 0.0], [0.0, True]]], "generators[0][1][1]"),
+    ([[[2.0, 0.0], [0.0, [0.5, 0.0, 0.0]]]], "generators[0][1][1]"),
+    ([[[2.0, 0.0], [0.0, 0.5, 1.0]]], "generators[0]"),
+    ([[[2.0, 0.0], [0.0, 2.0]]], "generators[0]"),
+    ([], "generators"),
+])
+def test_from_list_names_the_failing_entry(data, field):
+    with pytest.raises(ValueError, match=r"^field %s" % re.escape(repr(field))):
+        SL2Rep.from_list(data, "generators")
 
 
 def test_is_nonelementary_reps():

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from rank1kit import cli, nilboundary, verify
+from rank1kit import ballmodel, cli, nilboundary, verify
 
 
 def test_run_all_module_filter():
@@ -61,6 +61,30 @@ def test_nan_residual_fails_its_check(monkeypatch):
     assert status["group product associativity (all kinds)"] == "pass"
 
 
+def test_raising_check_fails_and_the_rest_report(monkeypatch, tmp_path):
+    def broken(kind, x, tol=None):
+        raise ValueError("stereo_inv needs a boundary point")
+
+    monkeypatch.setattr(ballmodel, "stereo_inv_coeffs", broken)
+    [(_, checks)] = verify.run_all(seed=0, modules=["ballmodel"])
+    assert len(checks) == 5
+    first, rest = checks[0], checks[1:]
+    assert first["name"] == "projection round trip" and first["status"] == "fail"
+    assert first["detail"] == "ValueError: stereo_inv needs a boundary point"
+    assert all(c["status"] == "pass" for c in rest)
+    # the command still writes the whole report, and exits 1
+    out = tmp_path / "report.json"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.run(cli.parse(["verify", "--seed", "0", "--output", str(out)]))
+    assert rc == 1
+    payload = json.loads(out.read_text())
+    assert payload["summary"] == {"pass": 41, "fail": 1, "info": 2}
+    assert payload["modules"]["ballmodel"] == checks
+    for name, module in payload["modules"].items():
+        assert name in buf.getvalue() and all(c["name"] in buf.getvalue() for c in module)
+
+
 def test_verify_command_full_suite(tmp_path):
     # the one place the whole invariant suite runs under pytest:
     # a fail anywhere in the package surfaces here as rc 1
@@ -85,4 +109,4 @@ def test_verify_command_full_suite(tmp_path):
     }
     assert payload["summary"]["fail"] == 0
     # the two measured deviations are reported, not hidden
-    assert payload["summary"]["info"] == 2
+    assert payload["summary"] == {"pass": 42, "fail": 0, "info": 2}
