@@ -339,6 +339,9 @@ def _cmd_jacobian(cfg):
 
 
 def _cmd_reconstruct(cfg):
+    if cfg.words is not None and cfg.words < spectrum._MIN_BUDGET:
+        raise CommandError(f"field 'words' must be at least {spectrum._MIN_BUDGET} "
+                           f"(the solver's smallest word budget), got {cfg.words}")
     reference = None
     if cfg.input is not None and cfg.input.endswith(".csv"):
         oracle = spectrum.LengthOracle(table=_csv_table(cfg))

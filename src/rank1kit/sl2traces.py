@@ -8,8 +8,11 @@ indices: [1, -2, 1] means g1 g2^{-1} g1.
 
 Every many-word and derivative computation, here and in spectrum, goes
 through one engine: a prefix trie of the words (_word_plan) evaluated
-for a batch of generator tuples (_evaluate_plan).  SL2Rep.evaluate is
-the letter-by-letter product of a single word.
+for a batch of generator tuples (_evaluate_plan).  Derivatives are
+forward mode: given slot tangents, the engine carries each product and
+its differentials as a dual pair (M, dM), and one length-differential
+formula (_length_rows) turns trace differentials into length rows.
+SL2Rep.evaluate is the letter-by-letter product of a single word.
 """
 
 from __future__ import annotations
@@ -349,41 +352,48 @@ def _word_plan(words, arity):
 
 
 def _matmul(A, B, out=None, scratch=None):
-    """Products of the n x n matrices of (..., n, n, P) batches, summed in
-    the order of A @ B, into out with the later terms in scratch."""
-    out = np.multiply(A[..., :, 0, None, :], B[..., None, 0, :, :], out)
-    for j in range(1, A.shape[-2]):
-        out += np.multiply(A[..., :, j, None, :], B[..., None, j, :, :], scratch)
+    """Products of the n x n matrices of (m, n, n, ...) batches, broadcast
+    over the rest, summed in the order of A @ B, later terms in scratch."""
+    out = np.multiply(A[:, :, 0, None], B[:, None, 0], out)
+    for j in range(1, A.shape[2]):
+        out += np.multiply(A[:, :, j, None], B[:, None, j], scratch)
     return out
 
 
 def _adjugate(A):
-    # the inverses of determinant-one 2x2 matrices (..., 2, 2, P)
-    a, b, c, d = (A[..., i, j, :] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (-3, -2))
+    # inverses of determinant-one 2x2 matrices (k, 2, 2, ...); linear, so it maps tangents too
+    a, b, c, d = (A[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (1, 2))
 
 
 def _with_inverses(gens):
-    """Engine slots (g1..gk, g1^-1..gk^-1) of P tuples (k, 2, 2, P)."""
+    """Engine slots (g1..gk, g1^-1..gk^-1), or their tangents, of (k, 2, 2, ...)."""
     return np.concatenate([gens, _adjugate(gens)])
 
 
-def _evaluate_plan(plan, slots):
+def _evaluate_plan(plan, slots, tangents=None):
     """The (size, n, n, P) node matrices of a plan, plan.ends the words'
     ends, for P slot tuples (S, n, n, P): one product per node and row,
-    so a row does not depend on the rest of the batch.  The nodes and each
-    depth's factors and terms share one work array allocated per call."""
-    n, P = slots.shape[1], slots.shape[3]
+    so a row does not depend on the rest of the batch.  Slot tangents
+    (S, n, n, q, P) make the nodes dual pairs (size, n, n, 1 + q, P), value
+    first on one component axis, at two products [M|dM] B and M dB a
+    depth.  The nodes and each depth's factors and terms share one work
+    array allocated per call."""
+    slots = slots[:, :, :, None] if tangents is None else np.concatenate(
+        [slots[:, :, :, None], tangents], axis=3)
     width = max((hi - lo for lo, hi, _, _ in plan.levels), default=0)
-    work = np.empty((plan.size + 3 * width, n, n, P), dtype=complex)
+    work = np.empty((plan.size + 3 * width,) + slots.shape[1:], dtype=complex)
+    C = slots.shape[3]
     nodes = work[:plan.size]
-    nodes[0] = np.eye(n)[:, :, None]
+    nodes[0] = np.eye(slots.shape[1])[:, :, None, None] * np.eye(C, 1)
     for lo, hi, parents, s in plan.levels:
         A, B, T = (work[plan.size + i * width:][:hi - lo] for i in range(3))
         nodes.take(parents, axis=0, out=A, mode="clip")
         slots.take(s, axis=0, out=B, mode="clip")
-        _matmul(A, B, nodes[lo:hi], T)
-    return nodes
+        _matmul(A, B[:, :, :, :1], nodes[lo:hi], T)
+        if C > 1:  # M dB, with the parents' spent differentials as scratch
+            nodes[lo:hi, :, :, 1:] += _matmul(A[..., :1, :], B[..., 1:, :], T[..., 1:, :], A[..., 1:, :])
+    return nodes if C > 1 else nodes[:, :, :, 0]
 
 
 def _rep_slots(rep):
@@ -402,22 +412,20 @@ def _kinds(ends):
 
 
 def _tangent_ends(rep, words):
-    """The images (W, 2, 2) of words under rep and their trace
-    differentials (W, 3k) along the curves X_i exp(t E_j), column 3i + j,
-    from one engine call: direction 3i + j is the batch row of block
-    slots [[G, dG], [0, G]], whose products are [[M, dM], [0, M]]."""
+    """The images (W, 2, 2) of words under rep and their traces (W, 1 + 3k)
+    with, in column 1 + 3i + j, the differential along the curve
+    X_i exp(t E_j): one engine call with slot tangents."""
     k = rep.arity
     G = _rep_slots(rep)
-    slots = np.zeros((2 * k, 4, 4, 3 * k), dtype=complex)
-    slots[:, :2, :2] = slots[:, 2:, 2:] = G
+    dG = np.zeros((2 * k, 2, 2, 3 * k, 1), dtype=complex)
     for i in range(k):
         for j, E in enumerate(TRACELESS_BASIS):
             # X exp(t E) moves X by X E and X^-1 by -E X^-1
-            slots[i, :2, 2:, 3 * i + j] = G[i, :, :, 0] @ E
-            slots[k + i, :2, 2:, 3 * i + j] = -(E @ G[k + i, :, :, 0])
+            dG[i, :, :, 3 * i + j, 0] = G[i, :, :, 0] @ E
+            dG[k + i, :, :, 3 * i + j, 0] = -(E @ G[k + i, :, :, 0])
     plan = _word_plan(words, k)
-    ends = _evaluate_plan(plan, slots)[plan.ends]
-    return ends[:, :2, :2, 0], ends[:, 0, 2] + ends[:, 1, 3]
+    ends = _evaluate_plan(plan, G, dG)[plan.ends][..., 0]
+    return ends[:, :, :, 0], ends[:, 0, 0] + ends[:, 1, 1]
 
 
 def _trace_jacobian_fd(rep, words):
@@ -473,7 +481,7 @@ def trace_jacobian(rep, words, method="analytic"):
     through the word engine; 'fd' uses central differences along
     determinant-preserving curves.  Returns (matrix, rank)."""
     if method == "analytic":
-        J = _tangent_ends(rep, words)[1]
+        J = _tangent_ends(rep, words)[1][:, 1:]
     elif method == "fd":
         J = _trace_jacobian_fd(rep, words)
     else:
@@ -487,12 +495,10 @@ def length_jacobian(rep, words):
     tangent parameters of the generator tuple.
 
     The real tangent basis at generator X is {X E_j, i X E_j} for the
-    three traceless E_j.  For a loxodromic word with trace t and
-    expanding eigenvalue lambda the length differential along a trace
-    perturbation dt is 2 Re(dt / (2 lambda - t)).  Raises
+    three traceless E_j; _length_rows gives the rows.  Raises
     NonLoxodromicError naming the first offending word.  Returns
     (matrix, rank)."""
-    ends, dT = _tangent_ends(rep, words)
+    ends, T = _tangent_ends(rep, words)
     for w, kind in zip(words, _kinds(ends)):
         if kind != "loxodromic":
             raise NonLoxodromicError(
@@ -500,20 +506,22 @@ def length_jacobian(rep, words):
                 word=w,
                 classification=kind,
             )
-    J = _length_rows(ends, dT)
+    J = _length_rows(T)
     rank, _, _ = svd_rank(J)
     return J, rank
 
 
-def _length_rows(ends, dT):
-    # length differentials of loxodromic words from their images and
-    # trace differentials; the direction i X E moves the trace by i dt
-    t = ends[:, 0, 0] + ends[:, 1, 1]
-    lam = np.array([_expanding_eigenvalue(complex(z)) for z in t], dtype=complex)
-    q = dT / (2.0 * lam - t)[:, None]
-    k = dT.shape[1] // 3
-    rows = np.concatenate([q.real.reshape(-1, k, 3), -q.imag.reshape(-1, k, 3)], axis=2)
-    return 2.0 * rows.reshape(len(t), 6 * k)
+def _length_rows(T, group=3):
+    """Length differentials (..., 2d) from traces t and their differentials
+    dt along d holomorphic directions, T = [t|dt] (..., 1 + d): 2 Re q along
+    dt and -2 Im q along i dt, q = dt / (2 lambda - t), lambda expanding;
+    real columns first in each block of group directions."""
+    t, dT = T[..., :1], T[..., 1:]
+    root = np.sqrt(t * t - 4.0)
+    # 2 lambda - t is the root whose sign makes lambda expanding
+    q = dT / np.where(np.abs(t + root) >= np.abs(t - root), root, -root)
+    q = q.reshape(q.shape[:-1] + (-1, group))
+    return 2.0 * np.concatenate([q.real, -q.imag], axis=-1).reshape(t.shape[:-1] + (-1,))
 
 
 def default_f2_words():
@@ -693,12 +701,12 @@ def coordinate_words(rep, seed_words, budget=40):
     target = 6 * k - 6
     seen = {tuple(w) for w in fixed}
     pool = [w for w in _reduced_words(k, 4 if k <= 2 else 3) if tuple(w) not in seen]
-    ends, dT = _tangent_ends(rep, fixed + pool)
+    ends, T = _tangent_ends(rep, fixed + pool)
     lox = np.array([kind == "loxodromic" for kind in _kinds(ends)])
     if not lox[:len(fixed)].all():
         return fixed
     rows = np.zeros((len(lox), 6 * k))
-    rows[lox] = _length_rows(ends[lox], dT[lox])
+    rows[lox] = _length_rows(T[lox])
     chosen = list(range(len(fixed)))
     rank = svd_rank(rows[chosen])[0]
     for n in np.flatnonzero(lox[len(fixed):]) + len(fixed):

@@ -33,6 +33,7 @@ from .sl2traces import (
     _classify_trace,
     _evaluate_plan,
     _is_inf,
+    _length_rows,
     _loxodromic,
     _matmul,
     _reduced_words,
@@ -365,11 +366,13 @@ def default_budget_words(arity=2, max_len=4, power_max=8):
     return words
 
 
-def _generator_batch(params):
+def _generator_batch(params, tangents=False):
     """The generators of a batch of parameter vectors.
 
-    Returns (gens, bad): gens[s, i, j, p] is entry (i, j) of generator
-    slot s (a, b, a^-1, b^-1) for parameter row p, and bad marks the rows
+    Returns (slots, dslots, bad): slots[s, i, j, p] is entry (i, j) of
+    generator slot s (a, b, a^-1, b^-1) for parameter row p, dslots (None
+    unless tangents) adds an axis c after j for the derivatives along
+    (length_a + i angle_a, length_b + i angle_b, z), and bad marks the rows
     whose b has its repelling point z on its attracting point 1."""
     # gauge: a diagonal with fixed points (repelling 0, attracting inf),
     # b with attracting point 1, repelling point z; eigenvalues from
@@ -381,65 +384,52 @@ def _generator_batch(params):
     lam = np.exp((p[:, 0] + 1j * p[:, 1]) / 2.0)
     mu = np.exp((p[:, 2] + 1j * p[:, 3]) / 2.0)
     one, zero = np.ones_like(z), np.zeros_like(z)
-    a = np.array([[lam, zero], [zero, 1.0 / lam]])
-    # columns are the attracting (1) and repelling (z) eigenvectors
-    s = np.array([[one, z], [one, one]])
-    si = np.array([[one, -z], [-one, one]]) / (1.0 - z)
-    d = np.array([[mu, zero], [zero, 1.0 / mu]])
-    b = _matmul(_matmul(s, d), si)
-    return _with_inverses(np.stack([a, b])), bad
+    # columns of s are the attracting (1) and repelling (z) eigenvectors
+    s = np.array([[[one, z], [one, one]]])
+    si = np.array([[[one, -z], [-one, one]]]) / (1.0 - z)
+    b = _matmul(_matmul(s, np.array([[[mu, zero], [zero, 1.0 / mu]]])), si)
+    slots = _with_inverses(np.concatenate([np.array([[[lam, zero], [zero, 1.0 / lam]]]), b]))
+    if not tangents:
+        return slots, None, bad
+    # b = s d s^-1 moves with z by n b - b n, n = (ds/dz) s^-1
+    n = np.array([[[-one, one], [zero, zero]]]) / (1.0 - z)
+    dgens = np.zeros((2, 2, 2, 3, len(p)), dtype=complex)
+    dgens[0, :, :, 0] = np.array([[lam, zero], [zero, -1.0 / lam]]) / 2.0
+    dgens[1, :, :, 1] = _matmul(_matmul(s, np.array([[[mu, zero], [zero, -1.0 / mu]]]) / 2.0), si)[0]
+    dgens[1, :, :, 2] = (_matmul(n, b) - _matmul(b, n))[0]
+    return slots, _with_inverses(dgens), bad
 
 
 def _rep_from_params(p):
-    gens, bad = _generator_batch(np.asarray(p, dtype=float)[None])
+    slots, _, bad = _generator_batch(np.asarray(p, dtype=float)[None])
     if bad[0]:
         return None
-    return SL2Rep([SL2(gens[s, :, :, 0], check=False) for s in (0, 1)])
+    return SL2Rep([SL2(slots[s, :, :, 0], check=False) for s in (0, 1)])
 
 
-def _word_plan(words):
-    """The solver's prefix trie of two-generator words, built once and
-    evaluated per batch by the word engine of sl2traces."""
-    return sl2traces._word_plan(words, 2)
-
-
-def _residual_batch(params, plan, targets):
+def _residual_batch(params, plan, targets, jacobian=False):
     """Smooth word lengths minus targets for a (P, 6) batch of parameter
-    vectors: a (P, W) array.  The smooth length, 2 log of the expanding
-    eigenvalue modulus floored at 1, equals the translation length for
-    loxodromics and extends smoothly elsewhere.  Rows whose parameters
-    put z on 1 read 1e6 everywhere."""
+    vectors, (P, W), and with jacobian=True their Jacobian (P, W, 6) in
+    forward mode.  The smooth length, 2 log of the expanding eigenvalue
+    modulus floored at 1, equals the translation length for loxodromics
+    and extends smoothly elsewhere.  Rows with z on 1 read 1e6 with a zero
+    Jacobian, and rows with a non-finite residual have a NaN Jacobian."""
     # a trial step far outside the chart overflows to a non-finite cost,
     # which the solver rejects like any other uphill step
-    with np.errstate(over="ignore", invalid="ignore"):
-        gens, bad = _generator_batch(params)
-        nodes = _evaluate_plan(plan, gens)
-        t = (nodes[plan.ends, 0, 0] + nodes[plan.ends, 1, 1]).T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slots, dslots, bad = _generator_batch(params, jacobian)
+        ends = _evaluate_plan(plan, slots, dslots)[plan.ends]
+        T = np.moveaxis(ends[:, 0, 0] + ends[:, 1, 1], -1, 0)  # (P, W, 1 + 3) or (P, W)
+        t = T[..., 0] if jacobian else T
         root = np.sqrt(t * t - 4.0)
         lam = np.maximum(np.abs((t + root) / 2.0), np.abs((t - root) / 2.0))
         out = 2.0 * np.log(np.maximum(lam, 1.0)) - np.asarray(targets, dtype=float)
+        J = _length_rows(T, group=1) if jacobian else None  # columns 2c, 2c + 1: Re, Im
     out[bad] = 1e6
-    return out
-
-
-def _stencil_jacobian(fun, X):
-    """Central-difference Jacobians (R, W, n) of a batched residual
-    function at the R rows of X, with steps 1e-6 max(1, |x_j|); the R n
-    forward points are one batch and the R n backward points another."""
-    R, n = X.shape
-    cols = np.arange(n)
-    h = 1e-6 * np.maximum(1.0, np.abs(X))
-    plus = np.repeat(X[:, None], n, axis=1)
-    minus = plus.copy()
-    # a point far outside the chart has infinite residuals or steps,
-    # whose differences are NaN: that restart then finds no step
-    with np.errstate(invalid="ignore"):
-        plus[:, cols, cols] += h
-        minus[:, cols, cols] -= h
-        diff = fun(plus.reshape(R * n, n)) - fun(minus.reshape(R * n, n))
-    # row-major (W, n) blocks fix the order in which BLAS sums J^T F and
-    # J^T J, and with it the last bits of every fit
-    return np.ascontiguousarray((diff.reshape(R, n, -1) / (2.0 * h)[:, :, None]).transpose(0, 2, 1))
+    if not jacobian:
+        return out
+    J[bad], J[~np.isfinite(out).all(axis=1)] = 0.0, np.nan
+    return out, J
 
 
 def _dot_rows(a, b):
@@ -471,8 +461,9 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
     """Levenberg-Marquardt from every row of the (R, n) array starts at
     once, with Nielsen's damping update.
 
-    fun maps a (P, n) batch of parameter vectors to (P, W) residuals and
-    is called once per stage for all restarts still in play.  Each
+    fun maps a (P, n) batch of parameter vectors to (P, W) residuals, or
+    with jacobian=True to them and their (P, W, n) Jacobian, and is called
+    once per stage for all restarts still in play.  Each
     restart keeps its own point, residuals, cost and damping, so it
     follows the path it would follow alone.  A restart stops on "gtol"
     (small gradient), "xtol" (small step), "no_step" (24 damping values
@@ -480,13 +471,13 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
     steps, and calls and rows count the batches sent to fun."""
     calls = rows = 0
 
-    def evaluate(P):
+    def evaluate(P, jacobian=False):
         nonlocal calls, rows
         calls += 1
         rows += len(P)
-        # the engine returns column-major batches; row-major rows give
-        # every dot product the same BLAS kernel whatever the batch size
-        return np.ascontiguousarray(fun(P))
+        # the engine returns column-major batches; row-major rows and (W, n)
+        # blocks give every dot product the same BLAS kernel whatever the batch size
+        return np.ascontiguousarray(fun(P, jacobian=True)[1] if jacobian else fun(P))
 
     X = np.array(starts, dtype=float)
     F = evaluate(X)
@@ -506,7 +497,7 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
         live = np.flatnonzero(running)
         if not len(live):
             break
-        J = _stencil_jacobian(evaluate, X[live])
+        J = evaluate(X[live], jacobian=True)
         g = (J.transpose(0, 2, 1) @ F[live][:, :, None])[:, :, 0]
         flat = np.abs(g).max(axis=1) < gtol
         stop(live[flat], "gtol")
@@ -596,11 +587,16 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     Returns a dict with the fitted rep, parameters, per-word residuals,
     the RMS residual, and held-out errors, plus diagnostics: for each
     restart its start, accepted iterations, termination reason and final
-    cost, and the count of engine calls and rows of the solve.  Raises
-    ValueError for an elementary oracle, RuntimeError when no restart
-    converges."""
+    cost, the count of engine calls and rows of the solve, and the
+    singular values of the fit's Jacobian.  The parameters are reported
+    in one orientation (see _folded).  Raises ValueError for a budget
+    below _MIN_BUDGET words or an elementary oracle, RuntimeError when
+    no restart converges."""
     if arity != 2:
         raise ValueError("reconstruction is supported for arity 2 (got %d)" % arity)
+    if budget < _MIN_BUDGET:
+        raise ValueError("argument 'budget' must be at least %d words (the 8 product-power "
+                         "words and 4 plain words), got %d" % (_MIN_BUDGET, budget))
     if oracle.rep is not None and not is_nonelementary(oracle.rep):
         raise ValueError("oracle is generated by an elementary representation")
 
@@ -609,10 +605,7 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         # keep the power family; trim the longest plain words first
         powers = [w for w in words if _is_power_word(w)]
         plain = [w for w in words if not _is_power_word(w)]
-        keep = budget - len(powers)
-        if keep < 4:
-            keep = 4
-        words = plain[:keep] + powers
+        words = plain[:budget - len(powers)] + powers
     fit_words = words
     hold_words = []
     if holdout > 0:
@@ -628,11 +621,12 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         raise ValueError("oracle lengths all vanish; elementary or trivial source")
 
     starts = np.array(_initial_guesses(oracle))
-    plan = _word_plan(fit_words)
-    solve = _lockstep_levenberg_marquardt(lambda P: _residual_batch(P, plan, targets), starts)
+    plan = sl2traces._word_plan(fit_words, 2)
+    solve = _lockstep_levenberg_marquardt(
+        lambda P, jacobian=False: _residual_batch(P, plan, targets, jacobian), starts)
 
     best_idx = min(range(len(starts)), key=lambda i: solve.cost[i])
-    best_x = solve.x[best_idx]
+    best_x = _folded(solve.x[best_idx])
     rms = math.sqrt(2.0 * float(solve.cost[best_idx]) / len(fit_words))
     rep = _rep_from_params(best_x)
     # a NaN rms fails this test too
@@ -645,14 +639,14 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         )
 
     covered, hold_targets = _covered(oracle, hold_words)
-    hold_errors = np.abs(_residual_batch(best_x[None], _word_plan(covered), hold_targets)[0])
+    hold_errors = np.abs(_residual_batch(best_x[None], sl2traces._word_plan(covered, 2), hold_targets)[0])
 
-    residuals = _residual_batch(best_x[None], plan, targets)[0]
+    residuals, J = _residual_batch(best_x[None], plan, targets, jacobian=True)
     return {
         "rep": rep,
         "parameters": [float(v) for v in best_x],
         "words": [list(w) for w in fit_words],
-        "residuals": [float(r) for r in residuals],
+        "residuals": [float(r) for r in residuals[0]],
         "rms": rms,
         "restart_index": best_idx,
         "holdout_errors": {" ".join(str(l) for l in w): float(e) for w, e in zip(covered, hold_errors)},
@@ -664,8 +658,26 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
             ],
             "engine_calls": solve.calls,
             "engine_rows": solve.rows,
+            "singular_values": [float(v) for v in np.linalg.svd(J[0], compute_uv=False)],
         },
     }
+
+
+# the smallest word budget: the eight product-power words a^n b^n of
+# default_budget_words and four plain words
+_MIN_BUDGET = 12
+
+
+def _folded(x):
+    """The parameter vector x in one orientation: Im z >= 0 and both
+    angles in (-pi, pi].  Entrywise conjugation maps (angle_a, angle_b, z)
+    to (-angle_a, -angle_b, conj z), and a 2 pi shift of an angle flips the
+    sign of its generator; translation lengths see neither."""
+    x = np.array(x, dtype=float)
+    if x[5] < 0.0:
+        x[[1, 3, 5]] = -x[[1, 3, 5]]
+    x[[1, 3]] = math.pi - np.mod(math.pi - x[[1, 3]], 2.0 * math.pi)
+    return x
 
 
 def _covered(oracle, words):

@@ -274,6 +274,20 @@ def test_reconstruct_from_csv_table(tmp_path):
     assert "diagnostics" not in data  # the solver's own record stays in the library
 
 
+@pytest.mark.parametrize("words,rc", [("0", 1), ("-3", 1), ("11", 1), ("12", 0)])
+def test_reconstruct_words_below_the_minimum_exit_1(tmp_path, words, rc):
+    inp = write_json(tmp_path / "gens.json",
+                     {"generators": [[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [1.0, 1.0]]]})
+    outp = str(tmp_path / "out.json")
+    got, _, err = run_quiet(["reconstruct", "--input", inp, "--words", words, "--output", outp])
+    assert got == rc
+    if rc:
+        assert "field 'words'" in err and not os.path.exists(outp)
+    else:
+        with open(outp) as fh:
+            assert len(json.load(fh)["words"]) == 12
+
+
 def test_reconstruct_nonconvergence_exit_code(tmp_path):
     from rank1kit.spectrum import default_budget_words
 

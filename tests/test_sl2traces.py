@@ -273,6 +273,33 @@ def test_word_engine_arity3_inverse_letters():
     assert abs(oracle((-1,)) - 2.0 * math.log(2.0)) <= 1e-15
 
 
+def test_dual_evaluation_carries_values_and_differentials():
+    from rank1kit import sl2traces
+
+    rng = np.random.default_rng(17)
+    words = [[], [2], [1, -2, 3], [3, 3, -1], [-2, -2, -1, 3, 1], [1, -2, 3, -3, 2]]
+    plan = sl2traces._word_plan(words, 3)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    slots, tangents = gaussian(6, 2, 2, 5), gaussian(6, 2, 2, 4, 5)
+    plain = sl2traces._evaluate_plan(plan, slots)
+    dual = sl2traces._evaluate_plan(plan, slots, tangents)
+    assert dual.shape == plain.shape[:3] + (5, 5)
+    # the value component is the plain evaluation, bit for bit
+    assert np.array_equal(dual[:, :, :, 0], plain)
+    # a word is a polynomial in the slot entries, so central differences
+    # along each slot tangent have only an O(h^2) error
+    h = 1e-5
+    for c in range(4):
+        sided = [sl2traces._evaluate_plan(plan, slots + s * h * tangents[:, :, :, c])
+                 for s in (1.0, -1.0)]
+        fd = (sided[0] - sided[1]) / (2.0 * h)
+        assert np.abs(dual[:, :, :, 1 + c] - fd).max() <= 1e-8 * np.abs(fd).max()
+    assert np.all(dual[plan.ends[0], :, :, 1:] == 0.0)  # the empty word is constant
+
+
 def test_length_jacobian_names_bad_word():
     A = random_loxodromic(np.random.default_rng(9))
     rep = SL2Rep([A, A])

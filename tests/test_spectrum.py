@@ -12,7 +12,7 @@ from rank1kit.isometry import embed_normal, random_form_preserving, random_norma
 from rank1kit.nilboundary import SpaceConfig
 from rank1kit.sl2traces import (
     SL2, SL2Rep, NonLoxodromicError, classify, length, random_loxodromic, random_sl2)
-from rank1kit import spectrum
+from rank1kit import sl2traces, spectrum
 from rank1kit.spectrum import (
     FixedPair,
     LengthOracle,
@@ -335,7 +335,7 @@ def test_residual_batch_matches_letter_by_letter():
     targets = rng.uniform(0.0, 5.0, len(words))
     params = _random_params(rng, 40)
     params[7, 4:] = (1.0 + 3e-11, -2e-11)  # z within 1e-10 of 1
-    plan = spectrum._word_plan(words)
+    plan = sl2traces._word_plan(words, 2)
     batch = spectrum._residual_batch(params, plan, targets)
     assert batch.shape == (40, len(words))
     assert np.all(batch[7] == 1e6)
@@ -347,38 +347,58 @@ def test_residual_batch_matches_letter_by_letter():
     assert np.abs(alone - batch[3]).max() <= 1e-14 * max(1.0, np.abs(batch[3]).max())
 
 
-def test_stencil_jacobian_matches_column_differences():
+def test_residual_jacobian_matches_central_differences():
     rng = np.random.default_rng(14)
     words = default_budget_words(2)
     targets = rng.uniform(0.0, 5.0, len(words))
-    plan = spectrum._word_plan(words)
+    plan = sl2traces._word_plan(words, 2)
 
     def fun(P):
         return spectrum._residual_batch(P, plan, targets)
 
-    X = _random_params(rng, 5)
-    Js = spectrum._stencil_jacobian(fun, X)
-    assert Js.shape == (5, len(words), 6)
-    for x, J in zip(X, Js):
+    X = np.vstack([
+        _random_params(rng, 5),
+        [1.0, 0.0, 1.0, 0.0, 1.0 + 3e-11, 0.0],  # z on 1: every residual reads 1e6
+        [1e3, 0.0, 1e3, 0.0, 0.5, 0.5],  # every residual overflows
+        [0.0, 1.0, 1.2, 0.3, -0.5, 0.8],  # a is elliptic, and with it [1] and [1, 1]
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F, J = spectrum._residual_batch(X, plan, targets, jacobian=True)
+    assert J.shape == (len(X), len(words), 6)
+    # the dual call's residuals are the plain call's, bit for bit
+    assert np.array_equal(F, fun(X), equal_nan=True)
+    assert np.all(F[5] == 1e6) and np.all(J[5] == 0.0)
+    assert not np.isfinite(F[6]).all() and np.isnan(J[6]).all()
+    assert np.isfinite(J[7]).all()
+    rep = spectrum._rep_from_params(X[7])
+    lox = np.array([classify(rep.evaluate(w)) == "loxodromic" for w in words])
+    assert not lox[words.index([1])] and lox.sum() >= len(words) - 8
+    for i in (0, 1, 2, 3, 4, 7):
+        x = X[i]
         for j in range(6):
             h = 1e-6 * max(1.0, abs(x[j]))
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
             col = (fun(xp[None])[0] - fun(xm[None])[0]) / (2.0 * h)
-            # rounding of the residuals, divided by the step 2h, is all
-            # that may differ between one batch and two single rows
-            assert np.abs(J[:, j] - col).max() <= 1e-8 * max(1.0, np.abs(col).max())
+            # an elliptic word's smooth length has a kink, where forward
+            # mode reads a one-sided derivative
+            rows = lox if i == 7 else slice(None)
+            # the rounding of the residuals, divided by the step 2h, and
+            # the central difference's O(h^2) error are all that may differ
+            err = np.abs(J[i, rows, j] - col[rows]).max()
+            assert err <= 1e-8 * max(1.0, np.abs(col[rows]).max())
 
 
 def _solver_case(seed):
     # the full word budget of a seeded pair, and the solver's 32 starts
     oracle = LengthOracle(rep=random_schottky_pair(np.random.default_rng(seed)))
     words = default_budget_words(2)
-    plan = spectrum._word_plan(words)
+    plan = sl2traces._word_plan(words, 2)
     targets = np.array([oracle(w) for w in words])
     starts = np.array(spectrum._initial_guesses(oracle))
-    return (lambda P: spectrum._residual_batch(P, plan, targets)), starts
+    return (lambda P, jacobian=False: spectrum._residual_batch(P, plan, targets, jacobian)), starts
 
 
 def test_lockstep_restarts_are_independent():
@@ -437,6 +457,63 @@ def test_reconstruct_report_diagnostics():
     assert report["rms"] == math.sqrt(2.0 * best["cost"] / len(report["words"]))
     assert 3 <= diag["engine_calls"] < diag["engine_rows"]
     json.dumps(diag, allow_nan=False)
+
+
+README_PAIR = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
+
+
+def test_folded_parameters_pick_one_orientation():
+    x = np.array([1.3, 2.0, 0.9, -2.5, 0.4, -0.7])
+    folded = spectrum._folded(x)
+    assert folded[5] > 0.0 and np.all(np.abs(folded[[1, 3]]) <= math.pi)
+    twin = x * [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    tau = 2.0 * math.pi
+    for y in (x, twin, x + [0, tau, 0, 0, 0, 0], x + [0, -2 * tau, 0, 3 * tau, 0, 0],
+              twin + [0, tau, 0, -tau, 0, 0]):
+        assert np.allclose(spectrum._folded(y), folded, rtol=0.0, atol=1e-12)
+    # the folded fit is the same representation up to the moves lengths
+    # cannot see
+    rep = spectrum._rep_from_params(x)
+    assert conjugacy_distance(rep, spectrum._rep_from_params(folded)) <= 1e-12
+    assert np.array_equal(spectrum._folded(folded), folded)
+
+
+def test_reconstruct_reports_one_orientation():
+    truth = random_schottky_pair(np.random.default_rng(0))
+    fits = [reconstruct_report(LengthOracle(rep=r)) for r in (truth, truth.entrywise_conj())]
+    for fit in fits:
+        x = fit["parameters"]
+        assert x[5] >= 0.0 and abs(x[1]) <= math.pi and abs(x[3]) <= math.pi
+    assert np.allclose(fits[0]["parameters"], fits[1]["parameters"], rtol=0.0, atol=1e-10)
+    readme = reconstruct_report(LengthOracle(rep=README_PAIR))
+    la, ta, lb, tb, zr, zi = readme["parameters"]
+    assert zi >= 0.0 and abs(ta) < 1e-5 and abs(tb) < 1e-5
+    assert np.abs(readme["rep"].generators[0].mat - np.diag([2.0, 0.5])).max() < 1e-5
+
+
+def test_reconstruct_budget_below_the_minimum_raises():
+    oracle = LengthOracle(rep=README_PAIR)
+    for budget in (0, -3, 11):
+        with pytest.raises(ValueError, match="'budget'"):
+            reconstruct_report(oracle, budget=budget)
+    assert len(reconstruct_report(oracle, budget=12)["words"]) == 12
+
+
+def test_fit_jacobian_singular_values_show_the_fold():
+    # the README pair is real, on the fixed locus of entrywise
+    # conjugation, where the length map folds: three directions vanish
+    s = reconstruct_report(LengthOracle(rep=README_PAIR))["diagnostics"]["singular_values"]
+    assert len(s) == 6 and s == sorted(s, reverse=True)
+    assert max(s[3:]) < 1e-5 * s[0]
+    s = reconstruct_report(LengthOracle(rep=random_schottky_pair(
+        np.random.default_rng(0))))["diagnostics"]["singular_values"]
+    assert s[-1] > 1e-3 * s[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 7, 111])
+def test_reconstruct_round_trip_precision(seed):
+    truth = random_schottky_pair(np.random.default_rng(seed))
+    assert conjugacy_distance(reconstruct(LengthOracle(rep=truth)), truth) <= 1e-10
 
 
 def test_reconstruct_nan_length_does_not_converge():
