@@ -2,7 +2,7 @@
 emits JSON and CSV tables.
 
 Exit codes: 0 success, 1 validation failure (bad flags, malformed or
-missing input fields), 2 numeric non-convergence.  Output files are
+missing input fields), 2 numeric non-convergence or overflow.  Output files are
 written in one shot after the computation finishes, so a failing run
 never leaves a partial file, and a fixed seed plus config yields
 byte-identical bytes.

@@ -13,6 +13,11 @@ forward mode: given slot tangents, the engine carries each product and
 its differentials as a dual pair (M, dM), and one length-differential
 formula (_length_rows) turns trace differentials into length rows.
 SL2Rep.evaluate is the letter-by-letter product of a single word.
+
+Every translation length, here and in spectrum, is read from traces by
+one batched kernel (_trace_lengths), which never reads a finite length
+as infinity; a word whose product overflows the float range has none,
+and the oracle and Jacobian reads raise ArithmeticError naming it.
 """
 
 from __future__ import annotations
@@ -93,8 +98,11 @@ class SL2:
         if check:
             if not np.isfinite(m).all():
                 raise ValueError("SL2 entries must be finite")
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if abs(det - 1.0) > DET_TOL * max(1.0, float(np.abs(m).max()) ** 2):
+            with np.errstate(over="ignore", invalid="ignore"):
+                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+                scale = max(1.0, float(np.abs(m).max()))
+            # the tolerance grows with the entries squared; an overflowed det fails
+            if not abs(det - 1.0) / scale <= DET_TOL * scale:
                 raise ValueError("determinant %s is not 1 within tolerance" % det)
         m = m.copy()
         m.setflags(write=False)
@@ -236,47 +244,65 @@ def classify(A):
     (within 1e-9).  On the boundary trace = +-2 the element is the
     identity when it equals +-I and parabolic otherwise.
     """
-    return _classify_trace(A.trace(), A.mat)
-
-
-def _classify_trace(t, m):
-    # classify from the trace t of the determinant-one matrix m; m is
-    # None for a matrix past the float range, which is not +-I
-    if abs(t.imag) > CLASSIFY_TOL:
+    t = A.trace()
+    if _trace_lengths(t).loxodromic:
         return "loxodromic"
     x = t.real
-    if x > 2.0 + CLASSIFY_TOL or x < -2.0 - CLASSIFY_TOL:
-        return "loxodromic"
     if abs(x - 2.0) <= CLASSIFY_TOL or abs(x + 2.0) <= CLASSIFY_TOL:
         sign = 1.0 if x > 0 else -1.0
-        if m is not None and np.abs(m - sign * np.eye(2)).max() <= CLASSIFY_TOL:
+        if np.abs(A.mat - sign * np.eye(2)).max() <= CLASSIFY_TOL:
             return "identity"
         return "parabolic"
     return "elliptic"
 
 
-def _expanding_eigenvalue(t, det=1.0):
-    # the larger root of x^2 - t x + det
-    root = cmath.sqrt(t * t - 4.0 * det)
-    lam1 = (t + root) / 2.0
-    lam2 = (t - root) / 2.0
-    return lam1 if abs(lam1) >= abs(lam2) else lam2
+_Lengths = namedtuple("_Lengths", "lam root length loxodromic")
+
+
+def _scaled(z, k):
+    # z 2^k for complex z, part by part: exact, and bit for bit z where k = 0
+    with np.errstate(over="ignore"):
+        return np.stack([np.ldexp(z.real, k), np.ldexp(z.imag, k)], axis=-1).view(complex)[..., 0]
+
+
+def _trace_lengths(t, e=0):
+    """The translation length from the traces t of matrices S and exponents
+    e (arrays that broadcast), 2^e S of determinant one: lam, the expanding
+    root of x^2 - t x + 4^-e; root = 2 lam - t; length = 2 max(e log 2 +
+    log|lam|, 0), the length of a loxodromic 2^e S, smooth elsewhere; and
+    the loxodromic mask, classify's rule on the trace 2^e t.  A trace with
+    a part of 2^256 or more moves into e by an exact power of two, below it
+    no bit moves; a non-finite trace gives non-finite values, no warning."""
+    t = np.asarray(t, dtype=complex)
+    re, im = np.abs(t.real), np.abs(t.imag)
+    k = np.frexp(np.maximum(re, im))[1]  # 0 for a non-finite trace
+    if k.max(initial=0) > 256:  # so that t t cannot overflow
+        k = np.where(k > 256, k, 0)
+        r = _trace_lengths(_scaled(t, -k), e + k)
+        return r._replace(lam=_scaled(r.lam, k), root=_scaled(r.root, k))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        root = np.sqrt(t * t - np.ldexp(4.0, -2 * e))
+        plus, minus = (t + root) / 2.0, (t - root) / 2.0
+        a, b = np.abs(plus), np.abs(minus)
+        up = a >= b
+        length = 2.0 * np.maximum(np.log(np.maximum(a, b)) + e * math.log(2.0), 0.0)
+        # |2^e t| against classify's bounds, compared at the scale of t
+        loxodromic = (im > CLASSIFY_TOL * 2.0 ** -e) | (re > (2.0 + CLASSIFY_TOL) * 2.0 ** -e)
+    return _Lengths(np.where(up, plus, minus), np.where(up, root, -root), length, loxodromic)
+
+
+def _element_lengths(*mats):
+    """_trace_lengths of the traces of mats, SL2 elements that must be loxodromic."""
+    r = _trace_lengths([A.trace() for A in mats])
+    if not r.loxodromic.all():
+        kind = classify(mats[int(np.argmin(r.loxodromic))])
+        raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
+    return r
 
 
 def length(A):
     """Translation length 2 log|lambda| of a loxodromic element."""
-    kind = classify(A)
-    if kind != "loxodromic":
-        raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
-    return _scaled_length(A.trace(), 0)
-
-
-def _scaled_length(t, e):
-    """Translation length of the determinant-one matrix 2^e S from the
-    trace t of S: 2 (e log 2 + log|mu|), mu the expanding root of
-    x^2 - t x + 4^-e.  length(A) is the case S = A, e = 0."""
-    mu = _expanding_eigenvalue(t, math.ldexp(1.0, -2 * e))
-    return 2.0 * (e * math.log(2.0) + math.log(abs(mu)))
+    return float(_element_lengths(A).length[0])
 
 
 def length_gauge(A):
@@ -287,12 +313,12 @@ def length_gauge(A):
 
 
 def gauge_to_length(g):
-    """Invert the gauge on loxodromics: g >= 4 maps to 2 log((g + sqrt(g^2-16))/4)."""
+    """Invert the gauge on loxodromics: g >= 4 maps to
+    2 log((g + sqrt(g^2-16))/4) = 2 acosh(g / 4), which does not overflow."""
     g = float(g)
     if g < 4.0 - 1e-12:
         raise ValueError("gauge %s below the loxodromic threshold 4" % g)
-    disc = max(g * g - 16.0, 0.0)
-    return 2.0 * math.log((g + math.sqrt(disc)) / 4.0)
+    return 2.0 * math.acosh(max(g / 4.0, 1.0))
 
 
 def trace_word(rep, word):
@@ -363,7 +389,7 @@ def _matmul(A, B, out=None, scratch=None):
 def _adjugate(A):
     # inverses of determinant-one 2x2 matrices (k, 2, 2, ...); linear, so it maps tangents too
     a, b, c, d = (A[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (1, 2))
+    return np.array([[d, -b], [-c, a]]).transpose(2, 0, 1, *range(3, A.ndim))  # cheaper than np.moveaxis
 
 
 def _with_inverses(gens):
@@ -378,21 +404,23 @@ def _evaluate_plan(plan, slots, tangents=None):
     (S, n, n, q, P) make the nodes dual pairs (size, n, n, 1 + q, P), value
     first on one component axis, at two products [M|dM] B and M dB a
     depth.  The nodes and each depth's factors and terms share one work
-    array allocated per call."""
+    array allocated per call.  A product past the float range reads inf
+    or NaN without a warning; callers check."""
     slots = slots[:, :, :, None] if tangents is None else np.concatenate(
         [slots[:, :, :, None], tangents], axis=3)
     width = max((hi - lo for lo, hi, _, _ in plan.levels), default=0)
     work = np.empty((plan.size + 3 * width,) + slots.shape[1:], dtype=complex)
     C = slots.shape[3]
-    nodes = work[:plan.size]
+    nodes, factors = work[:plan.size], work[plan.size:].reshape((3, width) + work.shape[1:])
     nodes[0] = np.eye(slots.shape[1])[:, :, None, None] * np.eye(C, 1)
-    for lo, hi, parents, s in plan.levels:
-        A, B, T = (work[plan.size + i * width:][:hi - lo] for i in range(3))
-        nodes.take(parents, axis=0, out=A, mode="clip")
-        slots.take(s, axis=0, out=B, mode="clip")
-        _matmul(A, B[:, :, :, :1], nodes[lo:hi], T)
-        if C > 1:  # M dB, with the parents' spent differentials as scratch
-            nodes[lo:hi, :, :, 1:] += _matmul(A[..., :1, :], B[..., 1:, :], T[..., 1:, :], A[..., 1:, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, parents, s in plan.levels:
+            A, B, T = factors[:, :hi - lo]
+            nodes.take(parents, axis=0, out=A, mode="clip")
+            slots.take(s, axis=0, out=B, mode="clip")
+            _matmul(A, B[:, :, :, :1], nodes[lo:hi], T)
+            if C > 1:  # M dB, with the parents' spent differentials as scratch
+                nodes[lo:hi, :, :, 1:] += _matmul(A[..., :1, :], B[..., 1:, :], T[..., 1:, :], A[..., 1:, :])
     return nodes if C > 1 else nodes[:, :, :, 0]
 
 
@@ -406,15 +434,26 @@ def _word_ends(rep, words):
     return _evaluate_plan(plan, _rep_slots(rep))[plan.ends, :, :, 0]
 
 
-def _kinds(ends):
-    """classify of each (2, 2) end matrix, from its trace."""
-    return [_classify_trace(complex(m[0, 0] + m[1, 1]), m) for m in ends]
+def _finite(words, values):
+    """values (W, ...), a row per word; ArithmeticError names the first
+    word whose row is not finite, a product past the float range."""
+    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if bad.any():
+        raise ArithmeticError("word %r overflows the float range" % (list(words[int(np.argmax(bad))]),))
+    return values
+
+
+def _word_lengths(rep, words):
+    """_trace_lengths of the images of words under rep: one engine call."""
+    ends = _word_ends(rep, words)
+    return _trace_lengths(_finite(words, ends[:, 0, 0] + ends[:, 1, 1]))
 
 
 def _tangent_ends(rep, words):
     """The images (W, 2, 2) of words under rep and their traces (W, 1 + 3k)
     with, in column 1 + 3i + j, the differential along the curve
-    X_i exp(t E_j): one engine call with slot tangents."""
+    X_i exp(t E_j): one engine call with slot tangents.  ArithmeticError
+    names a word whose product or differential overflows."""
     k = rep.arity
     G = _rep_slots(rep)
     dG = np.zeros((2 * k, 2, 2, 3 * k, 1), dtype=complex)
@@ -425,7 +464,7 @@ def _tangent_ends(rep, words):
             dG[k + i, :, :, 3 * i + j, 0] = -(E @ G[k + i, :, :, 0])
     plan = _word_plan(words, k)
     ends = _evaluate_plan(plan, G, dG)[plan.ends][..., 0]
-    return ends[:, :, :, 0], ends[:, 0, 0] + ends[:, 1, 1]
+    return ends[:, :, :, 0], _finite(words, ends[:, 0, 0] + ends[:, 1, 1])
 
 
 def _trace_jacobian_fd(rep, words):
@@ -454,10 +493,7 @@ def svd_rank(matrix, rtol=RANK_RTOL):
     M = np.asarray(matrix)
     if M.size == 0:
         return 0, np.zeros(0), 0.0
-    if np.iscomplexobj(M):
-        s = np.linalg.svd(M, compute_uv=False)
-    else:
-        s = np.linalg.svd(M.astype(float), compute_uv=False)
+    s = np.linalg.svd(M if np.iscomplexobj(M) else M.astype(float), compute_uv=False)
     if s[0] == 0.0:
         return 0, s, 0.0
     thr = rtol * s[0]
@@ -496,32 +532,32 @@ def length_jacobian(rep, words):
 
     The real tangent basis at generator X is {X E_j, i X E_j} for the
     three traceless E_j; _length_rows gives the rows.  Raises
-    NonLoxodromicError naming the first offending word.  Returns
+    NonLoxodromicError naming the first word that is not loxodromic, and
+    ArithmeticError naming one whose product overflows.  Returns
     (matrix, rank)."""
     ends, T = _tangent_ends(rep, words)
-    for w, kind in zip(words, _kinds(ends)):
-        if kind != "loxodromic":
-            raise NonLoxodromicError(
-                "word %r evaluates to a %s element" % (list(w), kind),
-                word=w,
-                classification=kind,
-            )
-    J = _length_rows(T)
+    r = _trace_lengths(T[:, 0])
+    if not r.loxodromic.all():
+        n = int(np.argmin(r.loxodromic))
+        kind = classify(SL2(ends[n], check=False))
+        raise NonLoxodromicError(
+            "word %r evaluates to a %s element" % (list(words[n]), kind),
+            word=words[n],
+            classification=kind,
+        )
+    J = _length_rows(T[:, 1:], r.root)
     rank, _, _ = svd_rank(J)
     return J, rank
 
 
-def _length_rows(T, group=3):
-    """Length differentials (..., 2d) from traces t and their differentials
-    dt along d holomorphic directions, T = [t|dt] (..., 1 + d): 2 Re q along
-    dt and -2 Im q along i dt, q = dt / (2 lambda - t), lambda expanding;
-    real columns first in each block of group directions."""
-    t, dT = T[..., :1], T[..., 1:]
-    root = np.sqrt(t * t - 4.0)
-    # 2 lambda - t is the root whose sign makes lambda expanding
-    q = dT / np.where(np.abs(t + root) >= np.abs(t - root), root, -root)
+def _length_rows(dT, root, group=3):
+    """Length differentials (..., 2d) from the differentials dT (..., d) of
+    traces t along d holomorphic directions and root = 2 lambda - t (...)
+    from _trace_lengths: 2 Re q along dt and -2 Im q along i dt,
+    q = dt / root; real columns first in each block of group directions."""
+    q = dT / root[..., None]
     q = q.reshape(q.shape[:-1] + (-1, group))
-    return 2.0 * np.concatenate([q.real, -q.imag], axis=-1).reshape(t.shape[:-1] + (-1,))
+    return 2.0 * np.concatenate([q.real, -q.imag], axis=-1).reshape(root.shape + (-1,))
 
 
 def default_f2_words():
@@ -533,18 +569,10 @@ def _reduced_words(arity, max_len):
     """All freely reduced words of length 1..max_len, shortest first."""
     letters = [i for i in range(1, arity + 1)] + [-i for i in range(1, arity + 1)]
     frontier = [[l] for l in letters]
-    for w in frontier:
-        yield list(w)
+    yield from (list(w) for w in frontier)
     for _ in range(max_len - 1):
-        nxt = []
-        for w in frontier:
-            for l in letters:
-                if l == -w[-1]:
-                    continue
-                nxt.append(w + [l])
-        for w in nxt:
-            yield list(w)
-        frontier = nxt
+        frontier = [w + [l] for w in frontier for l in letters if l != -w[-1]]
+        yield from (list(w) for w in frontier)
 
 
 def _is_inf(z):
@@ -577,14 +605,13 @@ def _eigenvector_ratio(m, lam):
     return complex(-b / a)
 
 
-def _sphere_fixed_points(m):
+def _sphere_fixed_points(m, lam):
     """Fixed points of the Mobius action of the determinant-one matrix m
     on the Riemann sphere, as [attracting, repelling]: the eigenvector
-    ratios of the expanding eigenvalue lambda and of 1/lambda.  The two
-    coincide for parabolics; +-I fixes every point and gives []."""
+    ratios of its expanding eigenvalue lam (_trace_lengths) and of 1/lam.
+    The two coincide for parabolics; +-I fixes every point and gives []."""
     if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
         return []
-    lam = _expanding_eigenvalue(complex(m[0, 0] + m[1, 1]))
     return [_eigenvector_ratio(m, lam), _eigenvector_ratio(m, 1.0 / lam)]
 
 
@@ -596,8 +623,9 @@ def is_nonelementary(rep):
     words = [[i + 1] for i in range(k)]
     words += [[i + 1, j + 1] for i in range(k) for j in range(k) if i != j]
     fixed = []
-    for m in _word_ends(rep, words):
-        pts = _sphere_fixed_points(m)
+    ends = _word_ends(rep, words)
+    for m, lam in zip(ends, _trace_lengths(ends[:, 0, 0] + ends[:, 1, 1]).lam):
+        pts = _sphere_fixed_points(m, complex(lam))
         if len(pts) == 2 and _sphere_distance(pts[0], pts[1]) > 1e-8:
             fixed.append(pts)
     for a in range(len(fixed)):
@@ -611,10 +639,6 @@ def _commutes(A, B):
     m = A @ B - B @ A
     scale = max(1.0, float(np.abs(A).max() * np.abs(B).max()))
     return float(np.abs(m).max()) <= 1e-9 * scale
-
-
-def _loxodromic(rep, words):
-    return [kind == "loxodromic" for kind in _kinds(_word_ends(rep, words))]
 
 
 def coordinate_words(rep, seed_words, budget=40):
@@ -633,7 +657,7 @@ def coordinate_words(rep, seed_words, budget=40):
         for j in range(k):
             candidates.append([i + 1, j + 1])
             candidates.append([i + 1, -(j + 1)])
-    lox = _loxodromic(rep, candidates)
+    lox = _word_lengths(rep, candidates).loxodromic.tolist()
     if not any(lox):
         raise ValueError("no loxodromic element found among short words")
     pivot = candidates[lox.index(True)]
@@ -642,7 +666,7 @@ def coordinate_words(rep, seed_words, budget=40):
     # pivot or the pivot's inverse, or is dropped; traces of dropped
     # words are recoverable via tr(XY)+tr(XY^{-1})=tr(X)tr(Y)
     repairs = [c for w in words for c in (pivot + w, word_inverse(pivot) + w)]
-    repaired = _loxodromic(rep, repairs)
+    repaired = _word_lengths(rep, repairs).loxodromic.tolist()
     fixed = []
     for n, w in enumerate(words):
         options = zip([w] + repairs[2 * n:2 * n + 2], [lox[n]] + repaired[2 * n:2 * n + 2])
@@ -672,7 +696,7 @@ def coordinate_words(rep, seed_words, budget=40):
                     trio = [ws[a] + ws[c], ws[a] + ws[b], ws[b]]
                     tm = _word_ends(rep, trio)
                     if (
-                        all(kind == "loxodromic" for kind in _kinds(tm))
+                        _trace_lengths(tm[:, 0, 0] + tm[:, 1, 1]).loxodromic.all()
                         and not _commutes(tm[0], tm[1])
                         and not _commutes(tm[0], tm[2])
                         and not _commutes(tm[1], tm[2])
@@ -690,7 +714,7 @@ def coordinate_words(rep, seed_words, budget=40):
                 extras.append([i + 1])
                 for j in range(i + 1, k):
                     extras.append([i + 1, j + 1])
-            extras = [w for w, ok in zip(extras, _loxodromic(rep, extras)) if ok]
+            extras = [w for w, ok in zip(extras, _word_lengths(rep, extras).loxodromic) if ok]
             fixed, ok = reorder_noncommuting(fixed + extras)
             if not ok:
                 raise ValueError("could not arrange three pairwise non-commuting words")
@@ -701,12 +725,13 @@ def coordinate_words(rep, seed_words, budget=40):
     target = 6 * k - 6
     seen = {tuple(w) for w in fixed}
     pool = [w for w in _reduced_words(k, 4 if k <= 2 else 3) if tuple(w) not in seen]
-    ends, T = _tangent_ends(rep, fixed + pool)
-    lox = np.array([kind == "loxodromic" for kind in _kinds(ends)])
+    _, T = _tangent_ends(rep, fixed + pool)
+    r = _trace_lengths(T[:, 0])
+    lox = r.loxodromic
     if not lox[:len(fixed)].all():
         return fixed
     rows = np.zeros((len(lox), 6 * k))
-    rows[lox] = _length_rows(T[lox])
+    rows[lox] = _length_rows(T[lox, 1:], r.root[lox])
     chosen = list(range(len(fixed)))
     rank = svd_rank(rows[chosen])[0]
     for n in np.flatnonzero(lox[len(fixed):]) + len(fixed):

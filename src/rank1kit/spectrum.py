@@ -6,12 +6,15 @@ module computes the sequence, extrapolates its limit, and inverts a
 length oracle back to a representation, unique up to conjugacy and
 entrywise complex conjugation.  The same sequence is available for
 form-preserving matrix isometries of real and complex hyperbolic space.
-Many-word evaluations go through the word engine of sl2traces.
+Many-word evaluations go through the word engine of sl2traces, and every
+SL2 length, of the oracle, the power words and the solver, through its
+one length kernel (sl2traces._trace_lengths).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import namedtuple
 
@@ -30,19 +33,20 @@ from .sl2traces import (
     classify,
     is_nonelementary,
     word_inverse,
-    _classify_trace,
+    _element_lengths,
     _evaluate_plan,
     _is_inf,
     _length_rows,
-    _loxodromic,
     _matmul,
     _reduced_words,
     _rep_slots,
-    _scaled_length,
+    _scaled,
     _sphere_distance,
     _sphere_fixed_points,
+    _trace_lengths,
     _with_inverses,
     _word_ends,
+    _word_lengths,
 )
 
 __all__ = [
@@ -73,9 +77,11 @@ class OracleMissError(KeyError):
 class LengthOracle:
     """Queryable translation-length function on words.
 
-    Backed either by a representation (lengths computed on demand;
-    non-loxodromic words have geometric length 0) or by a stored table.
-    Optional additive noise of scale sigma is deterministic per word.
+    Backed either by a representation (lengths computed on demand, a word
+    list with one engine call; non-loxodromic words have geometric length
+    0, and a product past the float range raises ArithmeticError) or by a
+    stored table.  Optional additive noise of scale sigma is deterministic
+    per word.
     """
 
     def __init__(self, rep=None, table=None, noise=0.0, seed=0):
@@ -83,11 +89,9 @@ class LengthOracle:
             raise ValueError("provide exactly one of rep or table")
         self._rep = rep
         self._table = None if table is None else {tuple(k): float(v) for k, v in table.items()}
-        if self._table is not None:
-            for word, value in self._table.items():
-                if not math.isfinite(value):
-                    raise ValueError(
-                        "table length of word %r is not finite: %r" % (list(word), value))
+        for word, value in (self._table or {}).items():
+            if not math.isfinite(value):
+                raise ValueError("table length of word %r is not finite: %r" % (list(word), value))
         self._noise = float(noise)
         self._seed = int(seed)
 
@@ -95,16 +99,21 @@ class LengthOracle:
     def rep(self):
         return self._rep
 
+    def lengths(self, words):
+        """The lengths of a word list; OracleMissError names a table miss."""
+        words = [tuple(int(l) for l in w) for w in words]
+        if self._table is None:
+            r = _word_lengths(self._rep, words)
+            bases = np.where(r.loxodromic, r.length, 0.0).tolist()
+        else:
+            try:
+                bases = [self._table[w] for w in words]
+            except KeyError as miss:
+                raise OracleMissError(miss.args[0]) from None
+        return [self._answer(w, b) for w, b in zip(words, bases)]
+
     def length(self, word):
-        word = tuple(int(l) for l in word)
-        if self._table is not None:
-            if word not in self._table:
-                raise OracleMissError(word)
-            return self._answer(word, self._table[word])
-        m = _word_ends(self._rep, [word])[0]
-        t = complex(m[0, 0] + m[1, 1])
-        loxodromic = _classify_trace(t, m) == "loxodromic"
-        return self._answer(word, _scaled_length(t, 0) if loxodromic else 0.0)
+        return self.lengths([word])[0]
 
     def __call__(self, word):
         return self.length(word)
@@ -133,26 +142,24 @@ class LengthOracle:
         bound = max(abs(l) for l in list(a) + list(b))
         a, b = tuple(check_word(a, bound)), tuple(check_word(b, bound))
 
-        def power(k, n):
-            return (a * n, b * n, a * n + b * n)[k]
+        def power(i):  # a^n, b^n or a^n b^n, n = i // 3 + 1
+            n = i // 3 + 1
+            return (a * n, b * n, a * n + b * n)[i % 3]
 
         if self._table is not None:
-            return [tuple(self.length(power(k, n)) for k in range(3)) for n in range(1, N + 1)]
-        A, B = self._rep.evaluate(a).mat, self._rep.evaluate(b).mat
-        rows = []
-        for n, powers in enumerate(_scaled_powers(A, B, N, np.matmul), 1):
-            row = []
-            for k, (S, e) in enumerate(powers):
-                t = complex(S[0, 0] + S[1, 1])
-                kind = _scaled_kind(S, e, t)
-                if kind != "loxodromic" and check:
-                    w = list(power(k, n))
-                    raise NonLoxodromicError(
-                        "power word %r is %s" % (w, kind), word=w, classification=kind)
-                base = _scaled_length(t, e) if kind == "loxodromic" else 0.0
-                row.append(self._answer(power(k, n) if self._noise > 0.0 else None, base))
-            rows.append(tuple(row))
-        return rows
+            flat = self.lengths([power(i) for i in range(3 * N)])
+        else:
+            A, B = _word_ends(self._rep, [a, b])
+            S, e = map(np.array, zip(*(p for row in _scaled_powers(A, B, N, np.matmul) for p in row)))
+            r = _trace_lengths(S[:, 0, 0] + S[:, 1, 1], e)
+            if check and not r.loxodromic.all():
+                i = int(np.argmin(r.loxodromic))
+                kind = classify(SL2(_scaled(S[i], e[i]), check=False))
+                w = list(power(i))
+                raise NonLoxodromicError("power word %r is %s" % (w, kind), word=w, classification=kind)
+            bases = np.where(r.loxodromic, r.length, 0.0).tolist()
+            flat = [self._answer(power(i) if self._noise > 0.0 else None, b) for i, b in enumerate(bases)]
+        return [tuple(flat[i:i + 3]) for i in range(0, 3 * N, 3)]
 
 
 def _scaled_powers(A, B, N, mul):
@@ -175,17 +182,6 @@ def _rescaled(S, e):
         return S, e
     k = math.frexp(big)[1]
     return S * math.ldexp(1.0, -k), e + k
-
-
-def _scaled_kind(S, e, t):
-    """classify of the determinant-one matrix 2^e S, where t = tr S;
-    past the float range 2^e S is not +-I and its trace decides."""
-    if not e:
-        return _classify_trace(t, S)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = S * np.ldexp(1.0, e)
-        t = complex(np.ldexp(t.real, e), np.ldexp(t.imag, e))
-    return _classify_trace(t, M if np.isfinite(M).all() else None)
 
 
 class FixedPair:
@@ -216,11 +212,13 @@ def fixed_points(A):
     """Fixed points of a loxodromic element, labeled by dynamics: the
     attracting point is the eigenvector ratio of the expanding
     eigenvalue.  diag(2, 1/2) attracts to infinity and repels from 0."""
-    kind = classify(A)
-    if kind != "loxodromic":
-        raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
-    att, rep = _sphere_fixed_points(A.mat)
-    return FixedPair(rep, att)
+    return _fixed_pairs(A)[0]
+
+
+def _fixed_pairs(*mats):
+    # fixed_points of each element, from one call of the length kernel
+    lams = _element_lengths(*mats).lam
+    return [FixedPair(*_sphere_fixed_points(A.mat, complex(lam))[::-1]) for A, lam in zip(mats, lams)]
 
 
 def complex_crossratio(x1, x2, x3, x4):
@@ -239,14 +237,8 @@ def complex_crossratio(x1, x2, x3, x4):
             return None
         return complex(pts[i]) - complex(pts[j])
 
-    num = [v for v in (fac(0, 2), fac(1, 3)) if v is not None]
-    den = [v for v in (fac(0, 3), fac(1, 2)) if v is not None]
-    n = 1.0 + 0.0j
-    for v in num:
-        n *= v
-    d = 1.0 + 0.0j
-    for v in den:
-        d *= v
+    n = math.prod((v for v in (fac(0, 2), fac(1, 3)) if v is not None), start=1.0 + 0.0j)
+    d = math.prod((v for v in (fac(0, 3), fac(1, 2)) if v is not None), start=1.0 + 0.0j)
     return _crossratio_quotient(n, d)
 
 
@@ -254,7 +246,7 @@ def crossratio_of_pair(A, B):
     """Modulus-squared cross-ratio of the fixed-point quadruple
     (repelling A, repelling B, attracting A, attracting B); this is the
     limit of the product-length sequence."""
-    fa, fb = fixed_points(A), fixed_points(B)
+    fa, fb = _fixed_pairs(A, B)
     cr = complex_crossratio(fa.repelling, fb.repelling, fa.attracting, fb.attracting)
     if cr == math.inf:
         return math.inf
@@ -410,21 +402,18 @@ def _rep_from_params(p):
 def _residual_batch(params, plan, targets, jacobian=False):
     """Smooth word lengths minus targets for a (P, 6) batch of parameter
     vectors, (P, W), and with jacobian=True their Jacobian (P, W, 6) in
-    forward mode.  The smooth length, 2 log of the expanding eigenvalue
-    modulus floored at 1, equals the translation length for loxodromics
-    and extends smoothly elsewhere.  Rows with z on 1 read 1e6 with a zero
-    Jacobian, and rows with a non-finite residual have a NaN Jacobian."""
+    forward mode, the smooth length of _trace_lengths.  Rows with z on 1
+    read 1e6 with a zero Jacobian, and rows with a non-finite residual have
+    a NaN Jacobian."""
     # a trial step far outside the chart overflows to a non-finite cost,
     # which the solver rejects like any other uphill step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slots, dslots, bad = _generator_batch(params, jacobian)
         ends = _evaluate_plan(plan, slots, dslots)[plan.ends]
-        T = np.moveaxis(ends[:, 0, 0] + ends[:, 1, 1], -1, 0)  # (P, W, 1 + 3) or (P, W)
-        t = T[..., 0] if jacobian else T
-        root = np.sqrt(t * t - 4.0)
-        lam = np.maximum(np.abs((t + root) / 2.0), np.abs((t - root) / 2.0))
-        out = 2.0 * np.log(np.maximum(lam, 1.0)) - np.asarray(targets, dtype=float)
-        J = _length_rows(T, group=1) if jacobian else None  # columns 2c, 2c + 1: Re, Im
+        T = (ends[:, 0, 0] + ends[:, 1, 1]).transpose(-1, *range(ends.ndim - 3))  # (P, W, 1 + 3) or (P, W)
+        r = _trace_lengths(T[..., 0] if jacobian else T)
+        out = r.length - np.asarray(targets, dtype=float)
+        J = _length_rows(T[..., 1:], r.root, group=1) if jacobian else None  # columns 2c, 2c + 1: Re, Im
     out[bad] = 1e6
     if not jacobian:
         return out
@@ -542,29 +531,24 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
 
 
 def _initial_guesses(oracle):
-    la = oracle((1,))
-    lb = oracle((2,))
+    la, lb = oracle.lengths([(1,), (2,)])
+
+    def limit(b):
+        # the extrapolated limit of the sequence of [1] and b, if it converges
+        try:
+            L, confidence = crossratio_estimate(lemma1_sequence(oracle, [1], b, 16, check=False))
+        except (OracleMissError, NonLoxodromicError, ValueError, OverflowError):
+            return None
+        return L if L > 0 and confidence < 0.5 else None
+
     # circle intersection from the two cross-ratio limits:
     # |1 - z| = sqrt(L1) and |z| = sqrt(L1 / L2)
-    r1 = None
-    r0 = None
-    try:
-        s1 = lemma1_sequence(oracle, [1], [2], 16, check=False)
-        L1, c1 = crossratio_estimate(s1)
-        if L1 > 0 and c1 < 0.5:
-            r1 = math.sqrt(L1)
-    except (OracleMissError, NonLoxodromicError, ValueError, OverflowError):
-        pass
-    try:
-        s2 = lemma1_sequence(oracle, [1], [-2], 16, check=False)
-        L2, c2 = crossratio_estimate(s2)
-        if L2 > 0 and r1 is not None and c2 < 0.5:
-            r0 = math.sqrt((r1 * r1) / L2)
-    except (OracleMissError, NonLoxodromicError, ValueError, OverflowError):
-        pass
-    if r1 is None:
-        r1 = 1.0
-    if r0 is None:
+    L1 = limit([2])
+    L2 = limit([-2]) if L1 is not None else None
+    r1 = math.sqrt(L1) if L1 is not None else 1.0
+    if L2 is not None:
+        r0 = math.sqrt((r1 * r1) / L2)
+    else:
         r0 = max(r1 - 1.0, 1.0 + 1e-3) if r1 > 2.0 else 1.0 + r1 / 2.0
     xre = (r0 * r0 + 1.0 - r1 * r1) / 2.0
     im2 = r0 * r0 - xre * xre
@@ -681,15 +665,13 @@ def _folded(x):
 
 
 def _covered(oracle, words):
-    """The words the oracle answers, in order, and their lengths."""
-    covered, lengths = [], []
-    for w in words:
+    """The words the oracle answers, in order, and their lengths: one
+    list read, repeated without each word the oracle misses."""
+    while True:
         try:
-            lengths.append(oracle(w))
-        except OracleMissError:
-            continue
-        covered.append(w)
-    return covered, lengths
+            return words, oracle.lengths(words)
+        except OracleMissError as miss:
+            words = [w for w in words if list(w) != miss.word]
 
 
 def _is_power_word(w):
@@ -703,18 +685,9 @@ def reconstruct(oracle, arity=2, budget=30):
 
 
 def _coordinate_word_list(arity):
-    words = []
-    for i in range(1, arity + 1):
-        words.append([i])
-    for i in range(1, arity + 1):
-        for j in range(i + 1, arity + 1):
-            words.append([i, j])
-    for i in range(1, arity + 1):
-        for j in range(i + 1, arity + 1):
-            for k in range(j + 1, arity + 1):
-                words.append([i, j, k])
-                words.append([j, i, k])
-    return words
+    gens = range(1, arity + 1)
+    return ([[i] for i in gens] + [[i, j] for i, j in itertools.combinations(gens, 2)]
+            + [w for i, j, k in itertools.combinations(gens, 3) for w in ([i, j, k], [j, i, k])])
 
 
 def conjugacy_distance(r1, r2):
@@ -773,5 +746,5 @@ def random_schottky_pair(rng, length_range=(0.8, 2.2), separation=0.6):
         rep = SL2Rep([A, B])
         if not is_nonelementary(rep):
             continue
-        if all(_loxodromic(rep, [[1, 2], [1, -2], [1, 1, 2], [1, 2, 2]])):
+        if _word_lengths(rep, [[1, 2], [1, -2], [1, 1, 2], [1, 2, 2]]).loxodromic.all():
             return rep

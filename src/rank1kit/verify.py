@@ -229,8 +229,9 @@ def trace_length_gauge(mats):
     """For loxodromics with length l and gauge g = |tr - 2| + |tr + 2|: the
     relative errors of the length read back from the gauge, and of the
     gauge against 2 (e^(l/2) + e^(-l/2))."""
-    l = np.array([sl2traces.length(A) for A in mats])
-    g = np.array([sl2traces.length_gauge(A) for A in mats])
+    t = np.array([A.trace() for A in mats])
+    l = sl2traces._trace_lengths(t).length
+    g = sl2traces.length_gauge(t)
     back = np.array([sl2traces.gauge_to_length(v) for v in g])
     ref = 2.0 * (np.exp(l / 2.0) + np.exp(-l / 2.0))
     return np.abs(back - l) / l, np.abs(g - ref) / ref

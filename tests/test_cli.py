@@ -87,6 +87,38 @@ def test_lemma2_closed_values(tmp_path):
     assert rc == 0 and data["gauge"] == 4.0 and data["length"] == 0.0
 
 
+@pytest.mark.parametrize("trace, want", [
+    (2.5, 1.3862943611198906), (1e200, 400.0 * math.log(10.0)), ([0, 1e160], 320.0 * math.log(10.0))])
+def test_lemma2_large_traces_have_finite_lengths(tmp_path, trace, want):
+    # the squared gauge overflows past 1e154; the length does not
+    inp = write_json(tmp_path / "l2.json", {"trace": trace})
+    rc, out, _ = run_quiet(["lemma2", "--input", inp])
+    assert rc == 0
+    length = json.loads(out)["length"]
+    assert length == want if trace == 2.5 else abs(length - want) <= 1e-15 * want
+
+
+def test_large_entry_matrices_pass_the_determinant_check(tmp_path):
+    big = [[1e200, 0.0], [0.0, 1e-200]]
+    inp = write_json(tmp_path / "m.json", {"matrix": big})
+    rc, out, err = run_quiet(["lemma2", "--input", inp])
+    assert rc == 0, err
+    assert abs(json.loads(out)["length"] - 400.0 * math.log(10.0)) <= 1e-12
+    inp = write_json(tmp_path / "cr.json", {"a": big, "b": [[2.0, 1.0], [1.0, 1.0]]})
+    rc, out, err = run_quiet(["crossratio", "--input", inp])
+    assert rc == 0, err
+    assert json.loads(out)["fixed_points"]["a"]["attracting"] == "inf"
+    # a determinant that overflows still fails validation, naming the field
+    for command, payload, field in (
+            ("lemma2", {"matrix": [[1e200, 1e200], [1e200, 1e200]]}, "matrix"),
+            ("crossratio", {"a": [[1e200, 1e200], [1e200, 1e200]], "b": big}, "a")):
+        outp = tmp_path / "out.json"
+        rc, _, err = run_quiet([command, "--input", write_json(tmp_path / "bad.json", payload),
+                                "--output", str(outp)])
+        assert rc == 1 and f"field '{field}'" in err and "determinant" in err
+        assert not outp.exists()
+
+
 def test_lemma2_infinite_gauge_is_encoded(tmp_path):
     inp = write_json(tmp_path / "l2.json", {"trace": [1e308, 1e308]})
     rc, out, _ = run_quiet(["lemma2", "--input", inp])
@@ -237,6 +269,19 @@ def test_jacobian_validation(tmp_path):
     inp2 = write_json(tmp_path / "bad2.json", {"generators": gens, "target": "nope"})
     rc, _, err = run_quiet(["jacobian", "--input", inp2])
     assert rc == 1 and "target" in err
+
+
+def test_jacobian_of_an_overflowing_word_exits_2(tmp_path):
+    # a product past the float range is a numeric failure, not a malformed
+    # input or an elliptic word; warnings are errors in this suite
+    gens = [[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [1.0, 1.0]]]
+    outp = tmp_path / "jac_out.json"
+    for target in ("length", "trace"):
+        inp = write_json(tmp_path / "jac.json",
+                         {"generators": gens, "words": [[1] * 1030, [2], [1, 2]], "target": target})
+        rc, out, err = run_quiet(["jacobian", "--input", inp, "--output", str(outp)])
+        assert rc == 2 and "overflows" in err and not out
+        assert not outp.exists()
 
 
 def test_reconstruct_from_generators(tmp_path):

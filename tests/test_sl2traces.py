@@ -1,9 +1,11 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1kit.sl2traces import (
     SL2,
@@ -27,7 +29,11 @@ from rank1kit.sl2traces import (
     vogt,
     word_inverse,
 )
+from rank1kit import sl2traces
 from rank1kit.spectrum import random_schottky_pair
+
+README_PAIR = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
+EPS = np.finfo(float).eps
 
 TRACELESS = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -83,6 +89,65 @@ def test_length_gauge_values():
     assert gauge_to_length(4.0) == 0.0
     with pytest.raises(ValueError):
         gauge_to_length(3.0)
+
+
+def test_gauge_to_length_does_not_overflow():
+    # g^2 overflows past g ~ 1e154; the length is 2 log(g / 2) there
+    for g in (2e200, 2e160, 1e300):
+        want = 2.0 * math.log(g / 2.0)
+        assert abs(gauge_to_length(g) - want) <= 1e-15 * want
+    assert gauge_to_length(5.0) == 1.3862943611198906
+
+
+def test_determinant_check_does_not_overflow():
+    A = SL2([[1e200, 0.0], [0.0, 1e-200]])
+    assert A.trace() == 1e200
+    assert abs(length(A) - 2.0 * math.log(1e200)) <= 1e-15 * length(A)
+    # a determinant that overflows is not one
+    with pytest.raises(ValueError, match="determinant"):
+        SL2([[1e200, 1e200], [1e200, 1e200]])
+    with pytest.raises(ValueError, match="determinant"):
+        SL2([[2.0, 0.0], [0.0, 1.0]])
+
+
+def _reference_length(t, e):
+    # 2 (e log 2 + log|mu|) floored at 0, mu the expanding root of
+    # x^2 - t x + 4^-e; past |t| = 4 the root is t (1 + sqrt(1 - 4^(1-e) / t^2)) / 2,
+    # whose square root cannot overflow
+    d = math.ldexp(1.0, -2 * e)
+    if abs(t) <= 4.0:
+        root = cmath.sqrt(t * t - 4.0 * d)
+        log_mu = math.log(max(abs(t + root), abs(t - root)) / 2.0)
+    else:
+        w = cmath.sqrt(1.0 - 4.0 * d * (1.0 / t) ** 2)
+        log_mu = math.log(abs(t)) + math.log(abs(1.0 + w) / 2.0)
+    return 2.0 * max(e * math.log(2.0) + log_mu, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decade=st.floats(-3.0, 300.0),
+       angle=st.one_of(st.sampled_from([0.0, math.pi / 2.0, math.pi]), st.floats(-math.pi, math.pi)),
+       e=st.sampled_from([0, 1, 40, 700, 1100]))
+def test_trace_lengths_kernel(decade, angle, e):
+    t = 10.0 ** decade * cmath.exp(1j * angle)
+    r = sl2traces._trace_lengths(np.array([t]), e)
+    got = float(r.length[0])
+    want = _reference_length(t, e)
+    assert abs(got - want) <= 4.0 * EPS * max(1.0, want)
+    # the mask is classify's on the trace 2^e t of the determinant-one matrix
+    try:
+        tau = complex(math.ldexp(t.real, e), math.ldexp(t.imag, e))
+    except OverflowError:  # 2^e t is past the float range
+        assert r.loxodromic[0]
+        return
+    M = SL2([[tau, -1.0], [1.0, 0.0]], check=False)
+    assert r.loxodromic[0] == (classify(M) == "loxodromic")
+    if r.loxodromic[0] and e == 0:
+        assert got == length(M)
+        # lam is the expanding root and root = 2 lam - t
+        lam, root = complex(r.lam[0]), complex(r.root[0])
+        assert abs(lam - t + 1.0 / lam) <= 8.0 * EPS * abs(lam) and abs(lam) >= 1.0
+        assert abs(root - (2.0 * lam - t)) <= 4.0 * EPS * abs(lam)
 
 
 def test_gauge_identity_random():
@@ -307,6 +372,26 @@ def test_length_jacobian_names_bad_word():
         length_jacobian(rep, default_f2_words())
     assert err.value.word == [1, -2]
     assert err.value.classification == "identity"
+
+
+def test_length_jacobian_of_powers_past_the_square_root_overflow():
+    # the trace of a^1000 is 2^1000, whose square overflows
+    J, rank = length_jacobian(README_PAIR, [[1] * 1000, [2], [1, 2]])
+    assert rank == 3
+    row = length_jacobian(README_PAIR, [[1]])[0][0]
+    assert np.abs(J[0] - 1000.0 * row).max() <= 1e-12 * 1000.0 * np.abs(row).max()
+
+
+@pytest.mark.parametrize("word", [[1] * 1023, [1] * 1030, [1] * 1100, [2] * 800])
+def test_overflowing_words_raise_arithmetic_error(word):
+    # a product, or for [1] * 1023 its differential, past the float range
+    # has no length and no Jacobian row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="overflows"):
+            length_jacobian(README_PAIR, [[2], word])
+        with pytest.raises(ArithmeticError, match="overflows"):
+            trace_jacobian(README_PAIR, [word])
 
 
 def test_coordinate_words_fixes_parabolic_seed():

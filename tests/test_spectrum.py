@@ -32,6 +32,9 @@ from rank1kit.spectrum import (
 )
 
 
+README_PAIR = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
+
+
 def mobius(C, z):
     m = C.mat
     if z == math.inf:
@@ -71,6 +74,50 @@ def test_oracle_conventions():
     # deterministic per word and seed
     again = LengthOracle(table={(1,): 1e-12}, noise=0.5, seed=3)
     assert noisy((1,)) == again((1,))
+
+
+def test_oracle_list_form_equals_per_word_reads(monkeypatch):
+    rep = random_schottky_pair(np.random.default_rng(15))
+    # the fit words, a non-loxodromic word and the empty word
+    words = default_budget_words(2) + [[1, -1], []]
+    calls = []
+    engine = sl2traces._evaluate_plan
+    monkeypatch.setattr(sl2traces, "_evaluate_plan", lambda *a: calls.append(1) or engine(*a))
+    exact = LengthOracle(rep=rep)
+    for oracle in (exact, LengthOracle(rep=rep, noise=0.2, seed=5)):
+        calls.clear()
+        batch = oracle.lengths(words)
+        assert len(calls) == 1  # one engine call for the whole list
+        assert batch == [oracle.length(w) for w in words]
+        assert oracle.lengths([]) == []
+    assert exact.lengths(words)[-2:] == [0.0, 0.0]
+    # a table oracle: _covered drops the words the table misses
+    table = {tuple(w): v for n, (w, v) in enumerate(zip(words, exact.lengths(words))) if n % 3}
+    for oracle in (LengthOracle(table=table), LengthOracle(table=table, noise=0.2, seed=5)):
+        covered, lengths = spectrum._covered(oracle, words)
+        assert covered == [w for n, w in enumerate(words) if n % 3]
+        assert lengths == [oracle.length(w) for w in covered]
+        with pytest.raises(OracleMissError):
+            oracle.lengths(words)
+        assert spectrum._covered(oracle, []) == ([], [])
+
+
+def test_oracle_lengths_past_the_square_root_overflow():
+    # the trace 2^n + 2^-n of a^n has a square past the float range from n = 512
+    ns = (511, 512, 600, 1000)
+    got = LengthOracle(rep=README_PAIR).lengths([[1] * n for n in ns])
+    for n, v in zip(ns, got):
+        assert abs(v - 2.0 * n * math.log(2.0)) <= 1e-12 * 2.0 * n * math.log(2.0)
+
+
+@pytest.mark.parametrize("word", [[1] * 1030, [1] * 1100, [2] * 800])
+def test_oracle_overflow_raises_arithmetic_error(word):
+    # a NaN trace is not an elliptic element: the read fails, naming the word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="overflows") as err:
+            LengthOracle(rep=README_PAIR).length(word)
+    assert str(word) in str(err.value)
 
 
 def test_fixed_pair_guards():
@@ -209,10 +256,11 @@ def test_scaled_classification_agrees_with_classify():
     for M in mats:
         for e in (0, 1, 40, 700):
             S = M.mat * math.ldexp(1.0, -e)
-            assert spectrum._scaled_kind(S, e, complex(S[0, 0] + S[1, 1])) == classify(M)
+            mask = sl2traces._trace_lengths(S[0, 0] + S[1, 1], e).loxodromic
+            assert mask == (classify(M) == "loxodromic")
     # 2^1100 S is past the float range; its trace still decides
     S = random_loxodromic(rng).mat
-    assert spectrum._scaled_kind(S, 1100, complex(S[0, 0] + S[1, 1])) == "loxodromic"
+    assert sl2traces._trace_lengths(S[0, 0] + S[1, 1], 1100).loxodromic
 
 
 @pytest.mark.parametrize("a, b, N, name", [
@@ -459,9 +507,6 @@ def test_reconstruct_report_diagnostics():
     json.dumps(diag, allow_nan=False)
 
 
-README_PAIR = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
-
-
 def test_folded_parameters_pick_one_orientation():
     x = np.array([1.3, 2.0, 0.9, -2.5, 0.4, -0.7])
     folded = spectrum._folded(x)
@@ -520,8 +565,8 @@ def test_reconstruct_nan_length_does_not_converge():
     # a NaN target makes every cost NaN; the report must not come back
     # with a NaN rms
     class NaNAt(LengthOracle):
-        def length(self, word):
-            return math.nan if tuple(word) == (1, 2) else super().length(word)
+        def lengths(self, words):
+            return [math.nan if tuple(w) == (1, 2) else v for w, v in zip(words, super().lengths(words))]
 
     rep = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
     with pytest.raises(RuntimeError) as err:
