@@ -287,9 +287,8 @@ def _cmd_lemma2(cfg):
         t = SL2.from_list(data["matrix"], "matrix").trace()
     else:
         t = decode_complex(_field(data, "trace"), "trace")
-    g = sl2traces.length_gauge(t)
-    length = sl2traces.gauge_to_length(g)
-    return _json_text({"trace": encode_complex(t), "gauge": encode_complex(g),
+    length = float(sl2traces._trace_lengths(t).length)
+    return _json_text({"trace": encode_complex(t), "gauge": encode_complex(sl2traces.length_gauge(t)),
                        "length": encode_complex(length)}), 0
 
 

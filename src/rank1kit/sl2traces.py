@@ -7,7 +7,7 @@ deformations.  Words in the generators are plain lists of signed 1-based
 indices: [1, -2, 1] means g1 g2^{-1} g1.
 
 Every many-word and derivative computation, here and in spectrum, goes
-through one engine: a prefix trie of the words (_word_plan) evaluated
+through one engine: a product tree of the words (_word_plan) evaluated
 for a batch of generator tuples (_evaluate_plan).  Derivatives are
 forward mode: given slot tangents, the engine carries each product and
 its differentials as a dual pair (M, dM), and one length-differential
@@ -347,34 +347,38 @@ _WordPlan = namedtuple("_WordPlan", "size levels ends")
 
 
 def _word_plan(words, arity):
-    """A word list as a prefix trie, built once and evaluated per batch.
+    """A word list as a product tree, built once and evaluated per batch.
 
-    Node 0 is the empty word and every other node is its parent times
-    one generator slot, the slots ordered (g1..gk, g1^-1..gk^-1) for
-    arity k, so a prefix shared by several words is multiplied once.
-    Nodes are numbered by depth: each entry (lo, hi, parents, slots) of
-    levels makes nodes lo..hi-1, one depth deeper than their parents,
-    and ends[i] is the node of words[i]."""
-    edges = {}
-    nodes = [(0, 0, 0)]  # (depth, parent, slot) per node
-    ends = []
-    for w in words:
-        node = 0
-        for letter in check_word(w, arity):
-            key = (node, abs(letter) - 1 + (arity if letter < 0 else 0))
-            if key not in edges:
-                edges[key] = len(nodes)
-                nodes.append((nodes[node][0] + 1,) + key)
-            node = edges[key]
-        ends.append(node)
-    depth, parent, slot = (np.array(c) for c in zip(*nodes))
+    Nodes 0..2k are the empty word and the generator slots, ordered
+    (g1..gk, g1^-1..gk^-1) for arity k.  Every later node is the product
+    of two earlier nodes: a word w of length L >= 2 is w[:h] w[h:], h the
+    largest power of two below L, so it is ceil(log2 L) products deep,
+    and a subword shared by several words is one node.  Nodes are
+    numbered by depth: each entry (lo, hi, left, right) of levels makes
+    nodes lo..hi-1 as products of the nodes left and right, and ends[i]
+    is the node of words[i]."""
+    depth, operands, memo = [0] * (1 + 2 * arity), [(0, 0)] * (1 + 2 * arity), {}
+
+    def node(w):
+        if len(w) < 2:
+            return abs(w[0]) + (arity if w[0] < 0 else 0) if w else 0
+        if w not in memo:
+            h = 1 << (len(w) - 1).bit_length() - 1
+            a, b = node(w[:h]), node(w[h:])
+            memo[w] = len(depth)
+            depth.append(max(depth[a], depth[b]) + 1)
+            operands.append((a, b))
+        return memo[w]
+
+    ends = [node(tuple(check_word(w, arity))) for w in words]
+    depth, (left, right) = np.array(depth), np.array(operands).T
     order = np.argsort(depth, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     bounds = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
-    levels = [(lo, hi, rank[parent[order[lo:hi]]], slot[order[lo:hi]])
+    levels = [(lo, hi, rank[left[order[lo:hi]]], rank[right[order[lo:hi]]])
               for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return _WordPlan(len(nodes), levels, rank[np.array(ends, dtype=int)])
+    return _WordPlan(len(depth), levels, rank[np.array(ends, dtype=int)])
 
 
 def _matmul(A, B, out=None, scratch=None):
@@ -403,7 +407,7 @@ def _evaluate_plan(plan, slots, tangents=None):
     so a row does not depend on the rest of the batch.  Slot tangents
     (S, n, n, q, P) make the nodes dual pairs (size, n, n, 1 + q, P), value
     first on one component axis, at two products [M|dM] B and M dB a
-    depth.  The nodes and each depth's factors and terms share one work
+    node.  The nodes and each depth's factors and terms share one work
     array allocated per call.  A product past the float range reads inf
     or NaN without a warning; callers check."""
     slots = slots[:, :, :, None] if tangents is None else np.concatenate(
@@ -413,13 +417,14 @@ def _evaluate_plan(plan, slots, tangents=None):
     C = slots.shape[3]
     nodes, factors = work[:plan.size], work[plan.size:].reshape((3, width) + work.shape[1:])
     nodes[0] = np.eye(slots.shape[1])[:, :, None, None] * np.eye(C, 1)
+    nodes[1:1 + len(slots)] = slots
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, parents, s in plan.levels:
+        for lo, hi, left, right in plan.levels:
             A, B, T = factors[:, :hi - lo]
-            nodes.take(parents, axis=0, out=A, mode="clip")
-            slots.take(s, axis=0, out=B, mode="clip")
+            nodes.take(left, axis=0, out=A, mode="clip")
+            nodes.take(right, axis=0, out=B, mode="clip")
             _matmul(A, B[:, :, :, :1], nodes[lo:hi], T)
-            if C > 1:  # M dB, with the parents' spent differentials as scratch
+            if C > 1:  # M dB, with the left factors' spent differentials as scratch
                 nodes[lo:hi, :, :, 1:] += _matmul(A[..., :1, :], B[..., 1:, :], T[..., 1:, :], A[..., 1:, :])
     return nodes if C > 1 else nodes[:, :, :, 0]
 

@@ -14,6 +14,7 @@ one length kernel (sl2traces._trace_lengths).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -341,7 +342,12 @@ def _cyclic_inverse_class(word):
 def default_budget_words(arity=2, max_len=4, power_max=8):
     """Reduced words of length <= max_len, deduplicated up to the
     length-preserving symmetries, plus the product-power family
-    a^n b^n used by the cross-ratio estimate."""
+    a^n b^n used by the cross-ratio estimate; fresh lists each call."""
+    return [list(w) for w in _budget_words(arity, max_len, power_max)]
+
+
+@functools.lru_cache(maxsize=8)
+def _budget_words(arity, max_len, power_max):
     seen = {}
     for w in _reduced_words(arity, max_len):
         key = _cyclic_inverse_class(w)
@@ -355,7 +361,7 @@ def default_budget_words(arity=2, max_len=4, power_max=8):
             if key not in seen:
                 seen[key] = w
                 words.append(w)
-    return words
+    return tuple(tuple(w) for w in words)
 
 
 def _generator_batch(params, tangents=False):
@@ -554,14 +560,11 @@ def _initial_guesses(oracle):
     im2 = r0 * r0 - xre * xre
     xim = math.sqrt(im2) if im2 > 0 else 0.0
     # lengths carry no phase information per word, so the angles need a
-    # full independent grid of restarts to reach the right basin
+    # full independent grid of restarts to reach the right basin; the
+    # starts with -xim are the entrywise conjugates of these up to a 2 pi
+    # angle shift, on which lengths, and so the solver's paths, agree
     angles = (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0)
-    starts = []
-    for sign in (1.0, -1.0):
-        for ta in angles:
-            for tb in angles:
-                starts.append(np.array([la, ta, lb, tb, xre, sign * xim]))
-    return starts
+    return [np.array([la, ta, lb, tb, xre, xim]) for ta in angles for tb in angles]
 
 
 def reconstruct_report(oracle, arity=2, budget=30, holdout=6):

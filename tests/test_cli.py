@@ -125,7 +125,8 @@ def test_lemma2_infinite_gauge_is_encoded(tmp_path):
     assert rc == 0
     assert "Infinity" not in out
     data = json.loads(out)
-    assert data["gauge"] == "inf" and data["length"] == "inf"
+    # the gauge overflows; the length, read from the trace, does not
+    assert data["gauge"] == "inf" and data["length"] == 1419.085564464892
 
 
 def test_lemma1_non_finite_terms_exit_2(tmp_path, monkeypatch):

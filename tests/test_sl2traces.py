@@ -365,6 +365,51 @@ def test_dual_evaluation_carries_values_and_differentials():
     assert np.all(dual[plan.ends[0], :, :, 1:] == 0.0)  # the empty word is constant
 
 
+def test_word_plan_is_a_log_depth_product_tree():
+    from rank1kit import sl2traces
+
+    rng = np.random.default_rng(18)
+    letters = [1, 2, 3, -1, -2, -3]
+    words = [[], [2], [-3], [1, 2, 3, 1, 2], [1, 2, 3, 1, 3, 3]]
+    for n in rng.integers(2, 41, 40):
+        # freely reduced, so that no product cancels to a small end
+        w = [int(rng.choice(letters))]
+        while len(w) < n:
+            w += [l for l in [int(rng.choice(letters))] if l != -w[-1]]
+        words.append(w)
+    plan = sl2traces._word_plan(words, 3)
+    base = 7  # the empty word and six slots
+    # the empty word and single letters are base nodes, no product
+    assert list(plan.ends[:3]) == [0, 2, 6] and plan.levels[0][0] == base
+    depth = np.zeros(plan.size, dtype=int)
+    operands = {}
+    for d, (lo, hi, left, right) in enumerate(plan.levels, start=1):
+        assert np.all(left < lo) and np.all(right < lo)
+        depth[lo:hi] = np.maximum(depth[left], depth[right]) + 1
+        assert np.all(depth[lo:hi] == d)
+        operands.update(zip(range(lo, hi), zip(left, right)))
+    assert plan.levels[-1][1] == plan.size
+    for w, end in zip(words[3:], plan.ends[3:]):
+        assert depth[end] == math.ceil(math.log2(len(w)))
+
+    # a subword shared by several words is one node
+    def pieces(w):
+        if len(w) < 2:
+            return set()
+        h = 2 ** (math.ceil(math.log2(len(w))) - 1)
+        return {tuple(w)} | pieces(w[:h]) | pieces(w[h:])
+
+    assert plan.size == base + len(set().union(*map(pieces, words)))
+    assert operands[plan.ends[3]][0] == operands[plan.ends[4]][0]  # both heads are [1, 2, 3, 1]
+    reps = [SL2Rep([random_sl2(rng) for _ in range(3)]) for _ in range(3)]
+    slots = sl2traces._with_inverses(np.stack([np.stack([g.mat for g in r.generators]) for r in reps], axis=-1))
+    ends = sl2traces._evaluate_plan(plan, slots)[plan.ends]
+    for p, rep in enumerate(reps):
+        for n, w in enumerate(words):
+            ref = rep.evaluate(w).mat
+            assert np.abs(ends[n, :, :, p] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
 def test_length_jacobian_names_bad_word():
     A = random_loxodromic(np.random.default_rng(9))
     rep = SL2Rep([A, A])
