@@ -287,7 +287,7 @@ def _cmd_lemma2(cfg):
         t = SL2.from_list(data["matrix"], "matrix").trace()
     else:
         t = decode_complex(_field(data, "trace"), "trace")
-    length = float(sl2traces._trace_lengths(t).length)
+    length = float(sl2traces._trace_lengths(t).translation)
     return _json_text({"trace": encode_complex(t), "gauge": encode_complex(sl2traces.length_gauge(t)),
                        "length": encode_complex(length)}), 0
 

@@ -256,7 +256,14 @@ def classify(A):
     return "elliptic"
 
 
-_Lengths = namedtuple("_Lengths", "lam root length loxodromic")
+class _Lengths(namedtuple("_Lengths", "lam root length loxodromic")):
+    __slots__ = ()
+
+    @property
+    def translation(self):
+        """The translation length: length where loxodromic, and 0 on the
+        other traces, where the smooth length can read a rounding error."""
+        return np.where(self.loxodromic, self.length, 0.0)
 
 
 def _scaled(z, k):

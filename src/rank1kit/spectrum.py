@@ -105,7 +105,7 @@ class LengthOracle:
         words = [tuple(int(l) for l in w) for w in words]
         if self._table is None:
             r = _word_lengths(self._rep, words)
-            bases = np.where(r.loxodromic, r.length, 0.0).tolist()
+            bases = r.translation.tolist()
         else:
             try:
                 bases = [self._table[w] for w in words]
@@ -158,7 +158,7 @@ class LengthOracle:
                 kind = classify(SL2(_scaled(S[i], e[i]), check=False))
                 w = list(power(i))
                 raise NonLoxodromicError("power word %r is %s" % (w, kind), word=w, classification=kind)
-            bases = np.where(r.loxodromic, r.length, 0.0).tolist()
+            bases = r.translation.tolist()
             flat = [self._answer(power(i) if self._noise > 0.0 else None, b) for i, b in enumerate(bases)]
         return [tuple(flat[i:i + 3]) for i in range(0, 3 * N, 3)]
 
@@ -457,13 +457,21 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
     once, with Nielsen's damping update.
 
     fun maps a (P, n) batch of parameter vectors to (P, W) residuals, or
-    with jacobian=True to them and their (P, W, n) Jacobian, and is called
-    once per stage for all restarts still in play.  Each
+    with jacobian=True to them and their (P, W, n) Jacobian.  Each
     restart keeps its own point, residuals, cost and damping, so it
-    follows the path it would follow alone.  A restart stops on "gtol"
-    (small gradient), "xtol" (small step), "no_step" (24 damping values
-    found no descent) or "max_iter"; iterations counts its accepted
-    steps, and calls and rows count the batches sent to fun."""
+    follows the path it would follow alone, trying the damping values
+    lam 4^j, j < 24, in turn until one lowers its cost.  A restart stops
+    on "gtol" (small gradient), "xtol" (small step), "no_step" (no damping
+    value gave descent) or "max_iter"; iterations counts its accepted
+    steps.
+
+    An iteration makes at most three calls to fun for all restarts still
+    in play: the Jacobian at the points whose last step did not carry it,
+    the trial steps at the first damping value, with their Jacobian, and
+    every step at the other 23 values that the one-at-a-time search would
+    try (those before its first too-short step), of which each restart
+    takes the first that lowers its cost.  calls counts the calls and
+    rows the parameter vectors sent to fun."""
     calls = rows = 0
 
     def evaluate(P, jacobian=False):
@@ -472,15 +480,18 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
         rows += len(P)
         # the engine returns column-major batches; row-major rows and (W, n)
         # blocks give every dot product the same BLAS kernel whatever the batch size
-        return np.ascontiguousarray(fun(P, jacobian=True)[1] if jacobian else fun(P))
+        if not jacobian:
+            return np.ascontiguousarray(fun(P))
+        return tuple(np.ascontiguousarray(a) for a in fun(P, jacobian=True))
 
     X = np.array(starts, dtype=float)
-    F = evaluate(X)
+    F, J = evaluate(X, jacobian=True)
     cost = 0.5 * _dot_rows(F, F)
     lam = np.full(len(X), 1e-3)
     iterations = np.zeros(len(X), dtype=int)
     reasons = ["max_iter"] * len(X)
     running = np.ones(len(X), dtype=bool)
+    carried = np.ones(len(X), dtype=bool)  # J holds the Jacobian at X
 
     def stop(which, reason):
         running[which] = False
@@ -488,50 +499,73 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
             reasons[i] = reason
 
     diag = np.arange(X.shape[1])
+
+    def search(live, seek, H, d, g, n, jacobian):
+        """Try the damping values lam 4^j, j < n, of the restarts at
+        positions seek of live, and return the positions still without a
+        step.  lam 4^j is exact, so each restart tries the values it
+        would try one at a time."""
+        r = live[seek]
+        lams = lam[r, None] * 4.0 ** np.arange(n)
+        A = np.repeat(H[seek], n, axis=0)
+        A[:, diag, diag] += lams.reshape(-1, 1) * np.repeat(d[seek], n, axis=0)
+        dx, singular = _solve_rows(A, np.repeat(-g[seek], n, axis=0))
+        dx, singular = dx.reshape(len(seek), n, -1), singular.reshape(len(seek), n)
+        short = ~singular & (np.abs(dx).max(axis=2) < xtol * (1.0 + np.abs(X[r]).max(axis=1))[:, None])
+        # the one-at-a-time search ends at its first short step
+        i, j = np.nonzero(~singular & ~short & (np.cumsum(short, axis=1) == 0))
+        xt = X[r[i]] + dx[i, j]
+        Ft, Jt = F[:0], J[:0]
+        if len(i):
+            Ft, Jt = evaluate(xt, True) if jacobian else (evaluate(xt), None)
+        cost_t = 0.5 * _dot_rows(Ft, Ft)
+        down = np.zeros((len(seek), n), dtype=bool)
+        down[i, j] = cost_t < cost[r[i]]
+        # each restart takes its first descent, trial k
+        k = np.flatnonzero((down & (np.cumsum(down, axis=1) == 1))[i, j])
+        a, dxa = r[i[k]], dx[i[k], j[k]]
+        hdx = (H[seek[i[k]]] @ dxa[:, :, None])[:, :, 0]
+        predicted = -_dot_rows(g[seek[i[k]]], dxa) - 0.5 * _dot_rows(dxa, hdx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(predicted > 0, (cost[a] - cost_t[k]) / predicted, -1.0)
+        # Nielsen's factor one restart at a time in C pow, which numpy's
+        # vector power can miss in the last bit; from a gain of 1 on the
+        # factor is 1/3, and the clip keeps the cube finite
+        lam[a] = [max(l * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
+                  for l, q in zip(lams[i[k], j[k]], gain)]
+        X[a], F[a], cost[a] = xt[k], Ft[k], cost_t[k]
+        iterations[a] += 1
+        if jacobian:
+            J[a] = Jt[k]
+            carried[a] = True
+        stepped = down.any(axis=1)
+        halted = short.any(axis=1) & ~stepped
+        h = np.flatnonzero(halted)
+        lam[r[h]] = lams[h, short[h].argmax(axis=1)]
+        stop(r[h], "xtol")
+        rest = ~stepped & ~halted
+        lam[r[rest]] *= 4.0 ** n
+        return seek[rest]
+
     for _ in range(max_iter):
         live = np.flatnonzero(running)
         if not len(live):
             break
-        J = evaluate(X[live], jacobian=True)
-        g = (J.transpose(0, 2, 1) @ F[live][:, :, None])[:, :, 0]
+        stale = live[~carried[live]]
+        if len(stale):
+            J[stale] = evaluate(X[stale], jacobian=True)[1]
+        Jl = J[live]
+        g = (Jl.transpose(0, 2, 1) @ F[live][:, :, None])[:, :, 0]
         flat = np.abs(g).max(axis=1) < gtol
         stop(live[flat], "gtol")
-        live, J, g = live[~flat], J[~flat], g[~flat]
-        H = J.transpose(0, 2, 1) @ J
+        live, Jl, g = live[~flat], Jl[~flat], g[~flat]
+        H = Jl.transpose(0, 2, 1) @ Jl
         d = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-12)
-        seek = np.arange(len(live))  # positions in live still without a step
-        for _ in range(24):
-            if not len(seek):
-                break
-            r = live[seek]
-            A = H[seek]
-            A[:, diag, diag] += lam[r, None] * d[seek]
-            dx, singular = _solve_rows(A, -g[seek])
-            lam[r[singular]] *= 4.0
-            short = ~singular & (np.abs(dx).max(axis=1) < xtol * (1.0 + np.abs(X[r]).max(axis=1)))
-            stop(r[short], "xtol")
-            trial = ~singular & ~short
-            t, dx = r[trial], dx[trial]
-            xt = X[t] + dx
-            Ft = evaluate(xt) if len(t) else np.empty((0, F.shape[1]))
-            cost_t = 0.5 * _dot_rows(Ft, Ft)
-            hdx = (H[seek[trial]] @ dx[:, :, None])[:, :, 0]
-            predicted = -_dot_rows(g[seek[trial]], dx) - 0.5 * _dot_rows(dx, hdx)
-            down = cost_t < cost[t]
-            a = t[down]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.where(predicted > 0, (cost[t] - cost_t) / predicted, -1.0)[down]
-            # Nielsen's factor one restart at a time in C pow, which numpy's
-            # vector power can miss in the last bit; from a gain of 1 on the
-            # factor is 1/3, and the clip keeps the cube finite
-            lam[a] = [max(l * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
-                      for l, q in zip(lam[a], gain)]
-            X[a], F[a], cost[a] = xt[down], Ft[down], cost_t[down]
-            iterations[a] += 1
-            lam[t[~down]] *= 4.0
-            stepped = np.zeros(len(seek), dtype=bool)
-            stepped[np.flatnonzero(trial)[down]] = True
-            seek = seek[~short & ~stepped]
+        carried[live] = False
+        seek = np.arange(len(live))
+        for n, jacobian in ((1, True), (23, False)):
+            if len(seek):
+                seek = search(live, seek, H, d, g, n, jacobian)
         stop(live[seek], "no_step")
     return _Solve(X, cost, iterations, reasons, calls, rows)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rank1kit import cli
+from rank1kit import cli, sl2traces
 from rank1kit.algebra import AlgebraKind
 from rank1kit.ballmodel import BallPoint, stereo
 from rank1kit.isometry import NormalIsometry, random_normal_isometry
@@ -85,6 +85,14 @@ def test_lemma2_closed_values(tmp_path):
     rc, out, _ = run_quiet(["lemma2", "--input", inp2])
     data = json.loads(out)
     assert rc == 0 and data["gauge"] == 4.0 and data["length"] == 0.0
+
+
+@pytest.mark.parametrize("trace", [-0.6, -0.32, -1.79])
+def test_lemma2_elliptic_traces_have_length_zero(tmp_path, trace):
+    # the smooth kernel length reads 4.4e-16 on these traces
+    assert sl2traces._trace_lengths(trace).length > 0.0
+    rc, out, _ = run_quiet(["lemma2", "--input", write_json(tmp_path / "l2.json", {"trace": trace})])
+    assert rc == 0 and json.loads(out)["length"] == 0.0
 
 
 @pytest.mark.parametrize("trace, want", [

@@ -150,6 +150,16 @@ def test_trace_lengths_kernel(decade, angle, e):
         assert abs(root - (2.0 * lam - t)) <= 4.0 * EPS * abs(lam)
 
 
+def test_translation_length_vanishes_on_the_real_elliptic_grid():
+    # the smooth length reads up to 4.4e-16 where |lam| rounds above 1
+    r = sl2traces._trace_lengths(np.linspace(-2.0, 2.0, 100_001))
+    assert not r.loxodromic.any() and (r.length > 0.0).sum() > 0
+    assert np.all(r.translation == 0.0)
+    # off the grid the translation length is the smooth one
+    r = sl2traces._trace_lengths([2.5, 1e200, 3j])
+    assert r.loxodromic.all() and np.array_equal(r.translation, r.length)
+
+
 def test_gauge_identity_random():
     rng = np.random.default_rng(1)
     for _ in range(500):

@@ -474,7 +474,11 @@ def test_one_orientation_grid_covers_the_mirror_starts():
 
 def _solver_case(seed):
     # the full word budget of a seeded pair, and the solver's 16 starts
-    oracle = LengthOracle(rep=random_schottky_pair(np.random.default_rng(seed)))
+    return _fit_problem(random_schottky_pair(np.random.default_rng(seed)))
+
+
+def _fit_problem(rep):
+    oracle = LengthOracle(rep=rep)
     words = default_budget_words(2)
     plan = sl2traces._word_plan(words, 2)
     targets = np.array([oracle(w) for w in words])
@@ -508,6 +512,89 @@ def test_lockstep_poisoned_starts_leave_the_others():
     assert [mixed.reasons[i] for i in others] == clean.reasons
     assert np.allclose(mixed.cost[others], clean.cost, rtol=1e-9, atol=1e-24)
     assert mixed.reasons[9] == "no_step" and mixed.iterations[9] == 0
+
+
+def _one_value_per_call_lm(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14):
+    # reference: Levenberg-Marquardt one restart at a time, with Nielsen's
+    # update and one damping value per call to fun, in batches of one
+    diag = np.arange(starts.shape[1])
+    xs, costs, iterations, reasons = [], [], [], []
+    for x0 in starts:
+        x = np.array(x0, dtype=float)[None]
+        f = np.ascontiguousarray(fun(x))
+        cost = 0.5 * spectrum._dot_rows(f, f)
+        lam, steps, reason = 1e-3, 0, "max_iter"
+        for _ in range(max_iter):
+            J = np.ascontiguousarray(fun(x, jacobian=True)[1])
+            g = (J.transpose(0, 2, 1) @ f[:, :, None])[:, :, 0]
+            if np.abs(g).max() < gtol:
+                reason = "gtol"
+                break
+            H = J.transpose(0, 2, 1) @ J
+            d = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-12)
+            for _ in range(24):
+                A = H.copy()
+                A[:, diag, diag] += lam * d
+                try:
+                    dx = np.linalg.solve(A, -g[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    lam *= 4.0
+                    continue
+                if np.abs(dx).max() < xtol * (1.0 + np.abs(x).max()):
+                    reason = "xtol"
+                    break
+                ft = np.ascontiguousarray(fun(x + dx))
+                cost_t = 0.5 * spectrum._dot_rows(ft, ft)
+                if cost_t[0] < cost[0]:
+                    hdx = (H @ dx[:, :, None])[:, :, 0]
+                    predicted = -spectrum._dot_rows(g, dx) - 0.5 * spectrum._dot_rows(dx, hdx)
+                    q = (cost - cost_t)[0] / predicted[0] if predicted[0] > 0 else -1.0
+                    lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
+                    x, f, cost = x + dx, ft, cost_t
+                    steps += 1
+                    break
+                lam *= 4.0
+            else:
+                reason = "no_step"
+            if reason != "max_iter":
+                break
+        xs.append(x[0])
+        costs.append(cost[0])
+        iterations.append(steps)
+        reasons.append(reason)
+    return np.array(xs), np.array(costs), iterations, reasons
+
+
+def _poisoned_case():
+    fun, starts = _solver_case(0)
+    on_one = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]  # z on 1: every row reads 1e6
+    overflow = [1e3, 0.0, 1e3, 0.0, 0.5, 0.5]  # every residual overflows
+    return fun, np.vstack([starts[:4], [on_one], starts[4:8], [overflow]])
+
+
+@pytest.mark.parametrize("case", ["seed 0", "seed 1", "readme", "poisoned"])
+def test_lockstep_solve_is_the_one_value_per_call_solve(case):
+    # the damping ladder and the carried Jacobians change how many calls
+    # the solver makes, not one bit of any restart's path
+    fun, starts = {"seed 0": lambda: _solver_case(0), "seed 1": lambda: _solver_case(1),
+                   "readme": lambda: _fit_problem(README_PAIR), "poisoned": _poisoned_case}[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, cost, iterations, reasons = _one_value_per_call_lm(fun, starts)
+        solve = spectrum._lockstep_levenberg_marquardt(fun, starts)
+    assert np.array_equal(solve.x, x) and np.array_equal(solve.cost, cost, equal_nan=True)
+    assert solve.iterations.tolist() == iterations and solve.reasons == reasons
+    if case == "seed 1":
+        assert {"gtol", "xtol"} <= set(reasons)
+    if case == "poisoned":
+        assert reasons[4] == "gtol" and reasons[9] == "no_step"
+
+
+@pytest.mark.parametrize("rep, most", [
+    (README_PAIR, 50), (random_schottky_pair(np.random.default_rng(1)), 55)], ids=["readme", "seed 1"])
+def test_reconstruct_engine_call_budget(rep, most):
+    # one call per damping value took 95 and 114 calls
+    assert reconstruct_report(LengthOracle(rep=rep))["diagnostics"]["engine_calls"] <= most
 
 
 def test_solve_rows_marks_singular_systems():
