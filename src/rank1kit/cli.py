@@ -140,8 +140,14 @@ def _word(value, field, arity):
 
 def _table(entries):
     """A length table from (word, length, field) entries of a CSV or JSON
-    table; the words are in two generators and the lengths finite."""
-    table = {tuple(_word(word, field, 2)): _real(length, field) for word, length, field in entries}
+    table; the words are in two generators, each named once, and the
+    lengths finite."""
+    table, first = {}, {}
+    for word, length, field in entries:
+        key = tuple(_word(word, field, 2))
+        if key in first:
+            raise CommandError(f"field {field!r} repeats the word of field {first[key]!r}")
+        table[key], first[key] = _real(length, field), field
     if not table:
         raise CommandError("field 'table' has no entries")
     return table

@@ -452,7 +452,7 @@ def _solve_rows(A, b):
 _Solve = namedtuple("_Solve", "x cost iterations reasons calls rows")
 
 
-def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14):
+def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14, ftol=1e-8):
     """Levenberg-Marquardt from every row of the (R, n) array starts at
     once, with Nielsen's damping update.
 
@@ -461,9 +461,12 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
     restart keeps its own point, residuals, cost and damping, so it
     follows the path it would follow alone, trying the damping values
     lam 4^j, j < 24, in turn until one lowers its cost.  A restart stops
-    on "gtol" (small gradient), "xtol" (small step), "no_step" (no damping
-    value gave descent) or "max_iter"; iterations counts its accepted
-    steps.
+    on "gtol" (small gradient), "xtol" (small step), "ftol" (an accepted
+    step whose actual and predicted cost reductions are both at most ftol
+    times the cost before it: a stalled restart, as in MINPACK), "no_step"
+    (no damping value gave descent) or "max_iter"; iterations counts its
+    accepted steps.  An accepted step lowers the cost, so ftol=0 never
+    stops a restart.
 
     An iteration makes at most three calls to fun for all restarts still
     in play: the Jacobian at the points whose last step did not carry it,
@@ -526,18 +529,22 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
         a, dxa = r[i[k]], dx[i[k], j[k]]
         hdx = (H[seek[i[k]]] @ dxa[:, :, None])[:, :, 0]
         predicted = -_dot_rows(g[seek[i[k]]], dxa) - 0.5 * _dot_rows(dxa, hdx)
+        actual = cost[a] - cost_t[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where(predicted > 0, (cost[a] - cost_t[k]) / predicted, -1.0)
+            gain = np.where(predicted > 0, actual / predicted, -1.0)
         # Nielsen's factor one restart at a time in C pow, which numpy's
         # vector power can miss in the last bit; from a gain of 1 on the
         # factor is 1/3, and the clip keeps the cube finite
         lam[a] = [max(l * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
                   for l, q in zip(lams[i[k], j[k]], gain)]
+        floor = ftol * cost[a]
+        stalled = a[(actual <= floor) & (predicted <= floor)]
         X[a], F[a], cost[a] = xt[k], Ft[k], cost_t[k]
         iterations[a] += 1
         if jacobian:
             J[a] = Jt[k]
             carried[a] = True
+        stop(stalled, "ftol")
         stepped = down.any(axis=1)
         halted = short.any(axis=1) & ~stepped
         h = np.flatnonzero(halted)
@@ -607,12 +614,13 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
 
     Returns a dict with the fitted rep, parameters, per-word residuals,
     the RMS residual, and held-out errors, plus diagnostics: for each
-    restart its start, accepted iterations, termination reason and final
-    cost, the count of engine calls and rows of the solve, and the
-    singular values of the fit's Jacobian.  The parameters are reported
-    in one orientation (see _folded).  Raises ValueError for a budget
-    below _MIN_BUDGET words or an elementary oracle, RuntimeError when
-    no restart converges."""
+    restart its start, accepted iterations, termination reason (see
+    _lockstep_levenberg_marquardt; a restart stalled at a local minimum
+    stops on "ftol") and final cost, the count of engine calls and rows
+    of the solve, and the singular values of the fit's Jacobian.  The
+    parameters are reported in one orientation (see _folded).  Raises
+    ValueError for a budget below _MIN_BUDGET words or an elementary
+    oracle, RuntimeError when no restart converges."""
     if arity != 2:
         raise ValueError("reconstruction is supported for arity 2 (got %d)" % arity)
     if budget < _MIN_BUDGET:

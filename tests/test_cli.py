@@ -461,6 +461,18 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, argv, text, field):
     assert not outp.exists()
 
 
+@pytest.mark.parametrize("name,text,field,first", [
+    ("in.csv", "word,length\n1,1.3862943611198906\n2,1.5\n1,5.0\n", "row 4", "row 2"),
+    ("in.json", '{"table": {"1": 1.3862943611198906, "2": 1.5, " 1": 5.0}}', "table[' 1']", "table['1']"),
+], ids=["csv", "json"])
+def test_repeated_table_word_exits_1_naming_the_later_entry(tmp_path, name, text, field, first):
+    inp = tmp_path / name
+    inp.write_text(text)
+    rc, out, err = run_quiet(["reconstruct", "--input", str(inp)])
+    assert rc == 1 and out == ""
+    assert err == f"error: field {field!r} repeats the word of field {first!r}\n"
+
+
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     inp = write_json(tmp_path / "v.json", {k: 2 for k in ("x1", "x2", "x3", "y12", "y13")})
     outp = tmp_path / "result.json"
