@@ -452,7 +452,8 @@ def _solve_rows(A, b):
 _Solve = namedtuple("_Solve", "x cost iterations reasons calls rows")
 
 
-def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14, ftol=1e-8):
+def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14, ftol=1e-8,
+                                  fitted=0.0):
     """Levenberg-Marquardt from every row of the (R, n) array starts at
     once, with Nielsen's damping update.
 
@@ -464,9 +465,16 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
     on "gtol" (small gradient), "xtol" (small step), "ftol" (an accepted
     step whose actual and predicted cost reductions are both at most ftol
     times the cost before it: a stalled restart, as in MINPACK), "no_step"
-    (no damping value gave descent) or "max_iter"; iterations counts its
-    accepted steps.  An accepted step lowers the cost, so ftol=0 never
-    stops a restart.
+    (no damping value gave descent), "raced" or "max_iter"; iterations
+    counts its accepted steps.  An accepted step lowers the cost, so ftol=0
+    never stops a restart.
+
+    The race: at the top of an iteration, once a restart stopped on "gtol"
+    or "xtol" has a cost below fitted and no running restart has a cost as
+    low (a NaN cost is not low), every running restart stops on "raced".
+    Restarts are independent until then, so the lowest-cost restart is a
+    converged one and follows its unraced path bit for bit; a cost is never
+    below 0, so fitted=0 never races.
 
     An iteration makes at most three calls to fun for all restarts still
     in play: the Jacobian at the points whose last step did not carry it,
@@ -556,7 +564,10 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
 
     for _ in range(max_iter):
         live = np.flatnonzero(running)
-        if not len(live):
+        won = cost[[r in ("gtol", "xtol") for r in reasons]]
+        if len(won) and won.min() < fitted and not (cost[live] <= won.min()).any():
+            stop(live, "raced")
+        if not running.any():
             break
         stale = live[~carried[live]]
         if len(stale):
@@ -608,6 +619,23 @@ def _initial_guesses(oracle):
     return [np.array([la, ta, lb, tb, xre, xim]) for ta in angles for tb in angles]
 
 
+def _fit_words(budget):
+    """The fit words of a budget: default_budget_words(2) with its longest
+    plain words trimmed to fit, keeping the power family."""
+    words = default_budget_words(2)
+    if len(words) <= budget:
+        return words
+    powers = [w for w in words if _is_power_word(w)]
+    plain = [w for w in words if not _is_power_word(w)]
+    return plain[:budget - len(powers)] + powers
+
+
+def _fitted_cost(targets):
+    """The cost of a residual of 4.5 ulps of the largest target on every
+    word: an exact oracle's fit, which a noisy oracle never reaches."""
+    return 0.5 * len(targets) * (4.5 * np.finfo(float).eps * float(np.abs(targets).max())) ** 2
+
+
 def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     """Invert a length oracle: fit a two-generator representation whose
     translation lengths match the oracle on a word budget.
@@ -616,11 +644,12 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     the RMS residual, and held-out errors, plus diagnostics: for each
     restart its start, accepted iterations, termination reason (see
     _lockstep_levenberg_marquardt; a restart stalled at a local minimum
-    stops on "ftol") and final cost, the count of engine calls and rows
-    of the solve, and the singular values of the fit's Jacobian.  The
-    parameters are reported in one orientation (see _folded).  Raises
-    ValueError for a budget below _MIN_BUDGET words or an elementary
-    oracle, RuntimeError when no restart converges."""
+    stops on "ftol", and once a converged restart fits the targets to
+    rounding, the running ones stop on "raced") and final cost, the count
+    of engine calls and rows of the solve, and the singular values of the
+    fit's Jacobian.  The parameters are reported in one orientation (see
+    _folded).  Raises ValueError for a budget below _MIN_BUDGET words or an
+    elementary oracle, RuntimeError when no restart converges."""
     if arity != 2:
         raise ValueError("reconstruction is supported for arity 2 (got %d)" % arity)
     if budget < _MIN_BUDGET:
@@ -629,19 +658,13 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     if oracle.rep is not None and not is_nonelementary(oracle.rep):
         raise ValueError("oracle is generated by an elementary representation")
 
-    words = default_budget_words(2)
-    if len(words) > budget:
-        # keep the power family; trim the longest plain words first
-        powers = [w for w in words if _is_power_word(w)]
-        plain = [w for w in words if not _is_power_word(w)]
-        words = plain[:budget - len(powers)] + powers
-    fit_words = words
+    words = _fit_words(budget)
     hold_words = []
     if holdout > 0:
         candidates = [w for w in default_budget_words(2, max_len=5, power_max=0) if w not in words]
         hold_words = candidates[-holdout:] if len(candidates) >= holdout else candidates
 
-    fit_words, targets = _covered(oracle, fit_words)
+    fit_words, targets = _covered(oracle, words)
     if len(fit_words) < 8:
         raise ValueError("oracle covers only %d of the budget words" % len(fit_words))
     targets = np.asarray(targets)
@@ -652,7 +675,8 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     starts = np.array(_initial_guesses(oracle))
     plan = sl2traces._word_plan(fit_words, 2)
     solve = _lockstep_levenberg_marquardt(
-        lambda P, jacobian=False: _residual_batch(P, plan, targets, jacobian), starts)
+        lambda P, jacobian=False: _residual_batch(P, plan, targets, jacobian), starts,
+        fitted=_fitted_cost(targets))
 
     best_idx = min(range(len(starts)), key=lambda i: solve.cost[i])
     best_x = _folded(solve.x[best_idx])

@@ -180,12 +180,18 @@ def _factorization(kind, g):
     return np.abs((a * a + a + mm) ** 2 + mm - rhs) / rhs
 
 
-def gauge_ratio(kind, g1, g2):
+def gauge_ratio(kind, g1, g2, h=None):
     """Relative gap of [S, N, stereo g1, stereo g2] from |g2|^2 / |g1|^2,
-    S and N the south and north poles of the ball."""
+    S and N the south and north poles of the ball, the images of infinity
+    and 0.  With a left translation h, which fixes infinity, the gap of
+    [S, stereo h, stereo h g1, stereo h g2] from the same ratio."""
     poles = np.zeros(g1.shape[:-2] + (2,) + g1.shape[-2:])
     poles[..., :, -1, 0] = [-1.0, 1.0]
-    pts = np.concatenate([poles, ballmodel.stereo_coeffs(kind, np.stack([g1, g2], axis=-3))], axis=-3)
+    g = np.stack([g1, g2], axis=-3)
+    if h is not None:
+        poles[..., 1, :, :] = ballmodel.stereo_coeffs(kind, h)
+        g = nilboundary.nmul_coeffs(kind, h[..., None, :, :], g)
+    pts = np.concatenate([poles, ballmodel.stereo_coeffs(kind, g)], axis=-3)
     ref = nilboundary.qnorm_coeffs(g2) ** 2 / nilboundary.qnorm_coeffs(g1) ** 2
     return np.abs(ballmodel.crossratio_ball_coeffs(kind, pts) - ref) / ref
 

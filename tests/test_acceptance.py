@@ -123,6 +123,11 @@ def test_criterion_04_crossratio_gauge_identity():
     g = random_point_coeffs(cfg, rng, (1000, 2))
     w = worst(verify.gauge_ratio(AlgebraKind.O, g[:, 0], g[:, 1]))
     assert w <= 1e-9, f"worst relative deviation {w:.3e}"
+    # at the poles the octonionic term of the seminorm vanishes; a left
+    # translation by h moves 0 and the pair away from them and keeps the ratio
+    g, h = random_point_coeffs(cfg, rng, (1000, 2)), random_point_coeffs(cfg, rng, (1000,))
+    w = worst(verify.gauge_ratio(AlgebraKind.O, g[:, 0], g[:, 1], h))
+    assert w <= 1e-9, f"worst relative deviation after a left translation {w:.3e}"
 
 
 def test_criterion_05_model_equivalence():

@@ -477,9 +477,10 @@ def _solver_case(seed):
     return _fit_problem(random_schottky_pair(np.random.default_rng(seed)))
 
 
-def _fit_problem(rep):
+def _fit_problem(rep, words=None):
+    # the solver's problem on a word list, by default the full word budget
     oracle = LengthOracle(rep=rep)
-    words = default_budget_words(2)
+    words = default_budget_words(2) if words is None else words
     plan = sl2traces._word_plan(words, 2)
     targets = np.array([oracle(w) for w in words])
     starts = np.array(spectrum._initial_guesses(oracle))
@@ -618,11 +619,62 @@ def test_ftol_stops_only_stalled_restarts(monkeypatch):
 
 
 @pytest.mark.parametrize("rep, most", [
-    (README_PAIR, 50), (random_schottky_pair(np.random.default_rng(1)), 20)], ids=["readme", "seed 1"])
+    (README_PAIR, 30), (random_schottky_pair(np.random.default_rng(1)), 14),
+    (random_schottky_pair(np.random.default_rng(24)), 40)], ids=["readme", "seed 1", "seed 24"])
 def test_reconstruct_engine_call_budget(rep, most):
-    # one call per damping value took 95 and 114 calls, and the ladder
-    # without the relative-reduction stop 42 and 44
+    # one call per damping value took 95 and 114 calls, the ladder without
+    # the relative-reduction stop 42 and 44, and the solve without the race
+    # 42, 14 and 283, where two seed-24 restarts crawled on to max_iter
     assert reconstruct_report(LengthOracle(rep=rep))["diagnostics"]["engine_calls"] <= most
+
+
+@pytest.mark.parametrize("seed", ["readme", 0, 1, 12, 13, 24])
+def test_race_keeps_the_winning_path(seed):
+    # the race stops only restarts that cannot beat a converged fit, and
+    # every other restart follows its unraced path bit for bit
+    rep = README_PAIR if seed == "readme" else random_schottky_pair(np.random.default_rng(seed))
+    # reconstruct_report's problem: its 30 fit words and its race threshold
+    words = spectrum._fit_words(30)
+    fun, starts = _fit_problem(rep, words)
+    fitted = spectrum._fitted_cost(np.array(LengthOracle(rep=rep).lengths(words)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = spectrum._lockstep_levenberg_marquardt(fun, starts)
+        raced = spectrum._lockstep_levenberg_marquardt(fun, starts, fitted=fitted)
+    kept = [i for i, r in enumerate(raced.reasons) if r != "raced"]
+    gone = [i for i, r in enumerate(raced.reasons) if r == "raced"]
+    assert gone and "raced" not in plain.reasons
+    assert np.array_equal(raced.x[kept], plain.x[kept]) and np.array_equal(raced.cost[kept], plain.cost[kept])
+    assert np.array_equal(raced.iterations[kept], plain.iterations[kept])
+    assert [raced.reasons[i] for i in kept] == [plain.reasons[i] for i in kept]
+    assert np.all(raced.iterations[gone] <= plain.iterations[gone])
+    assert raced.reasons[int(np.nanargmin(raced.cost))] in ("gtol", "xtol")
+    assert raced.calls <= plain.calls
+
+
+@pytest.mark.parametrize("seed", [34, 97, 121])
+def test_race_keeps_the_fit_precision(seed):
+    # a race threshold 2e6 times looser ends these solves at a
+    # restart converged short of rounding, 2.8e-12 to 3.1e-11 away
+    truth = random_schottky_pair(np.random.default_rng(seed))
+    assert conjugacy_distance(reconstruct(LengthOracle(rep=truth)), truth) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", ["readme", 0])
+def test_race_leaves_noisy_solves(monkeypatch, seed):
+    # a noisy oracle's fit never reaches rounding level, so the race never
+    # fires and the solve is the unraced one
+    rep = README_PAIR if seed == "readme" else random_schottky_pair(np.random.default_rng(seed))
+    oracle = LengthOracle(rep=rep, noise=1e-6)
+    raced = reconstruct_report(oracle)
+    lockstep = spectrum._lockstep_levenberg_marquardt
+    monkeypatch.setattr(spectrum, "_lockstep_levenberg_marquardt",
+                        lambda *args, **kwargs: lockstep(*args, **{**kwargs, "fitted": 0.0}))
+    plain = reconstruct_report(oracle)
+    assert raced["parameters"] == plain["parameters"]
+    assert raced["restart_index"] == plain["restart_index"]
+    assert raced["diagnostics"]["engine_calls"] == plain["diagnostics"]["engine_calls"]
+    assert "raced" not in [e["reason"] for e in raced["diagnostics"]["restarts"]]
 
 
 def test_solve_rows_marks_singular_systems():
@@ -642,7 +694,7 @@ def test_reconstruct_report_diagnostics():
     for entry, x0 in zip(diag["restarts"], starts):
         assert set(entry) == {"start", "iterations", "reason", "cost"}
         assert entry["start"] == [float(v) for v in x0]
-        assert entry["reason"] in ("gtol", "xtol", "ftol", "no_step", "max_iter")
+        assert entry["reason"] in ("gtol", "xtol", "ftol", "no_step", "raced", "max_iter")
         # the gradient test runs before each of the 160 iterations, so
         # only max_iter reaches 160 accepted steps
         assert 0 <= entry["iterations"] <= 160
