@@ -616,7 +616,18 @@ def _initial_guesses(oracle):
     # starts with -xim are the entrywise conjugates of these up to a 2 pi
     # angle shift, on which lengths, and so the solver's paths, agree
     angles = (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0)
-    return [np.array([la, ta, lb, tb, xre, xim]) for ta in angles for tb in angles]
+    starts = [np.array([la, ta, lb, tb, xre, xim]) for ta in angles for tb in angles]
+    # circles tangent to within 1e-3 of r0 (or apart) point to a real pair,
+    # where lengths cannot tell the pair from its entrywise conjugate and
+    # the length map folds: the fit Jacobian has rank 3 of 6, and the grid
+    # restarts creep along the fold.  At a real start with every fit word
+    # hyperbolic all traces are real, so the Jacobian columns of the angles
+    # and Im z are exact zeros and every step keeps them at 0: this restart
+    # solves on the full-rank real chart (length_a, length_b, Re z).  A row
+    # never depends on its batch, so the grid restarts keep their paths
+    if im2 <= (1e-3 * r0) ** 2:
+        starts.append(np.array([la, 0.0, lb, 0.0, xre, 0.0]))
+    return starts
 
 
 def _fit_words(budget):
@@ -639,6 +650,11 @@ def _fitted_cost(targets):
 def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     """Invert a length oracle: fit a two-generator representation whose
     translation lengths match the oracle on a word budget.
+
+    The restarts are a 4 x 4 grid of the two angles at one start for z,
+    and, when the two start circles for z are tangent, as at a real pair,
+    one real start with both angles and Im z at 0, which solves on the real
+    chart (see _initial_guesses) and fits a real pair to rounding.
 
     Returns a dict with the fitted rep, parameters, per-word residuals,
     the RMS residual, and held-out errors, plus diagnostics: for each

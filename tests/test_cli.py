@@ -473,6 +473,39 @@ def test_repeated_table_word_exits_1_naming_the_later_entry(tmp_path, name, text
     assert err == f"error: field {field!r} repeats the word of field {first!r}\n"
 
 
+_WORD_ERROR = "must be a word: a list or string of nonzero integer letters of absolute value at most 2"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("word,length\n1 3,1.5\n", f"field 'row 2' {_WORD_ERROR}"),
+    ("word,length\n1 0,1.5\n", f"field 'row 2' {_WORD_ERROR}"),
+    ("word,length\n,1.5\n", f"field 'row 2' {_WORD_ERROR}"),
+    ("word,length\n1.0,1.5\n", f"field 'row 2' {_WORD_ERROR}"),
+    ("word,length\n+1 02,1.5\n1 +3,2\n", f"field 'row 3' {_WORD_ERROR}"),
+    ("word,length\n1,abc\n", "field 'row 2' must be a number"),
+    ("word,length\n1, 1.5 \n2,1e999\n", "field 'row 3' must be a finite number"),
+    # the column count of every row is checked before any word
+    ("word,length\n1 3,1.5\n2,1.5,9\n", "field 'row 3' must hold two columns, word and length"),
+    ("word,length\n\n", "field 'table' has no entries"),
+], ids=["letter-3", "letter-0", "empty-word", "fractional-letter", "spelled-letter-3", "text-length",
+        "overflowing-length", "columns-before-words", "no-rows"])
+def test_csv_table_errors_name_the_row(tmp_path, text, message):
+    inp = tmp_path / "in.csv"
+    inp.write_text(text)
+    rc, out, err = run_quiet(["reconstruct", "--input", str(inp)])
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_csv_table_reads_other_spellings_of_letters(tmp_path):
+    plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
+    plain.write_text("word,length\n1 -2,1.5\n2 1,2.5\n")
+    spelled.write_text("Word ,length\n +1 -02 , 1.5 \n2  01,2.5\n")
+    tables = [cli._csv_table(cli.JobConfig("reconstruct", input=str(p))) for p in (plain, spelled)]
+    assert tables[0] == tables[1] == {(1, -2): 1.5, (2, 1): 2.5}
+    assert all(type(l) is int for word in tables[1] for l in word)
+
+
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):
     inp = write_json(tmp_path / "v.json", {k: 2 for k in ("x1", "x2", "x3", "y12", "y13")})
     outp = tmp_path / "result.json"

@@ -618,14 +618,80 @@ def test_ftol_stops_only_stalled_restarts(monkeypatch):
         assert all(c >= 1e-6 for c, r in zip(stopped.cost, stopped.reasons) if r == "ftol")
 
 
-@pytest.mark.parametrize("rep, most", [
-    (README_PAIR, 30), (random_schottky_pair(np.random.default_rng(1)), 14),
-    (random_schottky_pair(np.random.default_rng(24)), 40)], ids=["readme", "seed 1", "seed 24"])
-def test_reconstruct_engine_call_budget(rep, most):
+@pytest.mark.parametrize("rep, budget, most", [
+    (README_PAIR, 30, 6), (README_PAIR, 47, 8), (random_schottky_pair(np.random.default_rng(1)), 30, 14),
+    (random_schottky_pair(np.random.default_rng(24)), 30, 40)],
+    ids=["readme", "readme 47 words", "seed 1", "seed 24"])
+def test_reconstruct_engine_call_budget(rep, budget, most):
     # one call per damping value took 95 and 114 calls, the ladder without
     # the relative-reduction stop 42 and 44, and the solve without the race
-    # 42, 14 and 283, where two seed-24 restarts crawled on to max_iter
-    assert reconstruct_report(LengthOracle(rep=rep))["diagnostics"]["engine_calls"] <= most
+    # 42, 14 and 283, where two seed-24 restarts crawled on to max_iter; the
+    # README pair took 28 and 44 calls (30 and 47 words) along its fold
+    # before the real start, which fits it to rounding and races the rest
+    report = reconstruct_report(LengthOracle(rep=rep), budget=budget)
+    assert report["diagnostics"]["engine_calls"] <= most
+
+
+def _near_real_pair(eps):
+    # the README pair with b conjugated by [[1, i eps], [0, 1]]: not real
+    # for eps > 0, and closer to a real pair the smaller eps
+    a, b = README_PAIR.generators
+    c = np.array([[1.0, 1j * eps], [0.0, 1.0]])
+    return SL2Rep([a, SL2(c @ b.mat @ np.linalg.inv(c))])
+
+
+def test_readme_pair_fits_on_the_real_chart():
+    # the README pair is real, so its start circles are tangent and the
+    # grid gains the real start, which fits it to rounding
+    oracle = LengthOracle(rep=README_PAIR)
+    starts = spectrum._initial_guesses(oracle)
+    assert len(starts) == 17 and starts[16][[1, 3, 5]].tolist() == [0.0, 0.0, 0.0]
+    report = reconstruct_report(oracle)
+    assert report["restart_index"] == 16
+    la, ta, lb, tb, zr, zi = report["parameters"]
+    assert ta == 0.0 and tb == 0.0 and zi == 0.0
+    assert conjugacy_distance(report["rep"], README_PAIR) <= 1e-12
+
+
+def test_real_start_jacobian_has_zero_imaginary_columns():
+    # every fit word is hyperbolic at the real start and every trace real,
+    # so the columns of the angles and Im z are exact zeros and the rest,
+    # the real chart, has full rank
+    oracle = LengthOracle(rep=README_PAIR)
+    words = spectrum._fit_words(30)
+    x = spectrum._initial_guesses(oracle)[16]
+    plan = sl2traces._word_plan(words, 2)
+    _, J = spectrum._residual_batch(x[None], plan, oracle.lengths(words), jacobian=True)
+    assert np.all(J[0][:, [1, 3, 5]] == 0.0)
+    s = np.linalg.svd(J[0][:, [0, 2, 4]], compute_uv=False)
+    assert s[-1] > 1e-2 * s[0]
+
+
+_GRID_CASES = {
+    **{"near-real %g" % eps: (lambda eps=eps: LengthOracle(rep=_near_real_pair(eps)), eps < 1e-3)
+       for eps in (1e-2, 1e-4, 1e-6)},
+    **{"noisy %d" % k: (lambda k=k: LengthOracle(rep=README_PAIR, noise=1e-6, seed=k), k == 1)
+       for k in range(4)},
+    **{"seed %d" % s: (lambda s=s: LengthOracle(rep=random_schottky_pair(np.random.default_rng(s))), False)
+       for s in [*range(20), 111]},
+}
+
+
+@pytest.mark.parametrize("case", list(_GRID_CASES))
+def test_real_start_leaves_the_grid_fits(monkeypatch, case):
+    # the real start wins only where it fits better, and a row never depends
+    # on its batch, so these fits equal the 16-start grid's; "tangent" says
+    # whether the case has the real start at all
+    make, tangent = _GRID_CASES[case]
+    oracle = make()
+    grid = spectrum._initial_guesses
+    assert (len(grid(oracle)) == 17) == tangent
+    report = reconstruct_report(oracle)
+    monkeypatch.setattr(spectrum, "_initial_guesses", lambda o: grid(o)[:16])
+    plain = reconstruct_report(oracle)
+    assert report["parameters"] == plain["parameters"]
+    assert report["restart_index"] == plain["restart_index"]
+    assert report["diagnostics"]["engine_calls"] == plain["diagnostics"]["engine_calls"]
 
 
 @pytest.mark.parametrize("seed", ["readme", 0, 1, 12, 13, 24])
