@@ -110,23 +110,20 @@ def _jsigns(n: int) -> np.ndarray:
 
 
 def _complex_embedding(kind: AlgebraKind, coeffs: np.ndarray) -> np.ndarray:
-    n = coeffs.shape[0]
+    # coefficient matrices (..., n, n, dim) to complex ones with the same spectra
     if kind is AlgebraKind.R:
-        return coeffs[:, :, 0].astype(complex)
+        return coeffs[..., 0].astype(complex)
     if kind is AlgebraKind.C:
-        return coeffs[:, :, 0] + 1j * coeffs[:, :, 1]
-    z = coeffs[:, :, 0] + 1j * coeffs[:, :, 1]
-    w = coeffs[:, :, 2] + 1j * coeffs[:, :, 3]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[0::2, 0::2] = z
-    out[0::2, 1::2] = w
-    out[1::2, 0::2] = -np.conj(w)
-    out[1::2, 1::2] = np.conj(z)
+        return coeffs[..., 0] + 1j * coeffs[..., 1]
+    z = coeffs[..., 0] + 1j * coeffs[..., 1]
+    w = coeffs[..., 2] + 1j * coeffs[..., 3]
+    n = coeffs.shape[-2]
+    out = np.zeros(coeffs.shape[:-3] + (2 * n, 2 * n), dtype=complex)
+    out[..., 0::2, 0::2] = z
+    out[..., 0::2, 1::2] = w
+    out[..., 1::2, 0::2] = -np.conj(w)
+    out[..., 1::2, 1::2] = np.conj(z)
     return out
-
-
-def _radius(e: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(e))))
 
 
 def _classify(e: np.ndarray, radius: float) -> str:
@@ -139,13 +136,17 @@ def _classify(e: np.ndarray, radius: float) -> str:
     return "elliptic"
 
 
-def _matrix_length(kind: AlgebraKind, S: np.ndarray, e: int) -> tuple[str, float]:
-    """Classification and translation length e log 2 + log rho(S) of the
-    matrix 2^e S over kind, rho the spectral radius of the complex
-    embedding; a scaled power (e > 0) grew exponentially: hyperbolic."""
+def _matrix_lengths(kind: AlgebraKind, S: np.ndarray, e) -> tuple[list[str], list[float]]:
+    """Classifications and translation lengths e log 2 + log rho(S) of the
+    matrices 2^e S over kind, for a stack S (k, n, n, dim) and k integer
+    exponents e, rho the spectral radius of the complex embedding, from one
+    eigvals call; a scaled power (e > 0) grew exponentially: hyperbolic.
+    A non-hyperbolic matrix has geometric length 0."""
     emb = _complex_embedding(kind, S)
-    radius = _radius(emb)
-    return ("hyperbolic" if e else _classify(emb, radius)), e * math.log(2.0) + math.log(radius)
+    radii = np.abs(np.linalg.eigvals(emb)).max(axis=-1).tolist()
+    classes = ["hyperbolic" if ei else _classify(m, r) for m, r, ei in zip(emb, radii, e)]
+    return classes, [ei * math.log(2.0) + math.log(r) if c == "hyperbolic" else 0.0
+                     for c, r, ei in zip(classes, radii, e)]
 
 
 class GroupMatrix:
@@ -224,8 +225,7 @@ class GroupMatrix:
         complex embedding; genuinely borderline inputs (radius within
         1e-9 of 1) are reported as non-hyperbolic.
         """
-        e = self.complex_embedding()
-        return _classify(e, _radius(e))
+        return _matrix_lengths(self.config.kind, self.coeffs[None], [0])[0][0]
 
     def to_dict(self) -> dict:
         return {
@@ -427,7 +427,7 @@ def translation_length(A) -> float:
         return abs(A.s)
     if not isinstance(A, GroupMatrix):
         raise TypeError("expected a NormalIsometry or a GroupMatrix")
-    cls, length = _matrix_length(A.config.kind, A.coeffs, 0)
+    (cls,), (length,) = _matrix_lengths(A.config.kind, A.coeffs[None], [0])
     if cls != "hyperbolic":
         raise NotHyperbolicError(cls)
     return length

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import mat_mul
 from .ballmodel import crossratio_ball
-from .isometry import _matrix_length, boundary_fixed_points
+from .isometry import _matrix_lengths, boundary_fixed_points
 from .nilboundary import _crossratio_quotient
 from . import sl2traces
 from .sl2traces import (
@@ -136,8 +136,7 @@ class LengthOracle:
         power of two whose exponent is kept, so every length is finite.
         With check=True a non-loxodromic power raises NonLoxodromicError
         naming the word; with check=False its length is 0."""
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-            raise ValueError("argument 'N' must be a positive integer, got %r" % (N,))
+        _check_count(N)
         if not len(a) or not len(b):
             raise ValueError("argument '%s' is an empty word" % ("b" if len(a) else "a"))
         bound = max(abs(l) for l in list(a) + list(b))
@@ -161,6 +160,11 @@ class LengthOracle:
             bases = r.translation.tolist()
             flat = [self._answer(power(i) if self._noise > 0.0 else None, b) for i, b in enumerate(bases)]
         return [tuple(flat[i:i + 3]) for i in range(0, 3 * N, 3)]
+
+
+def _check_count(N):
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError("argument 'N' must be a positive integer, got %r" % (N,))
 
 
 def _scaled_powers(A, B, N, mul):
@@ -270,13 +274,14 @@ def lemma1_matrix_sequence(A, B, N):
     whose product is not hyperbolic contribute geometric length 0.
     The powers are rescaled as in LengthOracle.power_lengths, so every
     term is finite for any N and the cost is linear in N."""
+    _check_count(N)
+    if A.config != B.config:
+        raise ValueError("configuration mismatch")
     kind = A.config.kind
-    seq = []
-    for powers in _scaled_powers(A.coeffs, B.coeffs, N, lambda x, y: mat_mul(kind, x, y)):
-        lengths = [_matrix_length(kind, S, e) for S, e in powers]
-        la, lb, lab = (length if cls == "hyperbolic" else 0.0 for cls, length in lengths)
-        seq.append(math.exp(la + lb - lab))
-    return seq
+    rows = _scaled_powers(A.coeffs, B.coeffs, N, lambda x, y: mat_mul(kind, x, y))
+    S, e = zip(*(p for row in rows for p in row))
+    _, l = _matrix_lengths(kind, np.array(S), e)
+    return [math.exp(l[i] + l[i + 1] - l[i + 2]) for i in range(0, 3 * N, 3)]
 
 
 def matrix_crossratio_reference(A, B):
@@ -313,8 +318,11 @@ def crossratio_estimate(seq, window=8):
         return w[-1], 0.0
     r = float(np.median(ratios))
     if abs(r) >= 0.999:
-        # not converging on this window; report last term, flag loudly
         spread = (max(w) - min(w)) / scale
+        if spread < 1e-4:
+            # converged to within noise that hides the ratio: the median
+            return float(np.median(w)), spread
+        # not converging on this window; report last term, flag loudly
         return w[-1], max(1.0, spread)
     c = w[-1] + d[-1] * r / (1.0 - r)
     amp = d[-1] / (r ** (len(w) - 2) * (r - 1.0)) if r != 0 else 0.0

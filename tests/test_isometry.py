@@ -174,6 +174,38 @@ def test_translation_length_matrix_routes():
         assert "elliptic" in str(err.value)
 
 
+@pytest.mark.parametrize("kind, m, length", [
+    (AlgebraKind.R, 3, 1.2428634889120265),
+    (AlgebraKind.C, 2, 0.5058916011678546),
+    (AlgebraKind.H, 2, 0.7976307738611406),
+], ids=["R", "C", "H"])
+def test_matrix_classes_and_lengths_are_pinned(kind, m, length):
+    # classify and translation_length on one matrix of each class
+    cfg = SpaceConfig(kind, m)
+    n = m + 1
+    rng = np.random.default_rng(11)
+    C = random_form_preserving(cfg, rng)
+    rotation = NormalIsometry(cfg, random_rotation_block(cfg, rng), random_unit(kind, rng), 0.0)
+    hyperbolic = C @ embed_normal(random_normal_isometry(cfg, rng)) @ C.inverse()
+    # I + E_{0,n-1} is triangular, so its spectrum reads exactly 1 and only
+    # its defective eigenvectors tell it apart; it leaves the form
+    unipotent = np.zeros((n, n, kind.dim))
+    unipotent[..., 0] = np.eye(n)
+    unipotent[0, n - 1, 0] = 1.0
+    cases = [
+        (GroupMatrix.identity(cfg), "elliptic"),
+        (C @ embed_normal(rotation) @ C.inverse(), "elliptic"),
+        (GroupMatrix(cfg, unipotent, check=False), "parabolic"),
+    ]
+    for A, cls in cases:
+        assert A.classify() == cls
+        with pytest.raises(NotHyperbolicError) as err:
+            translation_length(A)
+        assert err.value.classification == cls
+    assert hyperbolic.classify() == "hyperbolic"
+    assert math.isclose(translation_length(hyperbolic), length, rel_tol=4e-16)
+
+
 def test_fixed_points_of_axis_translation():
     for kind, m in ((AlgebraKind.R, 3), (AlgebraKind.C, 2)):
         cfg = SpaceConfig(kind, m)
