@@ -72,22 +72,6 @@ def parse(argv):
     return JobConfig(**vars(_build_parser().parse_args(argv)))
 
 
-def render(cfg):
-    """Flag list that parses back to cfg."""
-    argv = [cfg.command, "--seed", str(cfg.seed)]
-    if cfg.input is not None:
-        argv += ["--input", cfg.input]
-    if cfg.output is not None:
-        argv += ["--output", cfg.output]
-    if cfg.tol is not None:
-        argv += ["--tol", repr(cfg.tol)]
-    if cfg.n is not None:
-        argv += ["--n", str(cfg.n)]
-    if cfg.words is not None:
-        argv += ["--words", str(cfg.words)]
-    return argv
-
-
 # ---------------------------------------------------------------------------
 # the input layer: one decoder per kind of field
 

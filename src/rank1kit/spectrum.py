@@ -459,58 +459,57 @@ def _solve_rows(A, b):
 
 _Solve = namedtuple("_Solve", "x cost iterations reasons calls rows")
 
+# the solver's fixed limits: the points at which a restart tests its
+# gradient, the gradient and step sizes that stop it, and the damping
+# values it tries at one point
+_MAX_ITER, _GTOL, _XTOL, _TRIALS = 160, 1e-12, 1e-14, 24
 
-def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e-14, ftol=1e-8,
-                                  fitted=0.0):
+
+def _lockstep_levenberg_marquardt(fun, starts, ftol=1e-8, fitted=0.0):
     """Levenberg-Marquardt from every row of the (R, n) array starts at
     once, with Nielsen's damping update.
 
-    fun maps a (P, n) batch of parameter vectors to (P, W) residuals, or
-    with jacobian=True to them and their (P, W, n) Jacobian.  Each
-    restart keeps its own point, residuals, cost and damping, so it
-    follows the path it would follow alone, trying the damping values
-    lam 4^j, j < 24, in turn until one lowers its cost.  A restart stops
-    on "gtol" (small gradient), "xtol" (small step), "ftol" (an accepted
-    step whose actual and predicted cost reductions are both at most ftol
-    times the cost before it: a stalled restart, as in MINPACK), "no_step"
-    (no damping value gave descent), "raced" or "max_iter"; iterations
-    counts its accepted steps.  An accepted step lowers the cost, so ftol=0
-    never stops a restart.
+    fun maps a (P, n) batch of parameter vectors, with jacobian=True, to
+    their (P, W) residuals and (P, W, n) Jacobian.  Each restart keeps its
+    own point, residuals, Jacobian, cost and damping lam, so it follows
+    the path it would follow alone.  A round makes one call to fun, with
+    one trial step per running restart, damped by its lam: a step that
+    lowers the cost is accepted and carries its residuals and Jacobian to
+    the next point, and a rejected or singular one multiplies lam by 4 for
+    the next round.  A restart stops on "gtol" (small gradient at a new
+    point), "xtol" (small step), "ftol" (an accepted step whose actual and
+    predicted cost reductions are both at most ftol times the cost before
+    it: a stalled restart, as in MINPACK), "no_step" (24 damping values at
+    one point gave no descent), "raced" or "max_iter" (the gradient tested
+    at 160 points); iterations counts its accepted steps.  An accepted
+    step lowers the cost, so ftol=0 never stops a restart.
 
-    The race: at the top of an iteration, once a restart stopped on "gtol"
-    or "xtol" has a cost below fitted and no running restart has a cost as
+    The race: at the top of a round, once a restart stopped on "gtol" or
+    "xtol" has a cost below fitted and no running restart has a cost as
     low (a NaN cost is not low), every running restart stops on "raced".
     Restarts are independent until then, so the lowest-cost restart is a
     converged one and follows its unraced path bit for bit; a cost is never
-    below 0, so fitted=0 never races.
-
-    An iteration makes at most three calls to fun for all restarts still
-    in play: the Jacobian at the points whose last step did not carry it,
-    the trial steps at the first damping value, with their Jacobian, and
-    every step at the other 23 values that the one-at-a-time search would
-    try (those before its first too-short step), of which each restart
-    takes the first that lowers its cost.  calls counts the calls and
-    rows the parameter vectors sent to fun."""
+    below 0, so fitted=0 never races.  calls counts the calls to fun and
+    rows the parameter vectors sent to it."""
     calls = rows = 0
 
-    def evaluate(P, jacobian=False):
+    def evaluate(P):
         nonlocal calls, rows
         calls += 1
         rows += len(P)
         # the engine returns column-major batches; row-major rows and (W, n)
         # blocks give every dot product the same BLAS kernel whatever the batch size
-        if not jacobian:
-            return np.ascontiguousarray(fun(P))
         return tuple(np.ascontiguousarray(a) for a in fun(P, jacobian=True))
 
     X = np.array(starts, dtype=float)
-    F, J = evaluate(X, jacobian=True)
+    F, J = evaluate(X)
     cost = 0.5 * _dot_rows(F, F)
     lam = np.full(len(X), 1e-3)
     iterations = np.zeros(len(X), dtype=int)
+    points = np.zeros(len(X), dtype=int)  # the points reached, counted at their first round
+    fails = np.zeros(len(X), dtype=int)  # the trials rejected at the current point
     reasons = ["max_iter"] * len(X)
     running = np.ones(len(X), dtype=bool)
-    carried = np.ones(len(X), dtype=bool)  # J holds the Jacobian at X
 
     def stop(which, reason):
         running[which] = False
@@ -518,81 +517,59 @@ def _lockstep_levenberg_marquardt(fun, starts, max_iter=160, gtol=1e-12, xtol=1e
             reasons[i] = reason
 
     diag = np.arange(X.shape[1])
-
-    def search(live, seek, H, d, g, n, jacobian):
-        """Try the damping values lam 4^j, j < n, of the restarts at
-        positions seek of live, and return the positions still without a
-        step.  lam 4^j is exact, so each restart tries the values it
-        would try one at a time."""
-        r = live[seek]
-        lams = lam[r, None] * 4.0 ** np.arange(n)
-        A = np.repeat(H[seek], n, axis=0)
-        A[:, diag, diag] += lams.reshape(-1, 1) * np.repeat(d[seek], n, axis=0)
-        dx, singular = _solve_rows(A, np.repeat(-g[seek], n, axis=0))
-        dx, singular = dx.reshape(len(seek), n, -1), singular.reshape(len(seek), n)
-        short = ~singular & (np.abs(dx).max(axis=2) < xtol * (1.0 + np.abs(X[r]).max(axis=1))[:, None])
-        # the one-at-a-time search ends at its first short step
-        i, j = np.nonzero(~singular & ~short & (np.cumsum(short, axis=1) == 0))
-        xt = X[r[i]] + dx[i, j]
-        Ft, Jt = F[:0], J[:0]
-        if len(i):
-            Ft, Jt = evaluate(xt, True) if jacobian else (evaluate(xt), None)
-        cost_t = 0.5 * _dot_rows(Ft, Ft)
-        down = np.zeros((len(seek), n), dtype=bool)
-        down[i, j] = cost_t < cost[r[i]]
-        # each restart takes its first descent, trial k
-        k = np.flatnonzero((down & (np.cumsum(down, axis=1) == 1))[i, j])
-        a, dxa = r[i[k]], dx[i[k], j[k]]
-        hdx = (H[seek[i[k]]] @ dxa[:, :, None])[:, :, 0]
-        predicted = -_dot_rows(g[seek[i[k]]], dxa) - 0.5 * _dot_rows(dxa, hdx)
-        actual = cost[a] - cost_t[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where(predicted > 0, actual / predicted, -1.0)
-        # Nielsen's factor one restart at a time in C pow, which numpy's
-        # vector power can miss in the last bit; from a gain of 1 on the
-        # factor is 1/3, and the clip keeps the cube finite
-        lam[a] = [max(l * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
-                  for l, q in zip(lams[i[k], j[k]], gain)]
-        floor = ftol * cost[a]
-        stalled = a[(actual <= floor) & (predicted <= floor)]
-        X[a], F[a], cost[a] = xt[k], Ft[k], cost_t[k]
-        iterations[a] += 1
-        if jacobian:
-            J[a] = Jt[k]
-            carried[a] = True
-        stop(stalled, "ftol")
-        stepped = down.any(axis=1)
-        halted = short.any(axis=1) & ~stepped
-        h = np.flatnonzero(halted)
-        lam[r[h]] = lams[h, short[h].argmax(axis=1)]
-        stop(r[h], "xtol")
-        rest = ~stepped & ~halted
-        lam[r[rest]] *= 4.0 ** n
-        return seek[rest]
-
-    for _ in range(max_iter):
+    while True:
         live = np.flatnonzero(running)
         won = cost[[r in ("gtol", "xtol") for r in reasons]]
         if len(won) and won.min() < fitted and not (cost[live] <= won.min()).any():
             stop(live, "raced")
         if not running.any():
             break
-        stale = live[~carried[live]]
-        if len(stale):
-            J[stale] = evaluate(X[stale], jacobian=True)[1]
         Jl = J[live]
         g = (Jl.transpose(0, 2, 1) @ F[live][:, :, None])[:, :, 0]
-        flat = np.abs(g).max(axis=1) < gtol
-        stop(live[flat], "gtol")
-        live, Jl, g = live[~flat], Jl[~flat], g[~flat]
+        # at a new point, before its first trial there, a restart stops on
+        # max_iter past _MAX_ITER points or on a small gradient
+        new = fails[live] == 0
+        points[live[new]] += 1
+        stop(live[points[live] > _MAX_ITER], "max_iter")
+        stop(live[new & running[live] & (np.abs(g).max(axis=1) < _GTOL)], "gtol")
+        keep = running[live]
+        live, Jl, g = live[keep], Jl[keep], g[keep]
         H = Jl.transpose(0, 2, 1) @ Jl
-        d = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-12)
-        carried[live] = False
-        seek = np.arange(len(live))
-        for n, jacobian in ((1, True), (23, False)):
-            if len(seek):
-                seek = search(live, seek, H, d, g, n, jacobian)
-        stop(live[seek], "no_step")
+        A = H.copy()
+        A[:, diag, diag] += lam[live, None] * np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-12)
+        dx, singular = _solve_rows(A, -g)
+        short = ~singular & (np.abs(dx).max(axis=1) < _XTOL * (1.0 + np.abs(X[live]).max(axis=1)))
+        stop(live[short], "xtol")
+        k = np.flatnonzero(~singular & ~short)
+        down = np.zeros(len(live), dtype=bool)
+        if len(k):
+            Ft, Jt = evaluate(X[live[k]] + dx[k])
+            cost_t = 0.5 * _dot_rows(Ft, Ft)
+            down[k] = cost_t < cost[live[k]]
+            ok = down[k]
+            k, cost_t = k[ok], cost_t[ok]
+            a, dxa = live[k], dx[k]
+            hdx = (H[k] @ dxa[:, :, None])[:, :, 0]
+            predicted = -_dot_rows(g[k], dxa) - 0.5 * _dot_rows(dxa, hdx)
+            actual = cost[a] - cost_t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.where(predicted > 0, actual / predicted, -1.0)
+            # Nielsen's factor one restart at a time in C pow, which numpy's
+            # vector power can miss in the last bit; from a gain of 1 on the
+            # factor is 1/3, and the clip keeps the cube finite
+            lam[a] = [max(l * max(1.0 / 3.0, 1.0 - (2.0 * min(float(q), 1.0) - 1.0) ** 3), 1e-12)
+                      for l, q in zip(lam[a], gain)]
+            floor = ftol * cost[a]
+            stalled = a[(actual <= floor) & (predicted <= floor)]
+            X[a] += dxa
+            F[a], J[a], cost[a] = Ft[ok], Jt[ok], cost_t
+            iterations[a] += 1
+            fails[a] = 0
+            stop(stalled, "ftol")
+        missed = live[~down & ~short]
+        lam[missed] *= 4.0
+        fails[missed] += 1
+        stop(missed[fails[missed] == _TRIALS], "no_step")
     return _Solve(X, cost, iterations, reasons, calls, rows)
 
 
@@ -625,15 +602,16 @@ def _initial_guesses(oracle):
     # angle shift, on which lengths, and so the solver's paths, agree
     angles = (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0)
     starts = [np.array([la, ta, lb, tb, xre, xim]) for ta in angles for tb in angles]
-    # circles tangent to within 1e-3 of r0 (or apart) point to a real pair,
-    # where lengths cannot tell the pair from its entrywise conjugate and
-    # the length map folds: the fit Jacobian has rank 3 of 6, and the grid
+    # circles tangent to within 1e-3 of r0 point to a real pair, where
+    # lengths cannot tell the pair from its entrywise conjugate and the
+    # length map folds: the fit Jacobian has rank 3 of 6, and the grid
     # restarts creep along the fold.  At a real start with every fit word
     # hyperbolic all traces are real, so the Jacobian columns of the angles
     # and Im z are exact zeros and every step keeps them at 0: this restart
     # solves on the full-rank real chart (length_a, length_b, Re z).  A row
-    # never depends on its batch, so the grid restarts keep their paths
-    if im2 <= (1e-3 * r0) ** 2:
+    # never depends on its batch, so the grid restarts keep their paths.
+    # Circles that do not meet give Im z = 0, where restart 0 is that start
+    if 0 < im2 <= (1e-3 * r0) ** 2:
         starts.append(np.array([la, 0.0, lb, 0.0, xre, 0.0]))
     return starts
 
@@ -662,7 +640,8 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
     The restarts are a 4 x 4 grid of the two angles at one start for z,
     and, when the two start circles for z are tangent, as at a real pair,
     one real start with both angles and Im z at 0, which solves on the real
-    chart (see _initial_guesses) and fits a real pair to rounding.
+    chart (see _initial_guesses) and fits a real pair to rounding.  They
+    run in lockstep, one damped trial step each per engine call.
 
     Returns a dict with the fitted rep, parameters, per-word residuals,
     the RMS residual, and held-out errors, plus diagnostics: for each

@@ -45,14 +45,17 @@ def test_parse_examples():
     assert exc.value.code == 1
 
 
-def test_parse_render_round_trip():
-    cfgs = [
-        cli.JobConfig("vogt", input="a.json", output="b.json", seed=3),
-        cli.JobConfig("lemma1", n=12, seed=9, tol=1e-7),
-        cli.JobConfig("reconstruct", input="t.csv", words=24),
+def test_parse_reads_every_flag():
+    cases = [
+        (["vogt", "--seed", "3", "--input", "a.json", "--output", "b.json"],
+         cli.JobConfig("vogt", input="a.json", output="b.json", seed=3)),
+        (["lemma1", "--seed", "9", "--tol", "1e-07", "--n", "12"],
+         cli.JobConfig("lemma1", n=12, seed=9, tol=1e-7)),
+        (["reconstruct", "--seed", "0", "--input", "t.csv", "--words", "24"],
+         cli.JobConfig("reconstruct", input="t.csv", words=24)),
     ]
-    for cfg in cfgs:
-        assert cli.parse(cli.render(cfg)) == cfg
+    for argv, cfg in cases:
+        assert cli.parse(argv) == cfg
 
 
 def test_vogt_identity_values(tmp_path):
