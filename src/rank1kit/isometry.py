@@ -79,6 +79,7 @@ __all__ = [
 _FORM_TOL = 1e-10
 _UNIT_TOL = 1e-12
 _RADIUS_TOL = 1e-9
+_SPLIT_TOL = 1e-3
 
 
 class NotHyperbolicError(ValueError):
@@ -127,13 +128,15 @@ def _complex_embedding(kind: AlgebraKind, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _classify(e: np.ndarray, radius: float) -> str:
-    # the classification of a complex embedding e with spectral radius radius
-    if radius > 1.0 + _RADIUS_TOL:
+    # the classification of a complex embedding e with spectral radius
+    # radius (GroupMatrix.classify): a parabolic's eigenvalue 1 splits
+    # under LAPACK, so radii near 1 go to the eigenvector test
+    if radius > 1.0 + _SPLIT_TOL:
         return "hyperbolic"
     _, vecs = np.linalg.eig(e)
-    if np.linalg.cond(vecs) > 1e8:
+    if np.linalg.cond(vecs) > 1e6:
         return "parabolic"
-    return "elliptic"
+    return "hyperbolic" if radius > 1.0 + _RADIUS_TOL else "elliptic"
 
 
 def _matrix_lengths(kind: AlgebraKind, S: np.ndarray, e) -> tuple[list[str], list[float]]:
@@ -221,9 +224,13 @@ class GroupMatrix:
     def classify(self) -> str:
         """'hyperbolic', 'elliptic' or 'parabolic' by spectral radius.
 
-        Unit-modulus spectra are split by diagonalizability of the
-        complex embedding; genuinely borderline inputs (radius within
-        1e-9 of 1) are reported as non-hyperbolic.
+        A spectral radius within 1e-3 of 1 is split by diagonalizability
+        of the complex embedding: an eigenvector condition above 1e6 is
+        parabolic, whose eigenvalue 1 LAPACK splits by up to about 1e-4;
+        otherwise a radius above 1 + 1e-9 is hyperbolic and the rest
+        elliptic. A parabolic with large entries (a null rotation or
+        Heisenberg translation of 100 under a boost of 3) can split by
+        more than 1e-3 and reads hyperbolic.
         """
         return _matrix_lengths(self.config.kind, self.coeffs[None], [0])[0][0]
 

@@ -49,7 +49,6 @@ __all__ = [
     "gauge",
     "qnorm",
     "dist",
-    "horizontal_inner",
     "crossratio_nil",
     "random_point",
     "random_point_coeffs",
@@ -320,13 +319,6 @@ def crossratio_nil_coeffs(kind: AlgebraKind, pts: np.ndarray, infinity=None) -> 
 
 # ---------------------------------------------------------------------------
 # scalar API
-
-
-def horizontal_inner(g: NilPoint, h: NilPoint) -> AlgebraElement:
-    """Hermitian pairing sum_i k_i conj(k'_i) of the horizontal parts."""
-    _require_finite(g, "horizontal_inner")
-    _require_finite(h, "horizontal_inner")
-    return AlgebraElement(g.config.kind, pairing(g.config.kind, g.coeffs[1:], h.coeffs[1:]))
 
 
 def nmul(g: NilPoint, h: NilPoint) -> NilPoint:

@@ -654,106 +654,51 @@ def _commutes(A, B):
 
 
 def coordinate_words(rep, seed_words, budget=40):
-    """Massage a word set into length coordinates: every word loxodromic,
-    first three pairwise non-commuting, then grow until the length
-    Jacobian reaches maximal rank (6 * arity - 6) or the budget runs out.
+    """Massage a word set into length coordinates, every word loxodromic.
+
+    Each seed is kept if it is loxodromic, or else gives way to the first
+    loxodromic of its letter products g w (g = 1, -1, 2, -2, ...), or is
+    dropped. First come the first min(3, budget) pairwise non-commuting
+    loxodromic words, in order from the kept seeds and then the pool of
+    short reduced words; then the other kept seeds; then each pool word
+    that raises the length Jacobian's rank, until the rank reaches
+    6 * arity - 6 or the budget runs out. The traces, their differentials
+    and the matrices of all candidates come from one engine call.
     """
     if not is_nonelementary(rep):
         raise ValueError("representation is elementary; no length chart exists")
     k = rep.arity
-    words = [check_word(w, k) for w in seed_words]
-
-    # find a loxodromic pivot among seeds, generators, and short products
-    candidates = list(words) + [[i + 1] for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            candidates.append([i + 1, j + 1])
-            candidates.append([i + 1, -(j + 1)])
-    lox = _word_lengths(rep, candidates).loxodromic.tolist()
-    if not any(lox):
-        raise ValueError("no loxodromic element found among short words")
-    pivot = candidates[lox.index(True)]
-
-    # a seed that is not loxodromic gives way to its product with the
-    # pivot or the pivot's inverse, or is dropped; traces of dropped
-    # words are recoverable via tr(XY)+tr(XY^{-1})=tr(X)tr(Y)
-    repairs = [c for w in words for c in (pivot + w, word_inverse(pivot) + w)]
-    repaired = _word_lengths(rep, repairs).loxodromic.tolist()
-    fixed = []
-    for n, w in enumerate(words):
-        options = zip([w] + repairs[2 * n:2 * n + 2], [lox[n]] + repaired[2 * n:2 * n + 2])
-        fixed += [c for c, ok in options if ok][:1]
-    if pivot not in fixed:
-        fixed.insert(0, pivot)
-
-    # first three pairwise non-commuting, replacing a commuting pair by
-    # products with the pivot word
-    def reorder_noncommuting(ws):
-        n = len(ws)
-        mats = _word_ends(rep, ws)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if _commutes(mats[a], mats[b]):
-                    continue
-                for c in range(n):
-                    if c in (a, b):
-                        continue
-                    if not _commutes(mats[a], mats[c]) and not _commutes(mats[b], mats[c]):
-                        order = [a, b, c] + [i for i in range(n) if i not in (a, b, c)]
-                        return [ws[i] for i in order], True
-                # replace (w_a, w_c, w_b): w_a w_c, w_a w_b, w_b
-                for c in range(n):
-                    if c in (a, b):
-                        continue
-                    trio = [ws[a] + ws[c], ws[a] + ws[b], ws[b]]
-                    tm = _word_ends(rep, trio)
-                    if (
-                        _trace_lengths(tm[:, 0, 0] + tm[:, 1, 1]).loxodromic.all()
-                        and not _commutes(tm[0], tm[1])
-                        and not _commutes(tm[0], tm[2])
-                        and not _commutes(tm[1], tm[2])
-                    ):
-                        rest = [ws[i] for i in range(n) if i not in (a, b, c)]
-                        return trio + rest, True
-        return ws, False
-
-    if len(fixed) >= 3:
-        fixed, ok = reorder_noncommuting(fixed)
-        if not ok:
-            # seeds too degenerate; fall back to generator products
-            extras = []
-            for i in range(k):
-                extras.append([i + 1])
-                for j in range(i + 1, k):
-                    extras.append([i + 1, j + 1])
-            extras = [w for w, ok in zip(extras, _word_lengths(rep, extras).loxodromic) if ok]
-            fixed, ok = reorder_noncommuting(fixed + extras)
-            if not ok:
-                raise ValueError("could not arrange three pairwise non-commuting words")
-
-    # grow from the pool of short reduced words in order, keeping a word
-    # when it raises the rank; the length Jacobian rows of the chosen
-    # words and of the whole pool come from one engine call
-    target = 6 * k - 6
-    seen = {tuple(w) for w in fixed}
-    pool = [w for w in _reduced_words(k, 4 if k <= 2 else 3) if tuple(w) not in seen]
-    _, T = _tangent_ends(rep, fixed + pool)
+    seeds = [check_word(w, k) for w in seed_words]
+    letters = [g for i in range(1, k + 1) for g in (i, -i)]
+    words = [v for w in seeds for v in [w] + [[g] + w for g in letters]]
+    n_seeded = len(words)
+    words += list(_reduced_words(k, 4 if k <= 2 else 3))
+    M, T = _tangent_ends(rep, words)
     r = _trace_lengths(T[:, 0])
     lox = r.loxodromic
-    if not lox[:len(fixed)].all():
-        return fixed
-    rows = np.zeros((len(lox), 6 * k))
+    if not lox.any():
+        raise ValueError("no loxodromic element found among short words")
+    rows = np.zeros((len(words), 6 * k))
     rows[lox] = _length_rows(T[lox, 1:], r.root[lox])
-    chosen = list(range(len(fixed)))
+
+    step = len(letters) + 1
+    kept = [s + int(np.argmax(lox[s:s + step])) for s in range(0, n_seeded, step) if lox[s:s + step].any()]
+    seen = {tuple(words[n]) for n in kept}
+    pool = [n for n in range(n_seeded, len(words)) if lox[n] and tuple(words[n]) not in seen]
+    chosen = []
+    for n in kept + pool:
+        if len(chosen) < min(3, budget) and not any(_commutes(M[n], M[c]) for c in chosen):
+            chosen.append(n)
+    chosen += [n for n in kept if n not in chosen]
     rank = svd_rank(rows[chosen])[0]
-    for n in np.flatnonzero(lox[len(fixed):]) + len(fixed):
-        if len(chosen) >= budget or rank >= target:
+    for n in [n for n in pool if n not in chosen]:
+        if len(chosen) >= budget or rank >= 6 * k - 6:
             break
         trial = svd_rank(rows[chosen + [n]])[0]
         if trial > rank:
             chosen.append(n)
             rank = trial
-    return [(fixed + pool)[n] for n in chosen]
+    return [words[n] for n in chosen]
 
 
 def random_sl2(rng, scale=1.0):

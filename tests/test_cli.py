@@ -180,6 +180,18 @@ def test_lemma1_bundled_table(tmp_path):
     assert float(last[3]) <= 1e-5 * float(last[2])
 
 
+def test_lemma1_reads_the_readme_pair(tmp_path):
+    # the limit column is the README's crossratio of the same pair
+    inp = write_json(tmp_path / "pair.json",
+                     {"a": [[2.0, 0.0], [0.0, 0.5]], "b": [[2.0, 1.0], [1.0, 1.0]]})
+    outp = tmp_path / "seq.csv"
+    rc, _, _ = run_quiet(["lemma1", "--input", inp, "--output", str(outp)])
+    assert rc == 0
+    lines = outp.read_text().splitlines()
+    assert lines[0] == "n,sequence,crossratio,error" and len(lines) == 25
+    assert {line.split(",")[2] for line in lines[1:]} == {"1.9098300562505257"}
+
+
 def test_lemma1_seeded_reproducibility(tmp_path):
     p1, p2, p3 = (str(tmp_path / f"s{i}.csv") for i in range(3))
     for p in (p1, p2):
@@ -461,6 +473,39 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, argv, text, field):
     rc, out, err = run_quiet(argv + ["--input", str(inp), "--output", str(outp)])
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: field {field!r}")
+    assert not outp.exists()
+
+
+_G3 = '[[[2.0, 0.0], [0.0, 0.5]], [[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]]]'
+_ONE_POINT = json.dumps({"model": "nil", "points": [{"config": _C2, "infinity": True}]})
+
+
+# the remaining validation exits, each with its whole stderr line; a
+# message that quotes a decoder's own words is matched up to them
+@pytest.mark.parametrize("argv,text,message", [
+    (["lemma1", "--n", "0"], None, "field 'n' must be at least 1"),
+    (["jacobian"], '{"generators": %s}' % _G3, "field 'words' is missing (required for arity 3)"),
+    (["reconstruct"], '{"generators": %s, "noise": -1}' % _PAIR,
+     "field 'noise' must be a finite number >= 0"),
+    (["reconstruct"], '{"reference": %s}' % _PAIR, "field 'table' or 'generators' is missing"),
+    (["reconstruct"], '{"generators": %s}' % _G3, "field 'generators' must list 2 matrices"),
+    (["vogt"], '{"x1": ', "field 'input' is not valid JSON: ..."),
+    (["vogt"], b'{"x1": "\xff\xfe"}', "field 'input' cannot be read: ..."),
+    (["crossratio"], _ONE_POINT, "field 'points' must list 4 points"),
+], ids=["lemma1-n", "jacobian-arity-3", "reconstruct-noise", "reconstruct-neither",
+        "reconstruct-arity-3", "vogt-json", "vogt-bytes", "crossratio-one-point"])
+def test_validation_exits_1_with_its_message(tmp_path, argv, text, message):
+    if text is not None:
+        inp = tmp_path / "in.json"
+        (inp.write_bytes if isinstance(text, bytes) else inp.write_text)(text)
+        argv = argv + ["--input", str(inp)]
+    outp = tmp_path / "out.json"
+    rc, out, err = run_quiet(argv + ["--output", str(outp)])
+    assert rc == 1 and out == ""
+    if message.endswith(": ..."):
+        assert err.startswith("error: " + message[:-3]) and err.count("\n") == 1
+    else:
+        assert err == f"error: {message}\n"
     assert not outp.exists()
 
 

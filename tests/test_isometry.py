@@ -206,6 +206,43 @@ def test_matrix_classes_and_lengths_are_pinned(kind, m, length):
     assert math.isclose(translation_length(hyperbolic), length, rel_tol=4e-16)
 
 
+def _null_rotation(t):
+    # exp(t X) = I + t X + t^2 X^2 / 2 in SO(3,1), X v = u <n, v> - n <u, v>
+    # for the null n = e2 + e3 and the unit u = e0 orthogonal to it
+    J = np.diag([1.0, 1.0, 1.0, -1.0])
+    u, n = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0])
+    X = t * (np.outer(u, n) - np.outer(n, u)) @ J
+    return (np.eye(4) + X + X @ X / 2)[..., None]
+
+
+def _heisenberg_translation(kind, m, t):
+    # I + i t v v* J for the null v = e_{m-1} + e_m
+    v = np.zeros(m + 1)
+    v[-2:] = 1.0
+    out = np.zeros((m + 1, m + 1, kind.dim))
+    out[..., 0] = np.eye(m + 1)
+    out[..., 1] = t * np.outer(v, v) @ np.diag([1.0] * m + [-1.0])
+    return out
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 5.0])
+@pytest.mark.parametrize("kind, m", [
+    (AlgebraKind.R, 3), (AlgebraKind.C, 2), (AlgebraKind.C, 3), (AlgebraKind.H, 2),
+], ids=["SO(3,1)", "U(2,1)", "U(3,1)", "Sp(2,1)"])
+def test_unipotent_parabolics_have_no_length(kind, m, t):
+    # LAPACK splits their eigenvalue 1 by 1e-9 to 1e-4, so the spectral
+    # radius alone reads them as hyperbolic
+    cfg = SpaceConfig(kind, m)
+    coeffs = _null_rotation(t) if kind is AlgebraKind.R else _heisenberg_translation(kind, m, t)
+    P = GroupMatrix(cfg, coeffs)
+    C = random_form_preserving(cfg, np.random.default_rng(3))
+    for A in (P, C @ P @ C.inverse()):
+        assert A.classify() == "parabolic"
+        with pytest.raises(NotHyperbolicError) as err:
+            translation_length(A)
+        assert err.value.classification == "parabolic"
+
+
 def test_fixed_points_of_axis_translation():
     for kind, m in ((AlgebraKind.R, 3), (AlgebraKind.C, 2)):
         cfg = SpaceConfig(kind, m)

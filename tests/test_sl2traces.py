@@ -456,7 +456,7 @@ def test_coordinate_words_fixes_parabolic_seed():
     rep = SL2Rep([SL2.diagonal(2.0), parab])
     assert is_nonelementary(rep)
     out = coordinate_words(rep, [[2], [1]])
-    assert out
+    assert out[0] == [1, 2]  # the parabolic seed times letter 1
     for w in out:
         assert classify(rep.evaluate(w)) == "loxodromic"
 
@@ -483,6 +483,27 @@ def test_coordinate_words_commuting_first_pair():
         for b in range(a + 1, 3):
             comm = first[a] @ first[b] - first[b] @ first[a]
             assert float(np.abs(comm).max()) > 1e-6
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coordinate_words_reach_the_full_chart_rank(k):
+    # 6k - 6, the dimension of the character variety of k generators
+    rng = np.random.default_rng(5)
+    rep = SL2Rep([random_loxodromic(rng) for _ in range(k)])
+    out = coordinate_words(rep, [[1], [2]])
+    assert length_jacobian(rep, out)[1] == 6 * k - 6
+
+
+@pytest.mark.parametrize("seeds", [[[1], [2]], [[2], [1]], [], default_f2_words()])
+def test_coordinate_words_make_two_engine_calls(monkeypatch, seeds):
+    # is_nonelementary and one forward-mode call over every candidate
+    rng = np.random.default_rng(6)
+    rep = SL2Rep([random_loxodromic(rng), random_loxodromic(rng)])
+    calls = []
+    engine = sl2traces._evaluate_plan
+    monkeypatch.setattr(sl2traces, "_evaluate_plan", lambda *a: calls.append(1) or engine(*a))
+    coordinate_words(rep, seeds)
+    assert len(calls) == 2
 
 
 def test_coordinate_words_rejects_elementary():
