@@ -139,15 +139,14 @@ def _classify(e: np.ndarray, radius: float) -> str:
     return "hyperbolic" if radius > 1.0 + _RADIUS_TOL else "elliptic"
 
 
-def _matrix_lengths(kind: AlgebraKind, S: np.ndarray, e) -> tuple[list[str], list[float]]:
+def _matrix_lengths(S: np.ndarray, e) -> tuple[list[str], list[float]]:
     """Classifications and translation lengths e log 2 + log rho(S) of the
-    matrices 2^e S over kind, for a stack S (k, n, n, dim) and k integer
-    exponents e, rho the spectral radius of the complex embedding, from one
-    eigvals call; a scaled power (e > 0) grew exponentially: hyperbolic.
-    A non-hyperbolic matrix has geometric length 0."""
-    emb = _complex_embedding(kind, S)
-    radii = np.abs(np.linalg.eigvals(emb)).max(axis=-1).tolist()
-    classes = ["hyperbolic" if ei else _classify(m, r) for m, r, ei in zip(emb, radii, e)]
+    matrices 2^e S, for a stack S (k, n, n) of complex embeddings and k
+    integer exponents e, rho the spectral radius, from one eigvals call;
+    a scaled power (e > 0) grew exponentially: hyperbolic.  A
+    non-hyperbolic matrix has geometric length 0."""
+    radii = np.abs(np.linalg.eigvals(S)).max(axis=-1).tolist()
+    classes = ["hyperbolic" if ei else _classify(m, r) for m, r, ei in zip(S, radii, e)]
     return classes, [ei * math.log(2.0) + math.log(r) if c == "hyperbolic" else 0.0
                      for c, r, ei in zip(classes, radii, e)]
 
@@ -232,7 +231,7 @@ class GroupMatrix:
         Heisenberg translation of 100 under a boost of 3) can split by
         more than 1e-3 and reads hyperbolic.
         """
-        return _matrix_lengths(self.config.kind, self.coeffs[None], [0])[0][0]
+        return _matrix_lengths(self.complex_embedding()[None], [0])[0][0]
 
     def to_dict(self) -> dict:
         return {
@@ -434,7 +433,7 @@ def translation_length(A) -> float:
         return abs(A.s)
     if not isinstance(A, GroupMatrix):
         raise TypeError("expected a NormalIsometry or a GroupMatrix")
-    (cls,), (length,) = _matrix_lengths(A.config.kind, A.coeffs[None], [0])
+    (cls,), (length,) = _matrix_lengths(A.complex_embedding()[None], [0])
     if cls != "hyperbolic":
         raise NotHyperbolicError(cls)
     return length
@@ -451,10 +450,10 @@ def boundary_fixed_points(A: GroupMatrix) -> tuple[BallPoint, BallPoint]:
     kind = A.config.kind
     if kind not in (AlgebraKind.R, AlgebraKind.C):
         raise NotImplementedError("fixed points via eigenvectors need a commutative kind")
-    cls = A.classify()
+    e = A.complex_embedding()
+    (cls,), _ = _matrix_lengths(e[None], [0])
     if cls != "hyperbolic":
         raise NotHyperbolicError(cls)
-    e = A.complex_embedding()
     vals, vecs = np.linalg.eig(e.T)
     order = np.argsort(np.abs(vals))
     out = []

@@ -658,12 +658,13 @@ def coordinate_words(rep, seed_words, budget=40):
 
     Each seed is kept if it is loxodromic, or else gives way to the first
     loxodromic of its letter products g w (g = 1, -1, 2, -2, ...), or is
-    dropped. First come the first min(3, budget) pairwise non-commuting
-    loxodromic words, in order from the kept seeds and then the pool of
-    short reduced words; then the other kept seeds; then each pool word
-    that raises the length Jacobian's rank, until the rank reaches
-    6 * arity - 6 or the budget runs out. The traces, their differentials
-    and the matrices of all candidates come from one engine call.
+    dropped; a word kept for two seeds is kept once, at the first. First
+    come the first min(3, budget) pairwise non-commuting loxodromic words,
+    in order from the kept seeds and then the pool of short reduced words;
+    then the other kept seeds; then each pool word that raises the length
+    Jacobian's rank, until the rank reaches 6 * arity - 6 or the budget
+    runs out. The traces, their differentials and the matrices of all
+    candidates come from one engine call.
     """
     if not is_nonelementary(rep):
         raise ValueError("representation is elementary; no length chart exists")
@@ -683,6 +684,7 @@ def coordinate_words(rep, seed_words, budget=40):
 
     step = len(letters) + 1
     kept = [s + int(np.argmax(lox[s:s + step])) for s in range(0, n_seeded, step) if lox[s:s + step].any()]
+    kept = [n for i, n in enumerate(kept) if words[n] not in [words[m] for m in kept[:i]]]
     seen = {tuple(words[n]) for n in kept}
     pool = [n for n in range(n_seeded, len(words)) if lox[n] and tuple(words[n]) not in seen]
     chosen = []

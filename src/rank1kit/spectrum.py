@@ -5,7 +5,8 @@ the modulus of the boundary cross-ratio of the four fixed points; this
 module computes the sequence, extrapolates its limit, and inverts a
 length oracle back to a representation, unique up to conjugacy and
 entrywise complex conjugation.  The same sequence is available for
-form-preserving matrix isometries of real and complex hyperbolic space.
+form-preserving matrix isometries of real, complex and quaternionic
+hyperbolic space, whose powers are stepped on their complex embeddings.
 Many-word evaluations go through the word engine of sl2traces, and every
 SL2 length, of the oracle, the power words and the solver, through its
 one length kernel (sl2traces._trace_lengths).
@@ -21,9 +22,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebra import mat_mul
 from .ballmodel import crossratio_ball
-from .isometry import _matrix_lengths, boundary_fixed_points
+from .isometry import _complex_embedding, _matrix_lengths, boundary_fixed_points
 from .nilboundary import _crossratio_quotient
 from . import sl2traces
 from .sl2traces import (
@@ -150,7 +150,7 @@ class LengthOracle:
             flat = self.lengths([power(i) for i in range(3 * N)])
         else:
             A, B = _word_ends(self._rep, [a, b])
-            S, e = map(np.array, zip(*(p for row in _scaled_powers(A, B, N, np.matmul) for p in row)))
+            S, e = _scaled_powers(A, B, N)
             r = _trace_lengths(S[:, 0, 0] + S[:, 1, 1], e)
             if check and not r.loxodromic.all():
                 i = int(np.argmin(r.loxodromic))
@@ -167,15 +167,18 @@ def _check_count(N):
         raise ValueError("argument 'N' must be a positive integer, got %r" % (N,))
 
 
-def _scaled_powers(A, B, N, mul):
-    """For n = 1..N the powers A^n, B^n and A^n B^n as pairs (S, e), each
-    the matrix 2^e S: one product mul per power, rescaled past 2^256."""
-    An, ea, Bn, eb = A, 0, B, 0
+def _scaled_powers(A, B, N):
+    """The powers A^n, B^n and A^n B^n of two complex square matrices for
+    n = 1..N, in that order, as a stack S (3N, n, n) and integer exponents
+    e (3N,) with 2^e S the power: one @ per power, rescaled past 2^256."""
+    rows, An, ea, Bn, eb = [], A, 0, B, 0
     for n in range(1, N + 1):
         if n > 1:
-            An, ea = _rescaled(mul(An, A), ea)
-            Bn, eb = _rescaled(mul(Bn, B), eb)
-        yield (An, ea), (Bn, eb), _rescaled(mul(An, Bn), ea + eb)
+            An, ea = _rescaled(An @ A, ea)
+            Bn, eb = _rescaled(Bn @ B, eb)
+        rows += [(An, ea), (Bn, eb), _rescaled(An @ Bn, ea + eb)]
+    S, e = zip(*rows)
+    return np.array(S), np.array(e)
 
 
 def _rescaled(S, e):
@@ -270,17 +273,16 @@ def lemma1_sequence(oracle, a, b, N, check=True):
 
 def lemma1_matrix_sequence(A, B, N):
     """Product-length sequence for two hyperbolic form-preserving
-    matrices acting on real or complex hyperbolic space.  Early powers
-    whose product is not hyperbolic contribute geometric length 0.
-    The powers are rescaled as in LengthOracle.power_lengths, so every
-    term is finite for any N and the cost is linear in N."""
+    matrices acting on real, complex or quaternionic hyperbolic space.
+    Early powers whose product is not hyperbolic contribute geometric
+    length 0.  The powers of the complex embeddings of A and B are
+    stepped and rescaled as in LengthOracle.power_lengths, so every term
+    is finite for any N and the cost is linear in N."""
     _check_count(N)
     if A.config != B.config:
         raise ValueError("configuration mismatch")
-    kind = A.config.kind
-    rows = _scaled_powers(A.coeffs, B.coeffs, N, lambda x, y: mat_mul(kind, x, y))
-    S, e = zip(*(p for row in rows for p in row))
-    _, l = _matrix_lengths(kind, np.array(S), e)
+    emb = _complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
+    _, l = _matrix_lengths(*_scaled_powers(emb[0], emb[1], N))
     return [math.exp(l[i] + l[i + 1] - l[i + 2]) for i in range(0, 3 * N, 3)]
 
 
@@ -633,7 +635,7 @@ def _fitted_cost(targets):
     return 0.5 * len(targets) * (4.5 * np.finfo(float).eps * float(np.abs(targets).max())) ** 2
 
 
-def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
+def reconstruct_report(oracle, arity=2, budget=30):
     """Invert a length oracle: fit a two-generator representation whose
     translation lengths match the oracle on a word budget.
 
@@ -662,10 +664,7 @@ def reconstruct_report(oracle, arity=2, budget=30, holdout=6):
         raise ValueError("oracle is generated by an elementary representation")
 
     words = _fit_words(budget)
-    hold_words = []
-    if holdout > 0:
-        candidates = [w for w in default_budget_words(2, max_len=5, power_max=0) if w not in words]
-        hold_words = candidates[-holdout:] if len(candidates) >= holdout else candidates
+    hold_words = [w for w in default_budget_words(2, max_len=5, power_max=0) if w not in words][-6:]
 
     fit_words, targets = _covered(oracle, words)
     if len(fit_words) < 8:

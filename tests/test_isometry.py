@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rank1kit.algebra import AlgebraElement, AlgebraKind
+from rank1kit.algebra import AlgebraElement, AlgebraKind, mat_mul
 from rank1kit.ballmodel import (
     BallPoint,
     coshdist,
@@ -28,6 +29,7 @@ from rank1kit.isometry import (
     random_unit,
     translation_length,
 )
+from rank1kit import isometry
 from rank1kit.nilboundary import NilPoint, SpaceConfig, dist, nmul, random_point
 
 KINDS = (
@@ -138,6 +140,21 @@ def test_form_residual_small_for_samplers():
         for _ in range(25):
             assert random_form_preserving(cfg, rng).form_residual() <= 1e-10
             assert embed_normal(random_normal_isometry(cfg, rng)).form_residual() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from([(AlgebraKind.R, 3), (AlgebraKind.C, 2), (AlgebraKind.H, 2),
+                               (AlgebraKind.R, 4)]),
+       seed=st.integers(0, 2**32 - 1), boost=st.floats(0.0, 5.0))
+def test_complex_embedding_is_multiplicative(config, seed, boost):
+    # the powers of lemma1_matrix_sequence are stepped on the embeddings
+    kind, m = config
+    cfg = SpaceConfig(kind, m)
+    rng = np.random.default_rng(seed)
+    A, B = (random_form_preserving(cfg, rng, (0.0, boost)).coeffs for _ in range(2))
+    ea, eb = isometry._complex_embedding(kind, A), isometry._complex_embedding(kind, B)
+    gap = np.abs(isometry._complex_embedding(kind, mat_mul(kind, A, B)) - ea @ eb).max()
+    assert gap <= 1e-14 * np.abs(ea).max() * np.abs(eb).max()
 
 
 def test_translation_length_normal_form():

@@ -449,14 +449,25 @@ def test_overflowing_words_raise_arithmetic_error(word):
             trace_jacobian(README_PAIR, [word])
 
 
-def test_coordinate_words_fixes_parabolic_seed():
+_ROTATION = [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]
+
+
+@pytest.mark.parametrize("b, seeds, first", [
+    ([[1.0, 1.0], [0.0, 1.0]], [[2], [1]], [1, 2]),
+    ([[1.0, 1.0], [0.0, 1.0]], [[1], [2], [1, 2]], [1]),
+    (_ROTATION, [[1], [2], [1, 2]], [1]),
+], ids=["parabolic", "parabolic-repeat", "elliptic-repeat"])
+def test_coordinate_words_fixes_parabolic_seed(b, seeds, first):
+    # the non-loxodromic seed [2] gives way to [2] times letter 1, [1, 2],
+    # which is kept once when it is also a seed
     rng = np.random.default_rng(10)
     C = random_sl2(rng)
-    parab = C @ SL2([[1.0, 1.0], [0.0, 1.0]]) @ C.inverse()
-    rep = SL2Rep([SL2.diagonal(2.0), parab])
+    rep = SL2Rep([SL2.diagonal(2.0), C @ SL2(b) @ C.inverse()])
     assert is_nonelementary(rep)
-    out = coordinate_words(rep, [[2], [1]])
-    assert out[0] == [1, 2]  # the parabolic seed times letter 1
+    out = coordinate_words(rep, seeds)
+    assert out[0] == first
+    assert [1, 2] in out and len({tuple(w) for w in out}) == len(out)
+    assert length_jacobian(rep, out)[1] == 6
     for w in out:
         assert classify(rep.evaluate(w)) == "loxodromic"
 

@@ -327,22 +327,39 @@ _MATRIX_PAIRS = {
 }
 
 
+def _length(emb, e):
+    # the translation length of 2^e emb from one eigvals call of its own
+    radius = float(np.max(np.abs(np.linalg.eigvals(emb))))
+    if not e and isometry._classify(emb, radius) != "hyperbolic":
+        return 0.0
+    return e * math.log(2.0) + math.log(radius)
+
+
+def _sequence(l):
+    return [math.exp(l[i] + l[i + 1] - l[i + 2]) for i in range(0, len(l), 3)]
+
+
 def _per_power_sequence(A, B, N):
     # lemma1_matrix_sequence with one eigvals call per power
+    emb = isometry._complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
+    S, e = spectrum._scaled_powers(emb[0], emb[1], N)
+    return _sequence([_length(s, ei) for s, ei in zip(S, e)])
+
+
+def _coefficient_sequence(A, B, N):
+    # the powers stepped on coefficient arrays by mat_mul, each embedded
+    # on its own
     kind = A.config.kind
-
-    def length(S, e):
-        emb = isometry._complex_embedding(kind, S)
-        radius = float(np.max(np.abs(np.linalg.eigvals(emb))))
-        if not e and isometry._classify(emb, radius) != "hyperbolic":
-            return 0.0
-        return e * math.log(2.0) + math.log(radius)
-
-    seq = []
-    for powers in spectrum._scaled_powers(A.coeffs, B.coeffs, N, lambda x, y: mat_mul(kind, x, y)):
-        la, lb, lab = (length(S, e) for S, e in powers)
-        seq.append(math.exp(la + lb - lab))
-    return seq
+    l = []
+    An, ea, Bn, eb = A.coeffs, 0, B.coeffs, 0
+    for n in range(1, N + 1):
+        if n > 1:
+            An, ea = spectrum._rescaled(mat_mul(kind, An, A.coeffs), ea)
+            Bn, eb = spectrum._rescaled(mat_mul(kind, Bn, B.coeffs), eb)
+        ABn, eab = spectrum._rescaled(mat_mul(kind, An, Bn), ea + eb)
+        l += [_length(isometry._complex_embedding(kind, S), e)
+              for S, e in ((An, ea), (Bn, eb), (ABn, eab))]
+    return _sequence(l)
 
 
 @pytest.mark.parametrize("N", [1, 5, 40, 400])
@@ -358,17 +375,30 @@ def test_lemma1_matrix_sequence_is_the_per_power_loop(case, N):
 
 
 @pytest.mark.parametrize("N", [1, 5, 40, 400])
+@pytest.mark.parametrize("case", list(_MATRIX_PAIRS))
+def test_lemma1_matrix_sequence_is_the_coefficient_power_loop(case, N):
+    # the embedding is multiplicative, so the powers of the embeddings
+    # agree with the embedded coefficient powers up to rounding
+    A, B = _MATRIX_PAIRS[case]()
+    seq = lemma1_matrix_sequence(A, B, N)
+    ref = _coefficient_sequence(A, B, N)
+    assert max(abs(x - y) / abs(y) for x, y in zip(seq, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 5, 40, 400])
 def test_lemma1_matrix_sequence_eigvals_budget(monkeypatch, N):
-    # one eigvals call reads all 3N spectral radii; no power needs eig
+    # one embedding, and one eigvals call reads all 3N spectral radii; no
+    # power needs eig, and none is a coefficient product
     A, B = _MATRIX_PAIRS["C2"]()
-    calls = {"eigvals": 0, "eig": 0}
-    for name in calls:
-        def counted(*args, name=name, real=getattr(np.linalg, name)):
+    calls = {"eigvals": 0, "eig": 0, "_complex_embedding": 0, "mat_mul": 0}
+    for module, name in [(np.linalg, "eigvals"), (np.linalg, "eig"),
+                         (spectrum, "_complex_embedding"), (isometry, "mat_mul")]:
+        def counted(*args, name=name, real=getattr(module, name)):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     lemma1_matrix_sequence(A, B, N)
-    assert calls == {"eigvals": 1, "eig": 0}
+    assert calls == {"eigvals": 1, "eig": 0, "_complex_embedding": 1, "mat_mul": 0}
 
 
 @pytest.mark.parametrize("N, other, message", [
