@@ -252,25 +252,25 @@ def stereo_coeffs(kind: AlgebraKind, g: np.ndarray, infinity=None) -> np.ndarray
     return out
 
 
-def stereo_inv_coeffs(kind: AlgebraKind, x: np.ndarray, tol: float = _SPHERE_TOL):
+def stereo_inv_coeffs(kind: AlgebraKind, x: np.ndarray):
     """Inverse chart on boundary points: (coefficients, infinity mask).
 
     A finite point g = (c, k) lands at |w1| = 2|k| / |d| and
     |1 + w2| = 2 / |d|, with d = 1 + |k|^2 - c, so 1 + w2 shrinks like
     |w1|^2 towards the pole.  Infinity is therefore decided by the
     chordal distance (|w1|^2 + |1 + w2|^2)^(1/2) to the pole, which
-    |w1| dominates; a point farther than tol whose 1 + w2 still rounds
-    to zero cannot be resolved and raises ZeroDivisionError.  Points
-    off the sphere by more than tol in |x|^2 raise ValueError."""
+    |w1| dominates; a point farther than _SPHERE_TOL whose 1 + w2 still
+    rounds to zero cannot be resolved and raises ZeroDivisionError.
+    Points off the sphere by more than _SPHERE_TOL in |x|^2 raise ValueError."""
     n2 = _norm_sq(x)
-    if (n2 < 1.0 - tol).any():
+    if (n2 < 1.0 - _SPHERE_TOL).any():
         raise ValueError("stereo_inv needs a boundary point, not an interior one")
-    if (n2 > 1.0 + tol).any():
+    if (n2 > 1.0 + _SPHERE_TOL).any():
         raise ValueError(f"stereo_inv needs a boundary point, got |x|^2 = {float(np.max(n2)):.6g}")
     x = x / np.sqrt(n2)[..., None, None]
     u = x[..., -1, :].copy()
     u[..., 0] += 1.0
-    infinity = _reduce(u * u, axis=-1) + _norm_sq(x[..., :-1, :]) <= tol * tol
+    infinity = _reduce(u * u, axis=-1) + _norm_sq(x[..., :-1, :]) <= _SPHERE_TOL * _SPHERE_TOL
     if infinity.any():
         u[infinity] = np.eye(1, kind.dim)[0]  # any unit; these rows are cleared below
     e = -x[..., -1, :]
@@ -328,11 +328,11 @@ def stereo(g: NilPoint) -> BallPoint:
     return BallPoint._wrap(g.config, stereo_coeffs(g.config.kind, g.coeffs))
 
 
-def stereo_inv(x: BallPoint, tol: float = _SPHERE_TOL) -> NilPoint:
+def stereo_inv(x: BallPoint) -> NilPoint:
     """Inverse chart; the south pole (0, -1) goes to infinity.
 
     See stereo_inv_coeffs for the infinity test and the errors."""
-    coeffs, infinity = stereo_inv_coeffs(x.config.kind, x.coeffs, tol)
+    coeffs, infinity = stereo_inv_coeffs(x.config.kind, x.coeffs)
     return NilPoint._wrap(x.config, coeffs, bool(infinity))
 
 

@@ -188,9 +188,6 @@ class GroupMatrix:
     def size(self) -> int:
         return self.coeffs.shape[0]
 
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.config.kind, self.coeffs[i, j])
-
     def form_residual(self) -> float:
         kind = self.config.kind
         j = _jsigns(self.size)

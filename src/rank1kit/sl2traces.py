@@ -12,7 +12,7 @@ for a batch of generator tuples (_evaluate_plan).  Derivatives are
 forward mode: given slot tangents, the engine carries each product and
 its differentials as a dual pair (M, dM), and one length-differential
 formula (_length_rows) turns trace differentials into length rows.
-SL2Rep.evaluate is the letter-by-letter product of a single word.
+SL2Rep.evaluate is a batch of one, and check_word the one word validator.
 
 Every translation length, here and in spectrum, is read from traces by
 one batched kernel (_trace_lengths), which never reads a finite length
@@ -194,12 +194,8 @@ class SL2Rep:
         return len(self._gens)
 
     def evaluate(self, word):
-        check_word(word, self.arity)
-        out = np.eye(2, dtype=complex)
-        for letter in word:
-            g = self._gens[abs(letter) - 1]
-            out = out @ (g.mat if letter > 0 else g.inverse().mat)
-        return SL2(out, check=False)
+        """The image of word: the word engine on a batch of one."""
+        return SL2(_word_ends(self, [word])[0], check=False)
 
     def conjugated(self, c):
         ci = c.inverse()

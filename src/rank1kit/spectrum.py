@@ -7,7 +7,7 @@ length oracle back to a representation, unique up to conjugacy and
 entrywise complex conjugation.  The same sequence is available for
 form-preserving matrix isometries of real, complex and quaternionic
 hyperbolic space, whose powers are stepped on their complex embeddings.
-Many-word evaluations go through the word engine of sl2traces, and every
+Every word evaluation goes through the word engine of sl2traces, and every
 SL2 length, of the oracle, the power words and the solver, through its
 one length kernel (sl2traces._trace_lengths).
 """
@@ -23,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from .ballmodel import crossratio_ball
-from .isometry import _complex_embedding, _matrix_lengths, boundary_fixed_points
+from .isometry import NotHyperbolicError, _complex_embedding, _matrix_lengths, boundary_fixed_points
 from .nilboundary import _crossratio_quotient
 from . import sl2traces
 from .sl2traces import (
@@ -81,9 +81,9 @@ class LengthOracle:
     Backed either by a representation (lengths computed on demand, a word
     list with one engine call; non-loxodromic words have geometric length
     0, and a product past the float range raises ArithmeticError) or by a
-    stored table.  Optional additive noise of scale sigma is deterministic
-    per word.
-    """
+    stored table.  check_word checks each word against the arity: the
+    representation's, or the table's largest letter.  Optional additive
+    noise of scale sigma is deterministic per word."""
 
     def __init__(self, rep=None, table=None, noise=0.0, seed=0):
         if (rep is None) == (table is None):
@@ -100,18 +100,22 @@ class LengthOracle:
     def rep(self):
         return self._rep
 
+    @functools.cached_property
+    def arity(self):
+        return self._rep.arity if self._rep else max((abs(l) for w in self._table for l in w), default=0)
+
     def lengths(self, words):
         """The lengths of a word list; OracleMissError names a table miss."""
-        words = [tuple(int(l) for l in w) for w in words]
-        if self._table is None:
-            r = _word_lengths(self._rep, words)
-            bases = r.translation.tolist()
-        else:
-            try:
-                bases = [self._table[w] for w in words]
-            except KeyError as miss:
-                raise OracleMissError(miss.args[0]) from None
+        if self._table is not None:
+            return self._lookup([tuple(check_word(w, self.arity)) for w in words])
+        bases = _word_lengths(self._rep, words).translation.tolist()  # the engine's plan checks the words
         return [self._answer(w, b) for w, b in zip(words, bases)]
+
+    def _lookup(self, words):
+        try:  # the table's answers for checked word tuples
+            return [self._answer(w, self._table[w]) for w in words]
+        except KeyError as miss:
+            raise OracleMissError(miss.args[0]) from None
 
     def length(self, word):
         return self.lengths([word])[0]
@@ -121,9 +125,9 @@ class LengthOracle:
 
     def _answer(self, word, base):
         # the exact length base plus the word's deterministic noise draw,
-        # clamped at 0; the word tuple is read only by a noisy oracle
+        # clamped at 0; the word is read only by a noisy oracle
         if self._noise > 0.0:
-            mix = np.random.default_rng((self._seed, 1789, abs(hash(word)) % (2**32)))
+            mix = np.random.default_rng((self._seed, 1789, abs(hash(tuple(word))) % (2**32)))
             base = base + self._noise * mix.standard_normal()
         return max(base, 0.0)
 
@@ -139,15 +143,14 @@ class LengthOracle:
         _check_count(N)
         if not len(a) or not len(b):
             raise ValueError("argument '%s' is an empty word" % ("b" if len(a) else "a"))
-        bound = max(abs(l) for l in list(a) + list(b))
-        a, b = tuple(check_word(a, bound)), tuple(check_word(b, bound))
+        a, b = (tuple(check_word(w, self.arity)) for w in (a, b))
 
         def power(i):  # a^n, b^n or a^n b^n, n = i // 3 + 1
             n = i // 3 + 1
             return (a * n, b * n, a * n + b * n)[i % 3]
 
-        if self._table is not None:
-            flat = self.lengths([power(i) for i in range(3 * N)])
+        if self._table is not None:  # power words of checked a and b
+            flat = self._lookup([power(i) for i in range(3 * N)])
         else:
             A, B = _word_ends(self._rep, [a, b])
             S, e = _scaled_powers(A, B, N)
@@ -274,15 +277,18 @@ def lemma1_sequence(oracle, a, b, N, check=True):
 def lemma1_matrix_sequence(A, B, N):
     """Product-length sequence for two hyperbolic form-preserving
     matrices acting on real, complex or quaternionic hyperbolic space.
-    Early powers whose product is not hyperbolic contribute geometric
-    length 0.  The powers of the complex embeddings of A and B are
-    stepped and rescaled as in LengthOracle.power_lengths, so every term
-    is finite for any N and the cost is linear in N."""
+    A non-hyperbolic generator raises NotHyperbolicError naming it; early
+    products that are not hyperbolic contribute geometric length 0.  The
+    complex embeddings of A and B are powered and rescaled as in
+    power_lengths, so every term is finite and the cost is linear in N."""
     _check_count(N)
     if A.config != B.config:
         raise ValueError("configuration mismatch")
     emb = _complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
-    _, l = _matrix_lengths(*_scaled_powers(emb[0], emb[1], N))
+    classes, l = _matrix_lengths(*_scaled_powers(emb[0], emb[1], N))
+    for name, kind in zip("AB", classes):
+        if kind != "hyperbolic":
+            raise NotHyperbolicError(kind, "generator %s is %s, not hyperbolic" % (name, kind))
     return [math.exp(l[i] + l[i + 1] - l[i + 2]) for i in range(0, 3 * N, 3)]
 
 
@@ -294,17 +300,17 @@ def matrix_crossratio_reference(A, B):
     return crossratio_ball(rep_a, rep_b, att_a, att_b)
 
 
-def crossratio_estimate(seq, window=8):
+def crossratio_estimate(seq):
     """Extrapolated limit of a geometrically converging sequence.
 
-    Fits s_n ~ c + A r^n on the tail and returns (c, confidence) where
-    confidence is the RMS relative misfit of the model on the window;
-    0 means exact.  A non-convergent tail (|r| >= 1) is flagged by a
-    large confidence, never an exception."""
+    Fits s_n ~ c + A r^n on the window of the last 8 terms and returns
+    (c, confidence) where confidence is the RMS relative misfit of the
+    model on the window; 0 means exact.  A non-convergent tail (|r| >= 1)
+    is flagged by a large confidence, never an exception."""
     s = [float(v) for v in seq]
     if len(s) < 4:
         raise ValueError("need at least 4 terms to extrapolate")
-    w = s[-min(window, len(s)):]
+    w = s[-8:]
     d = [w[i + 1] - w[i] for i in range(len(w) - 1)]
     scale = max(abs(v) for v in w)
     if scale == 0.0:
@@ -508,7 +514,6 @@ def _lockstep_levenberg_marquardt(fun, starts, ftol=1e-8, fitted=0.0):
     cost = 0.5 * _dot_rows(F, F)
     lam = np.full(len(X), 1e-3)
     iterations = np.zeros(len(X), dtype=int)
-    points = np.zeros(len(X), dtype=int)  # the points reached, counted at their first round
     fails = np.zeros(len(X), dtype=int)  # the trials rejected at the current point
     reasons = ["max_iter"] * len(X)
     running = np.ones(len(X), dtype=bool)
@@ -529,10 +534,9 @@ def _lockstep_levenberg_marquardt(fun, starts, ftol=1e-8, fitted=0.0):
         Jl = J[live]
         g = (Jl.transpose(0, 2, 1) @ F[live][:, :, None])[:, :, 0]
         # at a new point, before its first trial there, a restart stops on
-        # max_iter past _MAX_ITER points or on a small gradient
+        # max_iter once it has made _MAX_ITER steps, or on a small gradient
         new = fails[live] == 0
-        points[live[new]] += 1
-        stop(live[points[live] > _MAX_ITER], "max_iter")
+        stop(live[iterations[live] >= _MAX_ITER], "max_iter")
         stop(live[new & running[live] & (np.abs(g).max(axis=1) < _GTOL)], "gtol")
         keep = running[live]
         live, Jl, g = live[keep], Jl[keep], g[keep]
@@ -635,9 +639,10 @@ def _fitted_cost(targets):
     return 0.5 * len(targets) * (4.5 * np.finfo(float).eps * float(np.abs(targets).max())) ** 2
 
 
-def reconstruct_report(oracle, arity=2, budget=30):
-    """Invert a length oracle: fit a two-generator representation whose
-    translation lengths match the oracle on a word budget.
+def reconstruct_report(oracle, budget=30):
+    """Invert a length oracle of arity 2: fit a two-generator
+    representation whose translation lengths match the oracle on a word
+    budget.
 
     The restarts are a 4 x 4 grid of the two angles at one start for z,
     and, when the two start circles for z are tangent, as at a real pair,
@@ -653,10 +658,11 @@ def reconstruct_report(oracle, arity=2, budget=30):
     rounding, the running ones stop on "raced") and final cost, the count
     of engine calls and rows of the solve, and the singular values of the
     fit's Jacobian.  The parameters are reported in one orientation (see
-    _folded).  Raises ValueError for a budget below _MIN_BUDGET words or an
-    elementary oracle, RuntimeError when no restart converges."""
-    if arity != 2:
-        raise ValueError("reconstruction is supported for arity 2 (got %d)" % arity)
+    _folded).  Raises ValueError for an oracle whose arity is not 2, a
+    budget below _MIN_BUDGET words or an elementary oracle, RuntimeError
+    when no restart converges."""
+    if oracle.arity != 2:
+        raise ValueError("reconstruction is supported for arity 2 (got %d)" % oracle.arity)
     if budget < _MIN_BUDGET:
         raise ValueError("argument 'budget' must be at least %d words (the 8 product-power "
                          "words and 4 plain words), got %d" % (_MIN_BUDGET, budget))
@@ -750,9 +756,9 @@ def _is_power_word(w):
     return len(w) >= 2 and len(w) % 2 == 0 and w == [1] * n + [2] * n
 
 
-def reconstruct(oracle, arity=2, budget=30):
+def reconstruct(oracle, budget=30):
     """The fitted representation only; see reconstruct_report."""
-    return reconstruct_report(oracle, arity, budget)["rep"]
+    return reconstruct_report(oracle, budget)["rep"]
 
 
 def _coordinate_word_list(arity):

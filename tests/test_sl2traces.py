@@ -42,6 +42,15 @@ TRACELESS = (
 )
 
 
+def _letter_product(rep, word):
+    # the reference for the word engine: the product taken one letter at a time
+    out = np.eye(2, dtype=complex)
+    for letter in word:
+        g = rep.generators[abs(letter) - 1]
+        out = out @ (g.mat if letter > 0 else g.inverse().mat)
+    return SL2(out, check=False)
+
+
 def commuting_configuration():
     """Two diagonal loxodromics plus a symmetric third generator."""
     za, zb = 1.3 + 0.2j, 0.7 + 0.1j
@@ -331,14 +340,16 @@ def test_word_engine_arity3_inverse_letters():
     assert ends.shape == (len(words), 2, 2, len(reps))
     for p, rep in enumerate(reps):
         for n, w in enumerate(words):
-            ref = rep.evaluate(w).mat
+            ref = _letter_product(rep, w).mat
             assert np.abs(ends[n, :, :, p] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
         # a batch of one gives its row of the larger batch bit for bit
         alone = sl2traces._evaluate_plan(plan, slots[..., p:p + 1])[plan.ends, :, :, 0]
         assert np.array_equal(alone, ends[..., p])
-        # and a plan of one word the same end as a plan of many
+        # and a plan of one word the same end as a plan of many, which
+        # SL2Rep.evaluate is
         for n, w in enumerate(words):
             assert np.array_equal(sl2traces._word_ends(rep, [w])[0], ends[n, :, :, p])
+            assert np.array_equal(rep.evaluate(w).mat, ends[n, :, :, p])
 
     c, s = math.cos(0.7), math.sin(0.7)
     rep = SL2Rep([SL2.diagonal(2.0), SL2([[1.0, 1.0], [0.0, 1.0]]), SL2([[c, -s], [s, c]])])
@@ -416,7 +427,7 @@ def test_word_plan_is_a_log_depth_product_tree():
     ends = sl2traces._evaluate_plan(plan, slots)[plan.ends]
     for p, rep in enumerate(reps):
         for n, w in enumerate(words):
-            ref = rep.evaluate(w).mat
+            ref = _letter_product(rep, w).mat
             assert np.abs(ends[n, :, :, p] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rank1kit.algebra import AlgebraKind, mat_mul
+from rank1kit.algebra import AlgebraKind, mat_mul, random_unit
 from rank1kit.isometry import (
-    GroupMatrix, NormalIsometry, embed_normal, random_form_preserving, random_normal_isometry,
-    translation_length)
+    GroupMatrix, NormalIsometry, NotHyperbolicError, embed_normal, random_form_preserving,
+    random_normal_isometry, random_rotation_block, translation_length)
 from rank1kit import isometry
 from rank1kit.nilboundary import SpaceConfig
 from rank1kit.sl2traces import (
@@ -36,6 +36,15 @@ from rank1kit.spectrum import (
 
 
 README_PAIR = SL2Rep([SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])])
+
+
+def _letter_product(rep, word):
+    # the reference for the word engine: the product taken one letter at a time
+    out = np.eye(2, dtype=complex)
+    for letter in word:
+        g = rep.generators[abs(letter) - 1]
+        out = out @ (g.mat if letter > 0 else g.inverse().mat)
+    return SL2(out, check=False)
 
 
 def mobius(C, z):
@@ -123,6 +132,25 @@ def test_oracle_overflow_raises_arithmetic_error(word):
     assert str(word) in str(err.value)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([1.5], "nonzero signed integers"), ([True], "nonzero signed integers"),
+    (["1"], "nonzero signed integers"), ([0], "nonzero signed integers"),
+    ([3], "out of range for arity 2"),
+])
+def test_oracle_words_are_checked_against_the_arity(bad, message):
+    # no letter is coerced: 1.5, True and "1" are not the letter 1, for
+    # either kind of oracle, and the arity bounds the letters of both
+    rep = random_schottky_pair(np.random.default_rng(2))
+    words = default_budget_words(2)
+    table = dict(zip(map(tuple, words), LengthOracle(rep=rep).lengths(words)))
+    for oracle in (LengthOracle(rep=rep), LengthOracle(table=table)):
+        assert oracle.arity == 2
+        for call in (lambda: oracle.lengths([[1], bad]), lambda: oracle.length([2] + bad),
+                     lambda: oracle.power_lengths(bad, [2], 4), lambda: oracle.power_lengths([1], bad, 4)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_fixed_pair_guards():
     p = FixedPair(math.inf, 0.0)
     assert p.swapped().attracting == math.inf
@@ -206,7 +234,7 @@ def test_lemma1_degenerate_inverse_pair():
 
 def _letter_loop_lengths(rep, a, b, n):
     # the reference: each power word evaluated letter by letter
-    return [length(rep.evaluate(w)) for w in (a * n, b * n, a * n + b * n)]
+    return [length(_letter_product(rep, w)) for w in (a * n, b * n, a * n + b * n)]
 
 
 @pytest.mark.parametrize("a, b", [([1], [2]), ([1, -2], [2, 2, 1]), ([1, 2], [-2])])
@@ -401,16 +429,30 @@ def test_lemma1_matrix_sequence_eigvals_budget(monkeypatch, N):
     assert calls == {"eigvals": 1, "eig": 0, "_complex_embedding": 1, "mat_mul": 0}
 
 
+def _elliptic(A):
+    # a rotation about the axis of the normal form, with no translation
+    rng = np.random.default_rng(11)
+    cfg = A.config
+    return embed_normal(NormalIsometry(cfg, random_rotation_block(cfg, rng), random_unit(cfg.kind, rng), 0.0))
+
+
 @pytest.mark.parametrize("N, other, message", [
     (0, None, "argument 'N'"), (-2, None, "argument 'N'"), (True, None, "argument 'N'"),
     (3.5, None, "argument 'N'"), (4, (AlgebraKind.C, 2), "configuration mismatch"),
     (4, (AlgebraKind.R, 4), "configuration mismatch"),
+    (4, "elliptic A", "generator A is elliptic, not hyperbolic"),
+    (4, "identity B", "generator B is elliptic, not hyperbolic"),
 ])
 def test_lemma1_matrix_sequence_rejects_bad_arguments(N, other, message):
     A, B = _MATRIX_PAIRS["R3"]()
-    if other is not None:
+    if other == "elliptic A":
+        A = _elliptic(A)
+    elif other == "identity B":
+        B = GroupMatrix.identity(B.config)
+    elif other is not None:
         B = _hyperbolic_pair(*other, 9)[1]
-    with pytest.raises(ValueError, match=message):
+    error = NotHyperbolicError if "generator" in message else ValueError
+    with pytest.raises(error, match=message):
         lemma1_matrix_sequence(A, B, N)
 
 
@@ -495,7 +537,7 @@ def test_reconstruct_report_fields_and_determinism():
 
 def _letter_by_letter_residuals(p, words, targets):
     # reference: generators built entry by entry from the gauge, every
-    # word evaluated one letter at a time by SL2Rep.evaluate
+    # word evaluated one letter at a time
     la, ta, lb, tb, zr, zi = p
     z = complex(zr, zi)
     if abs(z - 1.0) < 1e-10:
@@ -506,7 +548,7 @@ def _letter_by_letter_residuals(p, words, targets):
     rep = SL2Rep([SL2.diagonal(lam), SL2(s @ np.diag([mu, 1.0 / mu]) @ si, check=False)])
     out = []
     for w, target in zip(words, targets):
-        t = rep.evaluate(w).trace()
+        t = _letter_product(rep, w).trace()
         root = cmath.sqrt(t * t - 4.0)
         modulus = max(abs((t + root) / 2.0), abs((t - root) / 2.0))
         out.append(2.0 * math.log(max(modulus, 1.0)) - target)
@@ -983,8 +1025,16 @@ def test_reconstruct_rejects_elementary():
     rep = SL2Rep([SL2.diagonal(2.0), SL2.diagonal(3.0)])
     with pytest.raises(ValueError):
         reconstruct(LengthOracle(rep=rep))
-    with pytest.raises(ValueError):
-        reconstruct(LengthOracle(rep=rep), arity=3)
+    # the arity is the oracle's: an arity-3 rep or a table with a letter 3
+    # is not fitted as its first two generators
+    rng = np.random.default_rng(3)
+    rep3 = SL2Rep(random_schottky_pair(rng).generators + (random_loxodromic(rng),))
+    words = default_budget_words(2) + [[1, 3]]
+    table = dict(zip(map(tuple, words), LengthOracle(rep=rep3).lengths(words)))
+    for oracle in (LengthOracle(rep=rep3), LengthOracle(table=table)):
+        assert oracle.arity == 3
+        with pytest.raises(ValueError, match=r"arity 2 \(got 3\)"):
+            reconstruct(oracle)
 
 
 def test_reconstruct_nonconvergent_table():
