@@ -102,7 +102,19 @@ class LengthOracle:
 
     @functools.cached_property
     def arity(self):
-        return self._rep.arity if self._rep else max((abs(l) for w in self._table for l in w), default=0)
+        """The rep's arity, or the table's largest letter; a table key with
+        a letter that is not a nonzero integer raises ValueError naming it."""
+        if self._rep:
+            return self._rep.arity
+        # a key holding each distinct letter, told apart by type too:
+        # True and 1.0 hash as 1
+        holders = {(type(l), l): w for w in self._table for l in w}
+        for (_, letter), w in holders.items():
+            try:
+                check_word([letter], math.inf)
+            except ValueError as err:
+                raise ValueError("table key %r: %s" % (w, err)) from None
+        return max((abs(l) for _, l in holders), default=0)
 
     def lengths(self, words):
         """The lengths of a word list; OracleMissError names a table miss."""
@@ -135,9 +147,11 @@ class LengthOracle:
         """The lengths of a^n, b^n and a^n b^n for n = 1..N, as N triples.
 
         A table oracle looks each power word up.  A rep oracle forms the
-        images A, B of a, b once and takes three 2x2 products per n, so
-        the cost is linear in N; a power past 2^256 is divided by an exact
-        power of two whose exponent is kept, so every length is finite.
+        images A, B of a, b once, steps A^n and B^n in lockstep, one
+        stacked product per n, and forms every A^n B^n in one batched
+        product (_scaled_powers), so the cost is linear in N; a power past
+        2^256 is divided by an exact power of two whose exponent is kept,
+        so every length is finite.
         With check=True a non-loxodromic power raises NonLoxodromicError
         naming the word; with check=False its length is 0."""
         _check_count(N)
@@ -173,15 +187,25 @@ def _check_count(N):
 def _scaled_powers(A, B, N):
     """The powers A^n, B^n and A^n B^n of two complex square matrices for
     n = 1..N, in that order, as a stack S (3N, n, n) and integer exponents
-    e (3N,) with 2^e S the power: one @ per power, rescaled past 2^256."""
-    rows, An, ea, Bn, eb = [], A, 0, B, 0
-    for n in range(1, N + 1):
-        if n > 1:
-            An, ea = _rescaled(An @ A, ea)
-            Bn, eb = _rescaled(Bn @ B, eb)
-        rows += [(An, ea), (Bn, eb), _rescaled(An @ Bn, ea + eb)]
-    S, e = zip(*rows)
-    return np.array(S), np.array(e)
+    e (3N,) with 2^e S the power.  A^n and B^n step in lockstep, one
+    stacked product [A^(n-1), B^(n-1)] @ [A, B] and one size check per n,
+    and every A^n B^n comes from one batched product at the end; a matrix
+    past 2^256 is rescaled by _rescaled."""
+    G = np.stack([A, B])
+    P = np.empty((N, 3) + G.shape[1:], dtype=G.dtype)
+    shifts = np.zeros((N, 3), dtype=int)  # the exponent each rescale adds
+    P[0, :2] = G
+    for n in range(1, N):
+        np.matmul(P[n - 1, :2], G, out=P[n, :2])
+        if np.abs(P[n, :2]).max() > 2.0 ** 256:
+            for j in (0, 1):
+                P[n, j], shifts[n, j] = _rescaled(P[n, j], 0)
+    e = np.cumsum(shifts, axis=0)
+    e[:, 2] = e[:, 0] + e[:, 1]
+    np.matmul(P[:, 0], P[:, 1], out=P[:, 2])
+    for n in np.flatnonzero(np.abs(P[:, 2]).max(axis=(1, 2)) > 2.0 ** 256):
+        P[n, 2], e[n, 2] = _rescaled(P[n, 2], e[n, 2])
+    return P.reshape((3 * N,) + G.shape[1:]), e.reshape(3 * N)
 
 
 def _rescaled(S, e):

@@ -151,6 +151,25 @@ def test_oracle_words_are_checked_against_the_arity(bad, message):
                 call()
 
 
+@pytest.mark.parametrize("table, key, letter", [
+    ({("1",): 1.0, (2,): 2.0}, "('1',)", "'1'"),
+    ({(1,): 1.0, (2, 1.5): 2.0}, "(2, 1.5)", "1.5"),
+    # True == 1 and hashes as 1: the key is read even where the letter 1 came first
+    ({(1,): 1.0, (True, 2): 2.0}, "(True, 2)", "True"),
+    ({(1,): 1.0, (2, 0): 2.0}, "(2, 0)", "0"),
+])
+def test_table_keys_are_checked_with_the_arity(table, key, letter):
+    # a malformed key raises from the first read of the arity, naming the key
+    oracle = LengthOracle(table=table)
+    for call in (lambda: oracle.arity, lambda: oracle.lengths([[1]]),
+                 lambda: oracle.power_lengths([1], [2], 2)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "table key %s: word letters are nonzero signed integers, got %s" % (key, letter)
+    assert LengthOracle(table={(np.int64(2), -1): 1.0, (1,): 0.5}).arity == 2
+    assert LengthOracle(table={}).arity == 0
+
+
 def test_fixed_pair_guards():
     p = FixedPair(math.inf, 0.0)
     assert p.swapped().attracting == math.inf
@@ -255,6 +274,45 @@ def test_noisy_power_lengths_add_the_per_word_draw():
     for n, v in enumerate(seq, start=1):
         want = math.exp(oracle(a * n) + oracle(b * n) - oracle(a * n + b * n))
         assert abs(v - want) <= 1e-12 * want
+
+
+def _stepped_powers(A, B, N):
+    # the reference for _scaled_powers: A^n, B^n and A^n B^n stepped one
+    # product at a time, each rescaled on its own
+    rows, An, ea, Bn, eb = [], A, 0, B, 0
+    for n in range(1, N + 1):
+        if n > 1:
+            An, ea = spectrum._rescaled(An @ A, ea)
+            Bn, eb = spectrum._rescaled(Bn @ B, eb)
+        rows += [(An, ea), (Bn, eb), spectrum._rescaled(An @ Bn, ea + eb)]
+    S, e = zip(*rows)
+    return np.array(S), np.array(e)
+
+
+def _assert_stepped_powers(A, B, N):
+    S, e = spectrum._scaled_powers(A, B, N)
+    S0, e0 = _stepped_powers(A, B, N)
+    assert S.shape == S0.shape and S.dtype == S0.dtype and e.dtype == e0.dtype
+    assert (S == S0).all() and (e == e0).all()
+    return e.reshape(N, 3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 16, 48, 400])
+def test_scaled_powers_are_the_stepped_powers(N):
+    for seed in range(50):
+        rep = random_schottky_pair(np.random.default_rng(seed))
+        e = _assert_stepped_powers(*sl2traces._word_ends(rep, [[1], [2]]), N)
+        assert e.any() == (N == 400)  # the products a^n b^n pass 2^256 before n = 400
+
+
+def test_scaled_powers_rescale_each_matrix_on_its_own():
+    B = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+    # only A^n passes 2^256, from n = 7 on
+    e = _assert_stepped_powers(np.diag([2.0 ** 40, 2.0 ** -40]).astype(complex), B, 40)
+    assert e[6:, 0].all() and not e[:6, 0].any() and not e[:, 1].any()
+    # A^n B^n passes 2^256 at n = 12, where neither A^n nor B^n does
+    e = _assert_stepped_powers(np.diag([2.0 ** 21, 2.0 ** -21]).astype(complex), B, 12)
+    assert not e[:, :2].any() and not e[:11, 2].any() and e[11, 2] > 0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -370,7 +428,7 @@ def _sequence(l):
 def _per_power_sequence(A, B, N):
     # lemma1_matrix_sequence with one eigvals call per power
     emb = isometry._complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
-    S, e = spectrum._scaled_powers(emb[0], emb[1], N)
+    S, e = _stepped_powers(emb[0], emb[1], N)
     return _sequence([_length(s, ei) for s, ei in zip(S, e)])
 
 
@@ -393,8 +451,10 @@ def _coefficient_sequence(A, B, N):
 @pytest.mark.parametrize("N", [1, 5, 40, 400])
 @pytest.mark.parametrize("case", list(_MATRIX_PAIRS))
 def test_lemma1_matrix_sequence_is_the_per_power_loop(case, N):
-    # the powers pass the float range near n = 300 and are rescaled
     A, B = _MATRIX_PAIRS[case]()
+    emb = isometry._complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
+    e = _assert_stepped_powers(emb[0], emb[1], N)
+    assert e.any() == (N == 400)  # the powers pass 2^256 near n = 300 and are rescaled
     seq = lemma1_matrix_sequence(A, B, N)
     assert seq == _per_power_sequence(A, B, N)
     if case == "elliptic start":
