@@ -77,11 +77,12 @@ def parse(argv):
 
 
 def _read(cfg):
-    """The text of the --input file."""
+    """The text of the --input file, UTF-8 with or without the byte-order
+    mark that spreadsheets write."""
     if cfg.input is None:
         raise CommandError("field 'input' is missing")
     try:
-        with open(cfg.input, newline="") as fh:
+        with open(cfg.input, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, ValueError) as e:  # unreadable, or not text
         raise CommandError(f"field 'input' cannot be read: {e}") from None
@@ -118,7 +119,7 @@ def _word(value, field, arity):
         if isinstance(value, str):
             tokens, names = value.split(), _letter_names(arity)
             try:
-                letters = [names[s] for s in tokens]
+                letters = list(map(names.__getitem__, tokens))
             except KeyError:  # another spelling of a letter, such as "+1" or "01"
                 letters = sl2traces.check_word([int(s) for s in tokens], arity)
         else:
@@ -138,16 +139,25 @@ def _letter_names(arity):
     return {str(l): l for i in range(1, arity + 1) for l in (i, -i)}
 
 
-def _table(entries):
-    """A length table from (word, length, field) entries of a CSV or JSON
+def _table(entries, field):
+    """A length table from (word, length, tag) entries of a CSV or JSON
     table; the words are in two generators, each named once, and the
-    lengths finite."""
+    lengths finite.  field(tag) is the name of an entry's field: the
+    entries decode with the tag in its place, and an entry that fails
+    decodes again under its name, which raises naming it."""
     table, first = {}, {}
-    for word, length, field in entries:
-        key = tuple(_word(word, field, 2))
+    for word, length, tag in entries:
+        try:
+            key = tuple(_word(word, tag, 2))
+        except CommandError:
+            _word(word, field(tag), 2)
         if key in first:
-            raise CommandError(f"field {field!r} repeats the word of field {first[key]!r}")
-        table[key], first[key] = _real(length, field), field
+            raise CommandError(f"field {field(tag)!r} repeats the word of field {field(first[key])!r}")
+        try:
+            table[key] = _real(length, tag)
+        except ValueError:
+            _real(length, field(tag))
+        first[key] = tag
     if not table:
         raise CommandError("field 'table' has no entries")
     return table
@@ -171,8 +181,8 @@ def _csv_table(cfg):
             length = float(length)
         except ValueError:
             pass  # text that is no number stays text, which _table rejects
-        entries.append((word, length, f"row {i}"))
-    return _table(entries)
+        entries.append((word, length, i))
+    return _table(entries, "row {}".format)
 
 
 def _choice(data, name, choices):
@@ -361,7 +371,7 @@ def _cmd_reconstruct(cfg):
             table = data["table"]
             if not isinstance(table, dict):
                 raise CommandError("field 'table' must be an object from words to lengths")
-            table = _table((k, v, f"table[{k!r}]") for k, v in table.items())
+            table = _table(((k, v, k) for k, v in table.items()), "table[{!r}]".format)
             oracle = spectrum.LengthOracle(table=table, noise=noise, seed=cfg.seed)
         elif "generators" in data:
             reference = _rep(data, "generators", 2)

@@ -7,11 +7,12 @@ deformations.  Words in the generators are plain lists of signed 1-based
 indices: [1, -2, 1] means g1 g2^{-1} g1.
 
 Every many-word and derivative computation, here and in spectrum, goes
-through one engine: a product tree of the words (_word_plan) evaluated
-for a batch of generator tuples (_evaluate_plan).  Derivatives are
-forward mode: given slot tangents, the engine carries each product and
-its differentials as a dual pair (M, dM), and one length-differential
-formula (_length_rows) turns trace differentials into length rows.
+through one engine: a product tree of the words (_word_plan, built once
+per word list) evaluated for a batch of generator tuples
+(_evaluate_plan).  Derivatives are forward mode: given slot tangents,
+the engine carries each product and its differentials as a dual pair
+(M, dM), and one length-differential formula (_length_rows) turns trace
+differentials into length rows.
 SL2Rep.evaluate is a batch of one, and check_word the one word validator.
 
 Every translation length, here and in spectrum, is read from traces by
@@ -23,6 +24,7 @@ and the oracle and Jacobian reads raise ArithmeticError naming it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 
@@ -221,12 +223,14 @@ class SL2Rep:
 
 def check_word(word, arity):
     for letter in word:
+        if type(letter) is int and letter and -arity <= letter <= arity:
+            continue  # the usual letter
         # bool is an int subclass, but True is not a letter
         if not isinstance(letter, (int, np.integer)) or isinstance(letter, bool) or letter == 0:
             raise ValueError("word letters are nonzero signed integers, got %r" % (letter,))
         if abs(letter) > arity:
             raise ValueError("letter %d out of range for arity %d" % (letter, arity))
-    return list(int(l) for l in word)
+    return list(map(int, word))
 
 
 def word_inverse(word):
@@ -350,7 +354,15 @@ _WordPlan = namedtuple("_WordPlan", "size levels ends")
 
 
 def _word_plan(words, arity):
-    """A word list as a product tree, built once and evaluated per batch.
+    """A word list as a product tree, built once per list and evaluated
+    per batch: check_word checks the words, and the plan of the checked
+    words is memoised (_product_tree), so equal lists share one plan."""
+    return _product_tree(tuple(tuple(check_word(w, arity)) for w in words), arity)
+
+
+@functools.lru_cache(maxsize=64)
+def _product_tree(words, arity):
+    """The plan of checked word tuples, its arrays read-only.
 
     Nodes 0..2k are the empty word and the generator slots, ordered
     (g1..gk, g1^-1..gk^-1) for arity k.  Every later node is the product
@@ -373,15 +385,20 @@ def _word_plan(words, arity):
             operands.append((a, b))
         return memo[w]
 
-    ends = [node(tuple(check_word(w, arity))) for w in words]
+    ends = [node(w) for w in words]
     depth, (left, right) = np.array(depth), np.array(operands).T
     order = np.argsort(depth, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     bounds = np.searchsorted(depth[order], np.arange(1, depth.max() + 2))
-    levels = [(lo, hi, rank[left[order[lo:hi]]], rank[right[order[lo:hi]]])
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return _WordPlan(len(depth), levels, rank[np.array(ends, dtype=int)])
+    levels = tuple((int(lo), int(hi), _frozen(rank[left[order[lo:hi]]]), _frozen(rank[right[order[lo:hi]]]))
+                   for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return _WordPlan(len(depth), levels, _frozen(rank[np.array(ends, dtype=int)]))
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 def _matmul(A, B, out=None, scratch=None):

@@ -38,14 +38,12 @@ from .sl2traces import (
     _evaluate_plan,
     _is_inf,
     _length_rows,
-    _matmul,
     _reduced_words,
     _rep_slots,
     _scaled,
     _sphere_distance,
     _sphere_fixed_points,
     _trace_lengths,
-    _with_inverses,
     _word_ends,
     _word_lengths,
 )
@@ -106,6 +104,11 @@ class LengthOracle:
         a letter that is not a nonzero integer raises ValueError naming it."""
         if self._rep:
             return self._rep.arity
+        letters = tuple(itertools.chain.from_iterable(self._table))
+        if set(map(type, letters)) <= {int}:  # plain int letters, read at C speed
+            sizes = set(map(abs, letters))
+            if 0 not in sizes:
+                return max(sizes, default=0)
         # a key holding each distinct letter, told apart by type too:
         # True and 1.0 hash as 1
         holders = {(type(l), l): w for w in self._table for l in w}
@@ -120,14 +123,15 @@ class LengthOracle:
         """The lengths of a word list; OracleMissError names a table miss."""
         if self._table is not None:
             return self._lookup([tuple(check_word(w, self.arity)) for w in words])
-        bases = _word_lengths(self._rep, words).translation.tolist()  # the engine's plan checks the words
-        return [self._answer(w, b) for w, b in zip(words, bases)]
+        # the engine's plan checks the words
+        return self._answers(words, _word_lengths(self._rep, words).translation)
 
     def _lookup(self, words):
         try:  # the table's answers for checked word tuples
-            return [self._answer(w, self._table[w]) for w in words]
+            bases = [self._table[w] for w in words]
         except KeyError as miss:
             raise OracleMissError(miss.args[0]) from None
+        return self._answers(words, bases)
 
     def length(self, word):
         return self.lengths([word])[0]
@@ -135,13 +139,17 @@ class LengthOracle:
     def __call__(self, word):
         return self.length(word)
 
-    def _answer(self, word, base):
-        # the exact length base plus the word's deterministic noise draw,
-        # clamped at 0; the word is read only by a noisy oracle
+    def _answers(self, words, bases):
+        # the exact lengths bases of words clamped at 0, in one call for an
+        # exact oracle; only a noisy oracle reads the words
         if self._noise > 0.0:
-            mix = np.random.default_rng((self._seed, 1789, abs(hash(tuple(word))) % (2**32)))
-            base = base + self._noise * mix.standard_normal()
-        return max(base, 0.0)
+            return [self._answer(w, b) for w, b in zip(words, map(float, bases))]
+        return np.maximum(bases, 0.0).tolist()
+
+    def _answer(self, word, base):
+        # the exact length base plus the word's deterministic noise draw, clamped at 0
+        mix = np.random.default_rng((self._seed, 1789, abs(hash(tuple(word))) % (2**32)))
+        return max(base + self._noise * mix.standard_normal(), 0.0)
 
     def power_lengths(self, a, b, N, check=True):
         """The lengths of a^n, b^n and a^n b^n for n = 1..N, as N triples.
@@ -174,8 +182,7 @@ class LengthOracle:
                 kind = classify(SL2(_scaled(S[i], e[i]), check=False))
                 w = list(power(i))
                 raise NonLoxodromicError("power word %r is %s" % (w, kind), word=w, classification=kind)
-            bases = r.translation.tolist()
-            flat = [self._answer(power(i) if self._noise > 0.0 else None, b) for i, b in enumerate(bases)]
+            flat = self._answers(map(power, range(3 * N)), r.translation)
         return [tuple(flat[i:i + 3]) for i in range(0, 3 * N, 3)]
 
 
@@ -348,12 +355,12 @@ def crossratio_estimate(seq):
             ratios.append(d[i + 1] / d[i])
     if not ratios:
         return w[-1], 0.0
-    r = float(np.median(ratios))
+    r = _median(ratios)
     if abs(r) >= 0.999:
         spread = (max(w) - min(w)) / scale
         if spread < 1e-4:
             # converged to within noise that hides the ratio: the median
-            return float(np.median(w)), spread
+            return _median(w), spread
         # not converging on this window; report last term, flag loudly
         return w[-1], max(1.0, spread)
     c = w[-1] + d[-1] * r / (1.0 - r)
@@ -364,6 +371,15 @@ def crossratio_estimate(seq):
         resid += (v - model) ** 2
     confidence = math.sqrt(resid / len(w)) / scale
     return c, confidence
+
+
+def _median(values):
+    # np.median of a few floats without an array: NaN if one is NaN, else
+    # statistics.median's value, without the ~3 ms import of statistics
+    if any(map(math.isnan, values)):
+        return math.nan
+    s, h = sorted(values), len(values) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0
 
 
 def _cyclic_inverse_class(word):
@@ -404,6 +420,12 @@ def _budget_words(arity, max_len, power_max):
     return tuple(tuple(w) for w in words)
 
 
+# -(1 + 0j) and -(0 + 0j), the negated complex one and zero, and the
+# numerators of 1/g and -1/g
+_MINUS_ONE, _MINUS_ZERO = complex(-1.0, -0.0), complex(-0.0, -0.0)
+_UNITS = np.array([[[1.0]], [[-1.0]]])
+
+
 def _generator_batch(params, tangents=False):
     """The generators of a batch of parameter vectors.
 
@@ -413,29 +435,64 @@ def _generator_batch(params, tangents=False):
     (length_a + i angle_a, length_b + i angle_b, z), and bad marks the rows
     whose b has its repelling point z on its attracting point 1."""
     # gauge: a diagonal with fixed points (repelling 0, attracting inf),
-    # b with attracting point 1, repelling point z; eigenvalues from
-    # half length-angle exponents
+    # b = s diag(mu, 1/mu) s^-1 with attracting point 1, repelling point z
+    # (the columns of s = [[1, z], [1, 1]]); eigenvalues from half
+    # length-angle exponents.  Each entry is the product s D s^-1 of 2 x 2
+    # matrices in _matmul's operands and order, less its exact 0 and 1
+    # factors, so the slots are the composed products bit for bit
     p = np.asarray(params, dtype=float)
-    z = p[:, 4] + 1j * p[:, 5]
-    bad = np.abs(z - 1.0) < 1e-10
-    z = np.where(bad, 0.0, z)  # keeps 1 / (1 - z) finite; callers mask these rows
-    lam = np.exp((p[:, 0] + 1j * p[:, 1]) / 2.0)
-    mu = np.exp((p[:, 2] + 1j * p[:, 3]) / 2.0)
-    one, zero = np.ones_like(z), np.zeros_like(z)
-    # columns of s are the attracting (1) and repelling (z) eigenvectors
-    s = np.array([[[one, z], [one, one]]])
-    si = np.array([[[one, -z], [-one, one]]]) / (1.0 - z)
-    b = _matmul(_matmul(s, np.array([[[mu, zero], [zero, 1.0 / mu]]])), si)
-    slots = _with_inverses(np.concatenate([np.array([[[lam, zero], [zero, 1.0 / lam]]]), b]))
+    c = p[:, 0::2] + 1j * p[:, 1::2]  # the exponents of lam and mu, and z
+    bad = np.abs(c[:, 2] - 1.0) < 1e-10
+    z = np.where(bad, 0.0, c[:, 2])  # keeps 1 / (1 - z) finite; callers mask these rows
+    D, P = 1 + bool(tangents), len(p)
+    # E[2d + r, g] for g = lam, mu: E[0] = g and E[1] = 1/g, and with
+    # tangents E[2] = g/2 and E[3] = (-1/g)/2, the diagonal's derivatives
+    E = np.empty((2 * D, 2, P), dtype=complex)
+    np.exp(c[:, :2].T / 2.0, out=E[0])
+    np.divide(_UNITS[:D], E[0], out=E[1::2])
+    if tangents:
+        E[2] = E[0]
+        E[2:] /= 2.0
+    si = np.empty((2, 2, P), dtype=complex)  # s^-1 = [[1, -z], [-1, 1]] / (1 - z)
+    si.reshape(4, P)[::3] = 1.0
+    si[1, 0] = _MINUS_ONE
+    np.negative(z, out=si[0, 1])
+    si /= 1.0 - z
+    # K[i, j, d] = sum over k of (s diag(u, v))[i, k] s^-1[k, j], with
+    # s diag(u, v) = [[u, z v], [u, v]]: d = 0 is b, d = 1 its derivative
+    # s diag(mu, -1/mu) s^-1 / 2
+    u, v = E[0::2, 1], E[1::2, 1]
+    W = np.empty((2, D, P), dtype=complex)
+    # numpy's complex product has two kernels that round apart, picked by
+    # the operands' layout: z[None] keeps this one-row product on the
+    # composition's kernel
+    np.multiply(z[None], v, out=W[0])
+    W[1] = v
+    K = u * si[0, :, None] + W[:, None] * si[1, None, :, None]
+    slots = np.empty((4, 2, 2, P), dtype=complex)
+    # row 4s + 2i + j of f is entry (i, j) of a, b, a^-1 = adj a, b^-1 = adj b:
+    # lam at a[0, 0] and a^-1[1, 1], 1/lam at a[1, 1] and a^-1[0, 0]
+    f = slots.reshape(16, P)
+    f[0:12:11], f[3:9:5] = E[0, 0], E[1, 0]
+    f[1:3], f[9:11] = 0.0, _MINUS_ZERO
+    slots[1] = K[:, :, 0]
+    f[12:16:3] = f[7:3:-3]
+    np.negative(f[5:7], out=f[13:15])
     if not tangents:
         return slots, None, bad
-    # b = s d s^-1 moves with z by n b - b n, n = (ds/dz) s^-1
-    n = np.array([[[-one, one], [zero, zero]]]) / (1.0 - z)
-    dgens = np.zeros((2, 2, 2, 3, len(p)), dtype=complex)
-    dgens[0, :, :, 0] = np.array([[lam, zero], [zero, -1.0 / lam]]) / 2.0
-    dgens[1, :, :, 1] = _matmul(_matmul(s, np.array([[[mu, zero], [zero, -1.0 / mu]]]) / 2.0), si)[0]
-    dgens[1, :, :, 2] = (_matmul(n, b) - _matmul(b, n))[0]
-    return slots, _with_inverses(dgens), bad
+    dslots = np.zeros((4, 2, 2, 3, P), dtype=complex)
+    f = dslots.reshape(16, 3, P)
+    f[0:12:11, 0], f[3:9:5, 0] = E[2, 0], E[3, 0]
+    dslots[1, :, :, 1] = K[:, :, 1]
+    # b moves with z by n b - b n, n = (ds/dz) s^-1 = [[0, 1], [0, 0]] s^-1,
+    # whose first row is the second row of s^-1
+    b, n = K[:, :, 0], si[1]
+    np.negative(b[:, :1] * n, out=dslots[1, :, :, 2])
+    nb = n[:, None] * b
+    dslots[1, 0, :, 2] += nb[0] + nb[1]
+    f[12:16:3, 1:] = f[7:3:-3, 1:]
+    np.negative(f[5:7, 1:], out=f[13:15, 1:])
+    return slots, dslots, bad
 
 
 def _rep_from_params(p):
@@ -646,15 +703,24 @@ def _initial_guesses(oracle):
     return starts
 
 
+@functools.lru_cache(maxsize=8)
 def _fit_words(budget):
-    """The fit words of a budget: default_budget_words(2) with its longest
-    plain words trimmed to fit, keeping the power family."""
-    words = default_budget_words(2)
+    """The fit words of a budget, as word tuples: default_budget_words(2)
+    with its longest plain words trimmed to fit, keeping the power family."""
+    words = _budget_words(2, 4, 8)
     if len(words) <= budget:
         return words
     powers = [w for w in words if _is_power_word(w)]
     plain = [w for w in words if not _is_power_word(w)]
-    return plain[:budget - len(powers)] + powers
+    return tuple(plain[:budget - len(powers)] + powers)
+
+
+@functools.lru_cache(maxsize=8)
+def _hold_words(budget):
+    """The held-out words of a budget: the last six reduced words up to
+    length 5 (default_budget_words(2, 5, 0)) that are not fit words."""
+    fit = set(_fit_words(budget))
+    return tuple(w for w in _budget_words(2, 5, 0) if w not in fit)[-6:]
 
 
 def _fitted_cost(targets):
@@ -693,10 +759,7 @@ def reconstruct_report(oracle, budget=30):
     if oracle.rep is not None and not is_nonelementary(oracle.rep):
         raise ValueError("oracle is generated by an elementary representation")
 
-    words = _fit_words(budget)
-    hold_words = [w for w in default_budget_words(2, max_len=5, power_max=0) if w not in words][-6:]
-
-    fit_words, targets = _covered(oracle, words)
+    fit_words, targets = _covered(oracle, _fit_words(budget))
     if len(fit_words) < 8:
         raise ValueError("oracle covers only %d of the budget words" % len(fit_words))
     targets = np.asarray(targets)
@@ -723,18 +786,21 @@ def reconstruct_report(oracle, budget=30):
                solve.iterations[best_idx])
         )
 
-    covered, hold_targets = _covered(oracle, hold_words)
-    hold_errors = np.abs(_residual_batch(best_x[None], sl2traces._word_plan(covered, 2), hold_targets)[0])
-
-    residuals, J = _residual_batch(best_x[None], plan, targets, jacobian=True)
+    covered, hold_targets = _covered(oracle, _hold_words(budget))
+    # the fit's residuals and Jacobian and the held-out errors from one
+    # dual call: a word's row does not depend on the other words, and the
+    # value part of the dual evaluation is the plain product
+    m = len(fit_words)
+    F, J = _residual_batch(best_x[None], sl2traces._word_plan([*fit_words, *covered], 2),
+                           [*targets, *hold_targets], jacobian=True)
     return {
         "rep": rep,
         "parameters": [float(v) for v in best_x],
         "words": [list(w) for w in fit_words],
-        "residuals": [float(r) for r in residuals[0]],
+        "residuals": [float(r) for r in F[0, :m]],
         "rms": rms,
         "restart_index": best_idx,
-        "holdout_errors": {" ".join(str(l) for l in w): float(e) for w, e in zip(covered, hold_errors)},
+        "holdout_errors": {" ".join(str(l) for l in w): float(e) for w, e in zip(covered, np.abs(F[0, m:]))},
         "diagnostics": {
             "restarts": [
                 {"start": [float(v) for v in x0], "iterations": int(n),
@@ -743,7 +809,7 @@ def reconstruct_report(oracle, budget=30):
             ],
             "engine_calls": solve.calls,
             "engine_rows": solve.rows,
-            "singular_values": [float(v) for v in np.linalg.svd(J[0], compute_uv=False)],
+            "singular_values": [float(v) for v in np.linalg.svd(J[0, :m], compute_uv=False)],
         },
     }
 
@@ -777,7 +843,7 @@ def _covered(oracle, words):
 
 def _is_power_word(w):
     n = len(w) // 2
-    return len(w) >= 2 and len(w) % 2 == 0 and w == [1] * n + [2] * n
+    return len(w) >= 2 and len(w) % 2 == 0 and w == (1,) * n + (2,) * n
 
 
 def reconstruct(oracle, budget=30):

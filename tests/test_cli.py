@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rank1kit import cli, sl2traces
+from rank1kit import cli, sl2traces, spectrum
 from rank1kit.algebra import AlgebraKind
 from rank1kit.ballmodel import BallPoint, stereo
 from rank1kit.isometry import NormalIsometry, random_normal_isometry
@@ -552,6 +552,25 @@ def test_csv_table_reads_other_spellings_of_letters(tmp_path):
     tables = [cli._csv_table(cli.JobConfig("reconstruct", input=str(p))) for p in (plain, spelled)]
     assert tables[0] == tables[1] == {(1, -2): 1.5, (2, 1): 2.5}
     assert all(type(l) is int for word in tables[1] for l in word)
+
+
+@pytest.mark.parametrize("name", ["gens.json", "table.csv"])
+def test_input_with_a_byte_order_mark_reads_as_without_it(tmp_path, name):
+    # spreadsheets export UTF-8 CSV with a byte-order mark
+    if name.endswith(".json"):
+        text = '{"generators": %s}' % _PAIR
+    else:
+        rep = random_schottky_pair(np.random.default_rng(11))
+        words = spectrum.default_budget_words(2, 5, 16)
+        lengths = spectrum.LengthOracle(rep=rep).lengths(words)
+        text = "word,length\n" + "".join(
+            "%s,%r\n" % (" ".join(map(str, w)), v) for w, v in zip(words, lengths))
+    plain, marked = tmp_path / ("plain_" + name), tmp_path / ("marked_" + name)
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    runs = [run_quiet(["reconstruct", "--input", str(p)]) for p in (plain, marked)]
+    assert runs[0][0] == 0 and runs[0][1] and runs[1] == runs[0]
 
 
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch):

@@ -386,6 +386,27 @@ def test_dual_evaluation_carries_values_and_differentials():
     assert np.all(dual[plan.ends[0], :, :, 1:] == 0.0)  # the empty word is constant
 
 
+def test_word_plan_is_memoised_on_checked_words():
+    words = [[1], [2, -1], [1, 2, 2, -1, 1], []]
+    plan = sl2traces._word_plan(words, 2)
+    # equal word lists share one plan, whatever holds the letters
+    for same in ([tuple(w) for w in words], tuple(map(tuple, words)),
+                 [[np.int64(l) for l in w] for w in words]):
+        assert sl2traces._word_plan(same, 2) is plan
+    assert sl2traces._word_plan(words, 3) is not plan
+    arrays = [plan.ends] + [a for level in plan.levels for a in level[2:]]
+    assert len(arrays) == 1 + 2 * len(plan.levels) >= 5
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        plan.ends[0] = 0
+    # True == 1 and hashes as 1, so the memo keys on checked words: a
+    # malformed word raises although the plan of [[1]] is cached
+    sl2traces._word_plan([[1]], 2)
+    for bad in ([[True]], [[1.5]], [[0]], [[3]]):
+        with pytest.raises(ValueError):
+            sl2traces._word_plan(bad, 2)
+
+
 def test_word_plan_is_a_log_depth_product_tree():
     from rank1kit import sl2traces
 

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -638,6 +639,130 @@ def test_residual_batch_matches_letter_by_letter():
     # a batch of one gives the same row
     alone = spectrum._residual_batch(params[3:4], plan, targets)[0]
     assert np.abs(alone - batch[3]).max() <= 1e-14 * max(1.0, np.abs(batch[3]).max())
+
+
+def _composed_generator_batch(params, tangents=False):
+    # the reference for _generator_batch: the gauge's generators composed
+    # as 2 x 2 products by _matmul, inverses by _with_inverses
+    matmul = sl2traces._matmul
+    p = np.asarray(params, dtype=float)
+    z = p[:, 4] + 1j * p[:, 5]
+    bad = np.abs(z - 1.0) < 1e-10
+    z = np.where(bad, 0.0, z)
+    lam = np.exp((p[:, 0] + 1j * p[:, 1]) / 2.0)
+    mu = np.exp((p[:, 2] + 1j * p[:, 3]) / 2.0)
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    s = np.array([[[one, z], [one, one]]])
+    si = np.array([[[one, -z], [-one, one]]]) / (1.0 - z)
+    b = matmul(matmul(s, np.array([[[mu, zero], [zero, 1.0 / mu]]])), si)
+    slots = sl2traces._with_inverses(np.concatenate([np.array([[[lam, zero], [zero, 1.0 / lam]]]), b]))
+    if not tangents:
+        return slots, None, bad
+    n = np.array([[[-one, one], [zero, zero]]]) / (1.0 - z)
+    dgens = np.zeros((2, 2, 2, 3, len(p)), dtype=complex)
+    dgens[0, :, :, 0] = np.array([[lam, zero], [zero, -1.0 / lam]]) / 2.0
+    dgens[1, :, :, 1] = matmul(matmul(s, np.array([[[mu, zero], [zero, -1.0 / mu]]]) / 2.0), si)[0]
+    dgens[1, :, :, 2] = (matmul(n, b) - matmul(b, n))[0]
+    return slots, sl2traces._with_inverses(dgens), bad
+
+
+def test_generator_batch_is_the_composed_product():
+    # the closed-form entries drop only exact 0 and 1 factors of the
+    # composition: the slots are its bits, signed zeros included, at the
+    # real start (angles 0, Im z = 0), at angles of +-pi and -0.0, and on
+    # the rows with z on 1; the tangents are equal
+    rng = np.random.default_rng(21)
+    X = _random_params(rng, 400)
+    X[::3, [1, 3]] = rng.choice([0.0, -0.0, math.pi, -math.pi], (len(X[::3]), 2))
+    X[::4, 5] = rng.choice([0.0, -0.0], len(X[::4]))
+    X[::5, 4] = rng.choice([0.0, -0.0, 2.0, -1.0], len(X[::5]))
+    X[::7, 4:] = (1.0, 0.0)
+    X[1::7, 4:] = (1.0 + 3e-11, -2e-11)
+    X[::11, [1, 3, 5]] = 0.0
+    assert spectrum._generator_batch(X)[2][::7].all()
+    # one-row batches too: numpy's complex product has two kernels, picked by layout
+    for P in (X, X[:2], X[:17], *X[:60, None]):
+        for tangents in (False, True):
+            slots, dslots, bad = spectrum._generator_batch(P, tangents)
+            ref, dref, ref_bad = _composed_generator_batch(P, tangents)
+            assert np.array_equal(bad, ref_bad)
+            assert np.array_equal(slots.view(np.int64), ref.view(np.int64))
+            assert tangents == (dslots is not None) and np.array_equal(dslots, dref)
+
+
+def test_fit_and_held_out_words_are_the_list_built_ones():
+    # the parent construction from fresh lists, against the cached tuples
+    for budget in (12, 30, 31, 47, 100):
+        words = default_budget_words(2)
+        powers = [w for w in words if len(w) % 2 == 0 and w == [1] * (len(w) // 2) + [2] * (len(w) // 2)]
+        fit = words if len(words) <= budget else (
+            [w for w in words if w not in powers][:budget - len(powers)] + powers)
+        hold = [w for w in default_budget_words(2, max_len=5, power_max=0) if w not in fit][-6:]
+        assert [list(w) for w in spectrum._fit_words(budget)] == fit
+        assert [list(w) for w in spectrum._hold_words(budget)] == hold
+        assert spectrum._fit_words(budget) is spectrum._fit_words(budget)
+
+
+def test_report_makes_one_engine_call_after_the_solve(monkeypatch):
+    # the report's residuals, Jacobian and held-out errors come from one
+    # dual call; its held-out errors are the plain call's over their own plan
+    engine, lockstep = sl2traces._evaluate_plan, spectrum._lockstep_levenberg_marquardt
+    calls = []
+
+    def counted(*args):
+        calls.append("engine")
+        return engine(*args)
+
+    def solve(*args, **kwargs):
+        result = lockstep(*args, **kwargs)
+        calls.append("solved")
+        return result
+
+    for module in (sl2traces, spectrum):
+        monkeypatch.setattr(module, "_evaluate_plan", counted)
+    monkeypatch.setattr(spectrum, "_lockstep_levenberg_marquardt", solve)
+    rep = random_schottky_pair(np.random.default_rng(4))
+    words = default_budget_words(2, 5, 16)
+    table = dict(zip(map(tuple, words), LengthOracle(rep=rep).lengths(words)))
+    for oracle in (LengthOracle(table=table), LengthOracle(rep=rep, noise=1e-6)):
+        calls.clear()
+        report = reconstruct_report(oracle)
+        after = calls[calls.index("solved") + 1:]
+        # a rep oracle reads the held-out lengths through the engine as well
+        assert after == ["engine"] * (1 if oracle.rep is None else 2)
+        hold = [[int(l) for l in w.split()] for w in report["holdout_errors"]]
+        assert hold == [list(w) for w in spectrum._hold_words(30)]
+        plain = spectrum._residual_batch(np.array(report["parameters"])[None], sl2traces._word_plan(hold, 2),
+                                         oracle.lengths(hold))[0]
+        assert list(report["holdout_errors"].values()) == np.abs(plain).tolist()
+
+
+def test_exact_answers_clamp_at_zero_in_one_call():
+    # an exact oracle clamps its lengths as the per-word max(base, 0.0);
+    # a noisy one adds each word's draw first
+    bases = [2.5, -1e-17, 0.0, -0.0, 1e-300, -3.0, 7.0]
+    words = [(1,) * (n + 1) for n in range(len(bases))]
+    for oracle in (LengthOracle(rep=README_PAIR), LengthOracle(table={(1,): 1.0})):
+        assert oracle._answers(words, bases) == [max(b, 0.0) for b in bases]
+        assert oracle._answers(words, np.array(bases)) == [max(b, 0.0) for b in bases]
+    noisy = LengthOracle(rep=README_PAIR, noise=0.1, seed=2)
+    assert noisy._answers(words, np.array(bases)) == [noisy._answer(w, b) for w, b in zip(words, bases)]
+
+
+def test_median_is_numpys_median():
+    rng = np.random.default_rng(22)
+    for n in range(1, 9):
+        for _ in range(50):
+            values = rng.standard_normal(n).tolist()
+            for k, special in enumerate((math.inf, -math.inf, math.nan)):
+                if rng.uniform() < 0.2:
+                    values[int(rng.integers(n))] = special
+            want = float(np.median(values))
+            got = spectrum._median(values)
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == want == statistics.median(values)
 
 
 def test_residual_jacobian_matches_central_differences():
