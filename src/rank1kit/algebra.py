@@ -138,19 +138,18 @@ _RIGHT = {
     kind.dim: t.transpose(1, 0, 2).reshape(kind.dim, kind.dim * kind.dim)
     for kind, t in _TENSORS.items()
 }
+# y @ _RIGHT_CONJ[kind] is the table of conj(y): each column of _RIGHT holds
+# one +-1, so flipping the signs of its rows is exact
+_RIGHT_CONJ = {d: _CONJ_SIGNS[d][:, None] * right for d, right in _RIGHT.items()}
 # rows per block of mul_coeffs, which keeps its (rows, dim, dim) table small
 _BLOCK = 1024
 _reduce = np.add.reduce
 
 
-def _table(kind: AlgebraKind, y: np.ndarray) -> np.ndarray:
-    d = kind.dim
-    return (y @ _RIGHT[d]).reshape(y.shape[:-1] + (d, d))
-
-
-def _products(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # the sum over a runs in order down a non-contiguous axis
-    return _reduce(x[..., :, None] * _table(kind, y), axis=-2)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 def mul_coeffs(kind: AlgebraKind, x, y) -> np.ndarray:
@@ -161,13 +160,16 @@ def mul_coeffs(kind: AlgebraKind, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if max(x.size, y.size) <= _BLOCK * kind.dim:
-        return _products(kind, x, y)
+    d = kind.dim
+    if x.size <= _BLOCK * d >= y.size:
+        # the sum over a runs in order down a non-contiguous axis
+        return _reduce(x[..., :, None] * (y @ _RIGHT[d]).reshape(y.shape[:-1] + (d, d)), axis=-2)
     x, y = np.broadcast_arrays(x, y)
     out = np.empty(x.shape)
     for start in range(0, len(x), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        table = _table(kind, y[rows])
+        table = y[rows] @ _RIGHT[d]
+        table = table.reshape(table.shape[:-1] + (d, d))
         table *= x[rows, ..., :, None]
         _reduce(table, axis=-2, out=out[rows])
     return out
@@ -182,11 +184,39 @@ def norm_coeffs(x: np.ndarray) -> np.ndarray:
 
 
 def inv_coeffs(kind: AlgebraKind, x: np.ndarray) -> np.ndarray:
-    n2 = _reduce(x * x, axis=-1, keepdims=True)
-    if (n2 == 0.0).any():
-        raise ZeroDivisionError("zero element has no inverse")
-    out = conj_coeffs(kind, x)
-    out /= n2
+    """Inverses conj(x) / |x|^2 of coefficient arrays (..., dim).
+
+    |x|^2 overflows for |x| above about 1.3e154 and underflows to 0
+    below about 1.5e-162. The floating-point error that either raises
+    (an overflow, or a division by zero) sends the call to
+    _rescaled_inverse, which inverts those rows after an exact
+    power-of-two rescale, so every other row keeps its bits and no
+    warning is printed. A zero element raises ZeroDivisionError.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            n2 = _reduce(x * x, axis=-1, keepdims=True)
+            out = x * _CONJ_SIGNS[kind.dim]
+            out /= n2
+    except FloatingPointError:
+        return _rescaled_inverse(kind, x)
+    return out
+
+
+def _rescaled_inverse(kind: AlgebraKind, x: np.ndarray) -> np.ndarray:
+    signs = _CONJ_SIGNS[kind.dim]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n2 = _reduce(x * x, axis=-1, keepdims=True)
+        bad = ((n2 == 0.0) | (n2 == math.inf))[..., 0]
+        # x = 2^e y with max |y_a| in [1/2, 1), so conj(x) / |x|^2 = 2^-e conj(y) / |y|^2
+        e = np.frexp(np.abs(x[bad]).max(axis=-1, keepdims=True))[1]
+        y = np.ldexp(x[bad], -e)
+        y2 = _reduce(y * y, axis=-1, keepdims=True)
+        if not y2.all():
+            raise ZeroDivisionError("zero element has no inverse")
+        out = x * signs
+        out /= n2
+        out[bad] = np.ldexp(y * signs / y2, -e)
     return out
 
 
@@ -202,16 +232,17 @@ def mat_mul(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = kind.dim
     r, p = b.shape[-3], b.shape[-2]
     # [..., j, (k, a), c]: the table of b_kj, rows ordered by k, then a
-    table = np.swapaxes(_table(kind, b), -4, -3).reshape(b.shape[:-3] + (1, p, r * d, d))
-    flat = a.reshape(a.shape[:-2] + (1, r * d, 1))
-    return _reduce(flat * table, axis=-2)
+    table = (b.swapaxes(-3, -2) @ _RIGHT[d]).reshape(b.shape[:-3] + (1, p, r * d, d))
+    return _reduce(a.reshape(a.shape[:-2] + (1, r * d, 1)) * table, axis=-2)
 
 
 def pairing(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hermitian pairing sum_i x_i conj(y_i) of (..., r, dim) arrays."""
-    terms = x[..., :, :, None] * _table(kind, conj_coeffs(kind, y))
+    """Hermitian pairing sum_i x_i conj(y_i) of (..., r, dim) arrays
+    with the same r."""
+    d = kind.dim
     # rows ordered by i, then a, as in mat_mul
-    return _reduce(terms.reshape(terms.shape[:-3] + (-1, kind.dim)), axis=-2)
+    table = (y @ _RIGHT_CONJ[d]).reshape(y.shape[:-2] + (-1, d))
+    return _reduce(x.reshape(x.shape[:-2] + (-1, 1)) * table, axis=-2)
 
 
 def decode_coeffs(value, shape: tuple, field: str) -> np.ndarray:
@@ -274,10 +305,8 @@ class AlgebraElement:
             raise ValueError(
                 f"kind {kind.name} expects {kind.dim} coefficients, got shape {arr.shape}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen(arr.copy()))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -345,10 +374,7 @@ class AlgebraElement:
         return float(np.dot(self.coeffs, self.coeffs))
 
     def inv(self) -> "AlgebraElement":
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero element has no inverse")
-        return AlgebraElement(self.kind, conj_coeffs(self.kind, self.coeffs) / n2)
+        return AlgebraElement(self.kind, inv_coeffs(self.kind, self.coeffs))
 
     @property
     def re(self) -> float:

@@ -43,13 +43,14 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraKind,
+    _frozen,
     conj_coeffs,
     decode_coeffs,
     inv_coeffs,
     mul_coeffs,
     pairing,
 )
-from .nilboundary import NilPoint, SpaceConfig, _check_pair, _crossratio_quotient, _frozen, _norm_sq
+from .nilboundary import NilPoint, SpaceConfig, _check_pair, _crossratio_quotient, _norm_sq
 
 __all__ = [
     "BallPoint",
@@ -169,7 +170,7 @@ def _pole(shape, sign: float) -> np.ndarray:
 
 def _renormalized(x: np.ndarray) -> np.ndarray:
     n2 = _norm_sq(x)
-    if (n2 == 0.0).any():
+    if not n2.all():
         raise ValueError("cannot renormalize the origin onto the sphere")
     return x / np.sqrt(n2)[..., None, None]
 
@@ -201,8 +202,8 @@ def rform_coeffs(kind: AlgebraKind, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _seminorm(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|1 - <x, y>|, with the octonionic correction (|.|^2 + 2 R<x, y>)^1/2."""
-    u = -pairing(kind, x, y)
-    u[..., 0] += 1.0
+    u = pairing(kind, x, y)  # <x, y> - 1 has the squared norm of 1 - <x, y>
+    u[..., 0] -= 1.0
     base_sq = _reduce(u * u, axis=-1)
     if kind is not AlgebraKind.O:
         return np.sqrt(base_sq)
@@ -224,14 +225,14 @@ def coshdist_coeffs(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 # the chordal pairs of [x, y, z, w]: numerator (z, x) and (w, y),
 # denominator (w, x) and (z, y)
-_PAIR_A = [2, 3, 3, 2]
-_PAIR_B = [0, 1, 0, 1]
+_PAIR_A = np.array([2, 3, 3, 2])
+_PAIR_B = np.array([0, 1, 0, 1])
 
 
 def crossratio_ball_coeffs(kind: AlgebraKind, pts: np.ndarray) -> np.ndarray:
     """[x, y, z, w] of quadruples (..., 4, m, dim) of boundary points."""
     pts = _renormalized(pts)
-    f = _seminorm(kind, pts[..., _PAIR_A, :, :], pts[..., _PAIR_B, :, :])
+    f = _seminorm(kind, pts.take(_PAIR_A, axis=-3), pts.take(_PAIR_B, axis=-3))
     return _crossratio_quotient(f[..., 0] * f[..., 1], f[..., 2] * f[..., 3])
 
 
@@ -239,13 +240,12 @@ def stereo_coeffs(kind: AlgebraKind, g: np.ndarray, infinity=None) -> np.ndarray
     """Boundary chart: group coordinates to the unit sphere; the points
     that `infinity` marks go to the south pole."""
     k2 = _norm_sq(g[..., 1:, :])
-    c = g[..., 0, :]
-    d = -c
+    # (k, n) with n = 1 - |k|^2 + c, the center moved last
+    kn = np.concatenate([g[..., 1:, :], g[..., :1, :]], axis=-2)
+    d = -kn[..., -1, :]
     d[..., 0] += 1.0 + k2
-    n = c.copy()
-    n[..., 0] += 1.0 - k2
-    out = mul_coeffs(kind, inv_coeffs(kind, d)[..., None, :],
-                     np.concatenate([g[..., 1:, :], n[..., None, :]], axis=-2))
+    kn[..., -1, 0] += 1.0 - k2
+    out = mul_coeffs(kind, inv_coeffs(kind, d)[..., None, :], kn)
     out[..., :-1, :] *= 2.0
     if infinity is not None:
         out[np.asarray(infinity, dtype=bool)] = _pole(g.shape[-2:], -1.0)
@@ -271,7 +271,8 @@ def stereo_inv_coeffs(kind: AlgebraKind, x: np.ndarray):
     u = x[..., -1, :].copy()
     u[..., 0] += 1.0
     infinity = _reduce(u * u, axis=-1) + _norm_sq(x[..., :-1, :]) <= _SPHERE_TOL * _SPHERE_TOL
-    if infinity.any():
+    at_pole = infinity.any()
+    if at_pole:
         u[infinity] = np.eye(1, kind.dim)[0]  # any unit; these rows are cleared below
     e = -x[..., -1, :]
     e[..., 0] += 1.0
@@ -281,7 +282,8 @@ def stereo_inv_coeffs(kind: AlgebraKind, x: np.ndarray):
     out[..., 1:, :] = prod[..., :-1, :]
     out[..., 0, :] = -prod[..., -1, :]
     out[..., 0, 0] = -0.0
-    out[infinity] = 0.0
+    if at_pole:
+        out[infinity] = 0.0
     return out, infinity
 
 

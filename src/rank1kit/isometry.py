@@ -44,6 +44,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraKind,
+    _frozen,
     conj_coeffs,
     decode_coeffs,
     inv_coeffs,
@@ -54,7 +55,7 @@ from .algebra import (
     random_unit,
 )
 from .ballmodel import BallPoint
-from .nilboundary import NilPoint, SpaceConfig, _norm_sq
+from .nilboundary import NilPoint, SpaceConfig, _check_pair, _norm_sq
 
 __all__ = [
     "NormalIsometry",
@@ -168,10 +169,8 @@ class GroupMatrix:
         n = config.m + 1
         if coeffs.shape != (n, n, config.kind.dim):
             raise ValueError(f"expected coefficient shape {(n, n, config.kind.dim)}")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _frozen(coeffs.copy()))
         if check:
             r = self.form_residual()
             if r > _FORM_TOL:
@@ -276,10 +275,8 @@ class NormalIsometry:
             res = mat_mul(kind, _mat_conj_t(kind, M), M) - _mat_identity(kind, r)
             if np.max(norm_coeffs(res)) > _FORM_TOL:
                 raise ValueError("rotation block is not unitary")
-        M = M.copy()
-        M.flags.writeable = False
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "M", _frozen(M.copy()))
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "s", float(s))
 
@@ -327,17 +324,18 @@ def act_nil_coeffs(kind: AlgebraKind, M: np.ndarray, nu: np.ndarray, s,
     nu_inv = conj_coeffs(kind, nu)  # unit
     c, k = g[..., :1, :], g[..., 1:, :]
     k2 = _norm_sq(k)
-    # Ds = e^2s + |k|^2 - c and D1 = 1 + |k|^2 - c
-    dd = np.concatenate([-c, -c], axis=-2)
-    dd[..., 0, 0] += np.exp(2.0 * s) + k2
-    dd[..., 1, 0] += 1.0 + k2
+    # rows c, Ds, D1, k with Ds = e^2s + |k|^2 - c and D1 = 1 + |k|^2 - c
+    minus_c = -c
+    rows = np.concatenate([c, minus_c, minus_c, k], axis=-2)
+    rows[..., 1, 0] += np.exp(2.0 * s) + k2
+    rows[..., 2, 0] += 1.0 + k2
     # (nu^-1 c) nu, the center before scaling, and lead = (nu^-1 Ds) nu
-    pair = np.concatenate([c, dd[..., :1, :]], axis=-2)
-    twisted = mul_coeffs(kind, mul_coeffs(kind, nu_inv[..., None, :], pair), nu[..., None, :])
-    dd_inv = inv_coeffs(kind, dd)
-    mid = mul_coeffs(kind, nu_inv, mul_coeffs(kind, dd_inv[..., 0, :], dd[..., 1, :]))
-    scaled = mul_coeffs(kind, dd_inv[..., 1, None, :], k)
-    rotated = mat_mul(kind, scaled[..., None, :, :], M)[..., 0, :, :]
+    twisted = mul_coeffs(kind, mul_coeffs(kind, nu_inv[..., None, :], rows[..., :2, :]), nu[..., None, :])
+    dd_inv = inv_coeffs(kind, rows[..., 1:3, :])
+    # Ds^-1 D1 and D1^-1 k in one product
+    quotients = mul_coeffs(kind, dd_inv.take([0] + [1] * k.shape[-2], axis=-2), rows[..., 2:, :])
+    mid = mul_coeffs(kind, nu_inv, quotients[..., 0, :])
+    rotated = mat_mul(kind, quotients[..., None, 1:, :], M)[..., 0, :, :]
     inner = mul_coeffs(kind, mid[..., None, :], rotated)
     out = np.empty(np.shape(g))
     out[..., 0, :] = np.exp(-2.0 * s)[..., None] * twisted[..., 0, :]
@@ -376,8 +374,7 @@ def act_interior_coeffs(kind: AlgebraKind, A: np.ndarray, x: np.ndarray) -> np.n
 
 def act_nil(iso: NormalIsometry, g: NilPoint) -> NilPoint:
     """Normal-form action in group coordinates; fixes e and infinity."""
-    if iso.config != g.config:
-        raise ValueError("configuration mismatch")
+    _check_pair(iso, g)
     if g.is_infinity:
         return g
     return NilPoint._wrap(g.config, act_nil_coeffs(g.config.kind, iso.M, iso.nu.coeffs, iso.s, g.coeffs))
@@ -385,8 +382,7 @@ def act_nil(iso: NormalIsometry, g: NilPoint) -> NilPoint:
 
 def act_ball(iso: NormalIsometry, x: BallPoint) -> BallPoint:
     """Normal-form action on the closed ball; fixes (0, 1) and (0, -1)."""
-    if iso.config != x.config:
-        raise ValueError("configuration mismatch")
+    _check_pair(iso, x)
     return BallPoint._wrap(x.config, act_ball_coeffs(x.config.kind, iso.M, iso.nu.coeffs, iso.s, x.coeffs))
 
 

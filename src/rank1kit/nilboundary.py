@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraKind, decode_coeffs, pairing
+from .algebra import AlgebraElement, AlgebraKind, _frozen, decode_coeffs, pairing
 
 __all__ = [
     "SpaceConfig",
@@ -100,11 +100,6 @@ class SpaceConfig:
         if isinstance(m, bool) or not isinstance(m, int):
             raise ValueError("field 'config.m' must be an integer")
         return cls(AlgebraKind.from_name(kind), m)
-
-
-def _frozen(coeffs: np.ndarray) -> np.ndarray:
-    coeffs.flags.writeable = False
-    return coeffs
 
 
 def _norm_sq(x: np.ndarray) -> np.ndarray:
@@ -234,8 +229,9 @@ def _check_center(coeffs: np.ndarray):
 
 
 def _check_pair(g, h):
-    """Points of either model must share their configuration."""
-    if g.config != h.config:
+    """Points of either model, and the isometries acting on them, must
+    share their configuration."""
+    if g.config is not h.config and g.config != h.config:
         raise ValueError("configuration mismatch")
 
 
@@ -268,8 +264,9 @@ def gauge_coeffs(g: np.ndarray) -> np.ndarray:
 
 def _gauge_sq(g: np.ndarray) -> np.ndarray:
     """|A(g)|^2 = |k|^4 + |center|^2."""
-    k2 = _norm_sq(g[..., 1:, :])
-    return k2 * k2 + _reduce(g[..., 0, :] ** 2, axis=-1)
+    rows = _reduce(g * g, axis=-1)  # |center|^2, then |k_i|^2
+    k2 = _reduce(rows[..., 1:], axis=-1)
+    return k2 * k2 + rows[..., 0]
 
 
 def qnorm_coeffs(g: np.ndarray) -> np.ndarray:
@@ -288,32 +285,32 @@ def _crossratio_quotient(num, den):
     """num / den, elementwise, under the one cross-ratio policy of every
     model: a vanishing denominator gives inf, and 0/0 is indeterminate."""
     num, den = np.asarray(num), np.asarray(den)
-    zero = den == 0
-    if zero.any():
+    if den.all():
+        out = num / den
+    else:
+        zero = den == 0
         if (zero & (num == 0)).any():
             raise ArithmeticError("indeterminate cross-ratio (0/0)")
         out = np.where(zero, np.inf, num / np.where(zero, 1.0, den))
-    else:
-        out = num / den
     return out if out.ndim else out.item()
 
 
 # the four factors |A(h^-1 g)| of [g1, g2, g3, g4], as (h, g) point indices:
 # numerator (3, 1) and (4, 2), denominator (4, 1) and (3, 2)
-_FACTOR_H = [2, 3, 3, 2]
-_FACTOR_G = [0, 1, 0, 1]
+_FACTOR_H = np.array([2, 3, 3, 2])
+_FACTOR_G = np.array([0, 1, 0, 1])
 
 
 def crossratio_nil_coeffs(kind: AlgebraKind, pts: np.ndarray, infinity=None) -> np.ndarray:
     """Cross-ratios of quadruples (..., 4, m, dim); `infinity` (..., 4)
     marks points at infinity, whose factors are 1."""
-    h, g = pts[..., _FACTOR_H, :, :], pts[..., _FACTOR_G, :, :]
+    h, g = pts.take(_FACTOR_H, axis=-3), pts.take(_FACTOR_G, axis=-3)
     f = np.sqrt(_gauge_sq(nmul_coeffs(kind, ninv_coeffs(h), g)))
     if infinity is not None:
         infinity = np.asarray(infinity, dtype=bool)
-        if (np.count_nonzero(infinity, axis=-1) > 1).any():
+        if (_reduce(infinity, axis=-1, dtype=int) > 1).any():
             raise ValueError("at most one cross-ratio argument may be infinity")
-        f = np.where(infinity[..., _FACTOR_H] | infinity[..., _FACTOR_G], 1.0, f)
+        f = np.where(infinity.take(_FACTOR_H, axis=-1) | infinity.take(_FACTOR_G, axis=-1), 1.0, f)
     return _crossratio_quotient(f[..., 0] * f[..., 1], f[..., 2] * f[..., 3])
 
 

@@ -30,7 +30,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebra import decode_complex, encode_complex
+from .algebra import _frozen, decode_complex, encode_complex
 
 DET_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
@@ -106,9 +106,7 @@ class SL2:
             # the tolerance grows with the entries squared; an overflowed det fails
             if not abs(det - 1.0) / scale <= DET_TOL * scale:
                 raise ValueError("determinant %s is not 1 within tolerance" % det)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "_m", _frozen(m.copy()))
 
     def __setattr__(self, name, value):
         raise AttributeError("SL2 is immutable")
@@ -394,11 +392,6 @@ def _product_tree(words, arity):
     levels = tuple((int(lo), int(hi), _frozen(rank[left[order[lo:hi]]]), _frozen(rank[right[order[lo:hi]]]))
                    for lo, hi in zip(bounds[:-1], bounds[1:]))
     return _WordPlan(len(depth), levels, _frozen(rank[np.array(ends, dtype=int)]))
-
-
-def _frozen(a):
-    a.setflags(write=False)
-    return a
 
 
 def _matmul(A, B, out=None, scratch=None):

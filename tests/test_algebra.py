@@ -4,6 +4,7 @@ import pytest
 from rank1kit.algebra import (
     AlgebraElement,
     AlgebraKind,
+    inv_coeffs,
     isclose,
     mat_mul,
     pairing,
@@ -89,6 +90,46 @@ def test_inv_antihomomorphism():
 def test_inv_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         AlgebraElement.zero(AlgebraKind.H).inv()
+    x = np.ones((3, 8))
+    x[1] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        inv_coeffs(AlgebraKind.O, x)
+
+
+@pytest.mark.parametrize("kind", list(AlgebraKind))
+def test_inverses_past_the_squared_norm_range_are_rescaled_exactly(kind):
+    # |x|^2 overflows at 2^600 and underflows to 0 at 2^-600; the inverse
+    # of 2^e x is 2^-e x^-1 exactly, without a warning, and the other rows
+    # of a batch keep their bits
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((6, kind.dim))
+    want = inv_coeffs(kind, x)
+    for e in (600, -600, 1000, -1000):
+        scaled = np.ldexp(x, e)
+        assert np.array_equal(inv_coeffs(kind, scaled), np.ldexp(want, -e))
+        assert np.array_equal(AlgebraElement(kind, scaled[0]).inv().coeffs, np.ldexp(want[0], -e))
+        mixed = x.copy()
+        mixed[2] = scaled[2]
+        got = inv_coeffs(kind, mixed)
+        assert np.array_equal(got[2], np.ldexp(want[2], -e))
+        assert np.array_equal(np.delete(got, 2, axis=0), np.delete(want, 2, axis=0))
+
+
+def test_value_arrays_are_read_only():
+    from rank1kit.ballmodel import stereo
+    from rank1kit.isometry import GroupMatrix, random_normal_isometry
+    from rank1kit.nilboundary import SpaceConfig, random_point
+    from rank1kit.sl2traces import SL2
+
+    cfg = SpaceConfig(AlgebraKind.C, 2)
+    rng = np.random.default_rng(12)
+    g = random_point(cfg, rng)
+    arrays = [AlgebraElement.one(AlgebraKind.H).coeffs, g.coeffs, stereo(g).coeffs,
+              random_normal_isometry(cfg, rng).M, GroupMatrix.identity(cfg).coeffs,
+              SL2.identity().mat]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 def test_split():

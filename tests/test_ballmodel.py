@@ -194,12 +194,17 @@ def test_stereo_poles_exact():
 
 
 def test_stereo_lands_on_sphere():
+    # from scale 1e78 on, |d|^2 = |1 + |k|^2 - c|^2 leaves the float
+    # range and d is inverted after a rescale: the image is still a unit
+    # vector, with w1 of size about 2 / scale, not the origin
     rng = np.random.default_rng(10)
     for kind, m in KINDS:
         cfg = SpaceConfig(kind, m)
-        for _ in range(200):
-            x = stereo(random_point(cfg, rng))
-            assert abs(x.norm_sq() - 1.0) <= 1e-10
+        for scale, count in ((1.0, 200), (1e78, 20), (1e100, 20)):
+            for _ in range(count):
+                x = stereo(random_point(cfg, rng, scale=scale))
+                assert abs(x.norm_sq() - 1.0) <= 1e-10
+                assert np.any(x.coeffs[:-1] != 0.0)
 
 
 def test_round_trip():

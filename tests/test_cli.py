@@ -268,6 +268,51 @@ def test_act_matches_library(tmp_path):
     assert moved.isclose(act_nil(iso, g), tol=1e-12)
 
 
+@pytest.mark.parametrize("kind,m", [(AlgebraKind.R, 3), (AlgebraKind.C, 2), (AlgebraKind.H, 2), (AlgebraKind.O, 2)])
+def test_project_and_act_at_huge_scales(tmp_path, kind, m):
+    # from scale 1e78 on, |d|^2 in the chart and the action overflows;
+    # the image is still a finite point on the sphere, and the action
+    # still scales |k| by e^-s and |c| by e^-2s
+    from rank1kit.isometry import act_nil
+
+    cfg = SpaceConfig(kind, m)
+    rng = np.random.default_rng(14)
+    pts = [random_point(cfg, rng, scale=scale) for scale in (1e78, 1e100)]
+    iso = random_normal_isometry(cfg, rng)
+    inp = write_json(tmp_path / "project.json", {"points": [g.to_dict() for g in pts]})
+    rc, out, err = run_quiet(["project", "--input", inp])
+    assert (rc, err) == (0, "")
+    for p in json.loads(out)["points"]:
+        x = BallPoint.from_dict(p)
+        assert abs(x.norm_sq() - 1.0) <= 1e-12 and np.any(x.coeffs[:-1] != 0.0)
+    inp = write_json(tmp_path / "act.json",
+                     {"isometry": iso.to_dict(), "model": "nil", "points": [g.to_dict() for g in pts]})
+    rc, out, err = run_quiet(["act", "--input", inp])
+    assert (rc, err) == (0, "")
+    for p, g in zip(json.loads(out)["points"], pts):
+        moved = NilPoint.from_dict(p)
+        assert np.array_equal(moved.coeffs, act_nil(iso, g).coeffs)
+        k, k_moved = np.linalg.norm(g.coeffs[1:]), np.linalg.norm(moved.coeffs[1:])
+        c, c_moved = np.linalg.norm(g.coeffs[0]), np.linalg.norm(moved.coeffs[0])
+        assert abs(k_moved - math.exp(-iso.s) * k) <= 1e-12 * k_moved
+        assert abs(c_moved - math.exp(-2.0 * iso.s) * c) <= 1e-12 * c_moved
+
+
+def test_points_whose_squared_norm_overflows_exit_2(tmp_path):
+    # |k|^2 = inf has no chart image and no action; numpy's own overflow
+    # warnings are silenced here, the exit code is the contract
+    point = {"config": {"kind": "C", "m": 2}, "center": [0.0, 1.0], "horizontal": [[1e160, 1e160]]}
+    iso = NormalIsometry.dilation(SpaceConfig(AlgebraKind.C, 2), 0.5)
+    jobs = [("project", {"points": [point]}),
+            ("act", {"isometry": iso.to_dict(), "model": "nil", "points": [point]})]
+    for command, payload in jobs:
+        inp = write_json(tmp_path / f"{command}.json", payload)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, out, err = run_quiet([command, "--input", inp])
+        assert (rc, out) == (2, "")
+        assert "non-finite" in err
+
+
 def test_jacobian_ranks(tmp_path):
     rep = random_schottky_pair(np.random.default_rng(6))
     gens = rep.to_list()
