@@ -204,6 +204,18 @@ def _points(data, fn, count):
     return [_decoded(fn, p, f"points[{i}]") for i, p in enumerate(pts)]
 
 
+def _images(data, image):
+    """The image of each entry of data['points'] (see _points) as a dict,
+    computed with numpy's warnings off; an image with a NaN or infinite
+    coordinate raises ArithmeticError naming its point."""
+    with np.errstate(all="ignore"):
+        images = _points(data, image, None)
+    for i, p in enumerate(images):
+        if not np.isfinite(p.coeffs).all():
+            raise ArithmeticError(f"field 'points[{i}]': non-finite number in its image")
+    return [p.to_dict() for p in images]
+
+
 def _decoded(fn, value, field):
     """fn(value); a ValueError or KeyError it raises names field."""
     try:
@@ -266,7 +278,7 @@ def _cmd_project(cfg):
     data = _input(cfg)
     decode, project = ((BallPoint.from_dict, stereo_inv) if _choice(data, "inverse", (False, True))
                        else (NilPoint.from_dict, stereo))
-    return _json_text({"points": _points(data, lambda p: project(decode(p)).to_dict(), None)}), 0
+    return _json_text({"points": _images(data, lambda p: project(decode(p)))}), 0
 
 
 def _cmd_act(cfg):
@@ -274,7 +286,7 @@ def _cmd_act(cfg):
     iso = _decoded(NormalIsometry.from_dict, _field(data, "isometry"), "isometry")
     decode, act = {"nil": (NilPoint.from_dict, act_nil),
                    "ball": (BallPoint.from_dict, act_ball)}[_choice(data, "model", ("nil", "ball"))]
-    return _json_text({"points": _points(data, lambda p: act(iso, decode(p)).to_dict(), None)}), 0
+    return _json_text({"points": _images(data, lambda p: act(iso, decode(p)))}), 0
 
 
 def _cmd_lemma1(cfg):

@@ -145,10 +145,14 @@ def _matrix_lengths(S: np.ndarray, e) -> tuple[list[str], list[float]]:
     matrices 2^e S, for a stack S (k, n, n) of complex embeddings and k
     integer exponents e, rho the spectral radius, from one eigvals call;
     a scaled power (e > 0) grew exponentially: hyperbolic.  A
-    non-hyperbolic matrix has geometric length 0."""
+    non-hyperbolic matrix has geometric length 0.  The rows are read as
+    lists; S is indexed only for the rows _classify must examine."""
     radii = np.abs(np.linalg.eigvals(S)).max(axis=-1).tolist()
-    classes = ["hyperbolic" if ei else _classify(m, r) for m, r, ei in zip(S, radii, e)]
-    return classes, [ei * math.log(2.0) + math.log(r) if c == "hyperbolic" else 0.0
+    e = np.asarray(e).tolist()
+    classes = ["hyperbolic" if ei or r > 1.0 + _SPLIT_TOL else _classify(S[i], r)
+               for i, (r, ei) in enumerate(zip(radii, e))]
+    log2 = math.log(2.0)
+    return classes, [ei * log2 + math.log(r) if c == "hyperbolic" else 0.0
                      for c, r, ei in zip(classes, radii, e)]
 
 

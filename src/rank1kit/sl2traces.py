@@ -448,7 +448,10 @@ def _rep_slots(rep):
 
 def _word_ends(rep, words):
     """The images of words under rep, a (W, 2, 2) array: one engine call."""
-    plan = _word_plan(words, rep.arity)
+    return _plan_ends(rep, _word_plan(words, rep.arity))
+
+
+def _plan_ends(rep, plan):
     return _evaluate_plan(plan, _rep_slots(rep))[plan.ends, :, :, 0]
 
 
@@ -463,7 +466,12 @@ def _finite(words, values):
 
 def _word_lengths(rep, words):
     """_trace_lengths of the images of words under rep: one engine call."""
-    ends = _word_ends(rep, words)
+    return _plan_lengths(rep, _word_plan(words, rep.arity), words)
+
+
+def _plan_lengths(rep, plan, words):
+    """_word_lengths of the words of a plan, which _finite names."""
+    ends = _plan_ends(rep, plan)
     return _trace_lengths(_finite(words, ends[:, 0, 0] + ends[:, 1, 1]))
 
 

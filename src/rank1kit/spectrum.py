@@ -38,13 +38,14 @@ from .sl2traces import (
     _evaluate_plan,
     _is_inf,
     _length_rows,
+    _plan_ends,
+    _plan_lengths,
     _reduced_words,
     _rep_slots,
     _scaled,
     _sphere_distance,
     _sphere_fixed_points,
     _trace_lengths,
-    _word_ends,
     _word_lengths,
 )
 
@@ -121,10 +122,16 @@ class LengthOracle:
 
     def lengths(self, words):
         """The lengths of a word list; OracleMissError names a table miss."""
+        arity = self.arity
+        return self._checked_lengths(tuple(tuple(check_word(w, arity)) for w in words))
+
+    def _checked_lengths(self, words):
+        # lengths of a tuple of checked word tuples: the read behind lengths,
+        # and reconstruct_report's read of its cached word lists
         if self._table is not None:
-            return self._lookup([tuple(check_word(w, self.arity)) for w in words])
-        # the engine's plan checks the words
-        return self._answers(words, _word_lengths(self._rep, words).translation)
+            return self._lookup(words)
+        plan = sl2traces._product_tree(words, self.arity)
+        return self._answers(words, _plan_lengths(self._rep, plan, words).translation)
 
     def _lookup(self, words):
         try:  # the table's answers for checked word tuples
@@ -174,7 +181,7 @@ class LengthOracle:
         if self._table is not None:  # power words of checked a and b
             flat = self._lookup([power(i) for i in range(3 * N)])
         else:
-            A, B = _word_ends(self._rep, [a, b])
+            A, B = _plan_ends(self._rep, sl2traces._product_tree((a, b), self.arity))
             S, e = _scaled_powers(A, B, N)
             r = _trace_lengths(S[:, 0, 0] + S[:, 1, 1], e)
             if check and not r.loxodromic.all():
@@ -195,18 +202,36 @@ def _scaled_powers(A, B, N):
     """The powers A^n, B^n and A^n B^n of two complex square matrices for
     n = 1..N, in that order, as a stack S (3N, n, n) and integer exponents
     e (3N,) with 2^e S the power.  A^n and B^n step in lockstep, one
-    stacked product [A^(n-1), B^(n-1)] @ [A, B] and one size check per n,
-    and every A^n B^n comes from one batched product at the end; a matrix
-    past 2^256 is rescaled by _rescaled."""
+    stacked product [A^(n-1), B^(n-1)] @ [A, B] per n, and every A^n B^n
+    comes from one batched product at the end; a matrix past 2^256 is
+    rescaled by _rescaled.
+
+    A size check runs only when a bound says a power may pass 2^256.
+    Rounded products obey |fl(PG)| <= |P||G|(1 + gamma) entrywise (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 3.5), so k steps
+    after a check whose largest entry was top, every entry is at most
+    rows * top * g^k, g the largest absolute row sum of A and B with a
+    rounding slack.  A step the bound keeps below 2^256 could not have
+    rescaled, so (S, e) are those of a check at every step; a NaN or
+    infinite bound always checks.  A check skips NaN entries, so a NaN in
+    one power leaves the other's rescale, as _rescaled one at a time does."""
     G = np.stack([A, B])
     P = np.empty((N, 3) + G.shape[1:], dtype=G.dtype)
     shifts = np.zeros((N, 3), dtype=int)  # the exponent each rescale adds
     P[0, :2] = G
+    absG = np.abs(G)
+    g = float(absG.sum(axis=-1).max()) * (1.0 + 1e-10)
+    bound = G.shape[1] * float(absG.max())
     for n in range(1, N):
         np.matmul(P[n - 1, :2], G, out=P[n, :2])
-        if np.abs(P[n, :2]).max() > 2.0 ** 256:
-            for j in (0, 1):
-                P[n, j], shifts[n, j] = _rescaled(P[n, j], 0)
+        bound *= g
+        if not bound <= 2.0 ** 256:
+            top = np.fmax.reduce(np.abs(P[n, :2]), axis=None)
+            if top > 2.0 ** 256:
+                for j in (0, 1):
+                    P[n, j], shifts[n, j] = _rescaled(P[n, j], 0)
+                top = np.fmax.reduce(np.abs(P[n, :2]), axis=None)
+            bound = G.shape[1] * float(top)
     e = np.cumsum(shifts, axis=0)
     e[:, 2] = e[:, 0] + e[:, 1]
     np.matmul(P[:, 0], P[:, 1], out=P[:, 2])
@@ -768,7 +793,7 @@ def reconstruct_report(oracle, budget=30):
         raise ValueError("oracle lengths all vanish; elementary or trivial source")
 
     starts = np.array(_initial_guesses(oracle))
-    plan = sl2traces._word_plan(fit_words, 2)
+    plan = sl2traces._product_tree(fit_words, 2)
     solve = _lockstep_levenberg_marquardt(
         lambda P, jacobian=False: _residual_batch(P, plan, targets, jacobian), starts,
         fitted=_fitted_cost(targets))
@@ -791,7 +816,7 @@ def reconstruct_report(oracle, budget=30):
     # dual call: a word's row does not depend on the other words, and the
     # value part of the dual evaluation is the plain product
     m = len(fit_words)
-    F, J = _residual_batch(best_x[None], sl2traces._word_plan([*fit_words, *covered], 2),
+    F, J = _residual_batch(best_x[None], sl2traces._product_tree(fit_words + covered, 2),
                            [*targets, *hold_targets], jacobian=True)
     return {
         "rep": rep,
@@ -832,13 +857,15 @@ def _folded(x):
 
 
 def _covered(oracle, words):
-    """The words the oracle answers, in order, and their lengths: one
-    list read, repeated without each word the oracle misses."""
+    """The checked word tuples the oracle answers, in order, and their
+    lengths: one list read, repeated without each word the oracle misses.
+    The read skips check_word unless the oracle answers lengths its own way."""
+    read = oracle._checked_lengths if type(oracle).lengths is LengthOracle.lengths else oracle.lengths
     while True:
         try:
-            return words, oracle.lengths(words)
+            return words, read(words)
         except OracleMissError as miss:
-            words = [w for w in words if list(w) != miss.word]
+            words = tuple(w for w in words if list(w) != miss.word)
 
 
 def _is_power_word(w):

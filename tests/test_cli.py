@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,18 +300,21 @@ def test_project_and_act_at_huge_scales(tmp_path, kind, m):
 
 
 def test_points_whose_squared_norm_overflows_exit_2(tmp_path):
-    # |k|^2 = inf has no chart image and no action; numpy's own overflow
-    # warnings are silenced here, the exit code is the contract
+    # |k|^2 = inf has no chart image and no action: the error names the
+    # point, and numpy emits no warning on the way
     point = {"config": {"kind": "C", "m": 2}, "center": [0.0, 1.0], "horizontal": [[1e160, 1e160]]}
+    fine = {"config": {"kind": "C", "m": 2}, "center": [0.0, 1.0], "horizontal": [[1.0, 0.5]]}
     iso = NormalIsometry.dilation(SpaceConfig(AlgebraKind.C, 2), 0.5)
-    jobs = [("project", {"points": [point]}),
-            ("act", {"isometry": iso.to_dict(), "model": "nil", "points": [point]})]
+    jobs = [("project", {"points": [fine, point]}),
+            ("act", {"isometry": iso.to_dict(), "model": "nil", "points": [fine, point]})]
     for command, payload in jobs:
         inp = write_json(tmp_path / f"{command}.json", payload)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc, out, err = run_quiet([command, "--input", inp])
+        assert caught == []
         assert (rc, out) == (2, "")
-        assert "non-finite" in err
+        assert "non-finite" in err and "'points[1]'" in err
 
 
 def test_jacobian_ranks(tmp_path):

@@ -104,15 +104,17 @@ def test_oracle_list_form_equals_per_word_reads(monkeypatch):
         assert batch == [oracle.length(w) for w in words]
         assert oracle.lengths([]) == []
     assert exact.lengths(words)[-2:] == [0.0, 0.0]
-    # a table oracle: _covered drops the words the table misses
+    # a table oracle: _covered drops the words the table misses from a
+    # tuple of checked word tuples
     table = {tuple(w): v for n, (w, v) in enumerate(zip(words, exact.lengths(words))) if n % 3}
+    checked = tuple(map(tuple, words))
     for oracle in (LengthOracle(table=table), LengthOracle(table=table, noise=0.2, seed=5)):
-        covered, lengths = spectrum._covered(oracle, words)
-        assert covered == [w for n, w in enumerate(words) if n % 3]
+        covered, lengths = spectrum._covered(oracle, checked)
+        assert covered == tuple(w for n, w in enumerate(checked) if n % 3)
         assert lengths == [oracle.length(w) for w in covered]
         with pytest.raises(OracleMissError):
             oracle.lengths(words)
-        assert spectrum._covered(oracle, []) == ([], [])
+        assert spectrum._covered(oracle, ()) == ((), [])
 
 
 def test_oracle_lengths_past_the_square_root_overflow():
@@ -290,11 +292,11 @@ def _stepped_powers(A, B, N):
     return np.array(S), np.array(e)
 
 
-def _assert_stepped_powers(A, B, N):
+def _assert_stepped_powers(A, B, N, equal_nan=False):
     S, e = spectrum._scaled_powers(A, B, N)
     S0, e0 = _stepped_powers(A, B, N)
     assert S.shape == S0.shape and S.dtype == S0.dtype and e.dtype == e0.dtype
-    assert (S == S0).all() and (e == e0).all()
+    assert np.array_equal(S, S0, equal_nan=equal_nan) and (e == e0).all()
     return e.reshape(N, 3)
 
 
@@ -314,6 +316,96 @@ def test_scaled_powers_rescale_each_matrix_on_its_own():
     # A^n B^n passes 2^256 at n = 12, where neither A^n nor B^n does
     e = _assert_stepped_powers(np.diag([2.0 ** 21, 2.0 ** -21]).astype(complex), B, 12)
     assert not e[:, :2].any() and not e[:11, 2].any() and e[11, 2] > 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_scaled_powers_past_2_256_from_the_first_steps(dtype):
+    # A^n and A^n B^n pass 2^256 from n = 2 on: the bound checks every step
+    B = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=dtype)
+    for N in (1, 2, 3, 40):
+        e = _assert_stepped_powers(np.diag([2.0 ** 200, 2.0 ** -200]).astype(dtype), B, N)
+        assert not e[0].any() and e[1:, 0].all() and e[1:, 2].all() and not e[:, 1].any()
+    e = _assert_stepped_powers(np.diag([2.0 ** 200, 2.0 ** -200]).astype(dtype),
+                               np.diag([2.0 ** -300, 2.0 ** 300]).astype(dtype), 40)
+    assert e[1:, :2].all()
+
+
+def _boosted(M, s, t):
+    # M conjugated by the boost diag(s, 1/s) after a rotation by t: row
+    # sums near s^2 |M|, spectral radius that of M
+    C = np.diag([s, 1.0 / s]) @ np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return C @ M @ np.linalg.inv(C)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e2, 1e4, 1e6])
+def test_scaled_powers_of_boosted_elliptics_and_parabolics(s, monkeypatch):
+    # row sums far above the spectral radius 1: the bound passes 2^256
+    # and checks, but no power grows, so none rescales
+    elliptic = np.diag([cmath.exp(0.9j), cmath.exp(-0.9j)])
+    parabolic = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    for A, B in ((elliptic, parabolic), (parabolic, -parabolic), (elliptic, elliptic.conj())):
+        A, B = _boosted(A, s, 0.3), _boosted(B, s, 1.1)
+        for N in (1, 7, 100, 400):
+            assert not _assert_stepped_powers(A, B, N).any()
+        checks = []
+        real = np.abs
+        with monkeypatch.context() as m:
+            m.setattr(np, "abs", lambda x: checks.append(1) or real(x))
+            spectrum._scaled_powers(A, B, 400)
+        # the bound grows like (s^2)^n, so it checks more often the larger s
+        assert len(checks) > 20 or s < 1e2
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.inf, math.nan)])
+def test_scaled_powers_with_non_finite_entries(bad):
+    # a NaN or infinite bound checks every step, as the stepped loop does
+    A = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+    B = A.copy()
+    B[0, 1] = bad
+    big = np.diag([2.0 ** 200, 2.0 ** -200]).astype(complex)
+    with np.errstate(all="ignore"):
+        for N in (1, 2, 40):
+            _assert_stepped_powers(A, B, N, equal_nan=True)
+            _assert_stepped_powers(B, A, N, equal_nan=True)
+            _assert_stepped_powers(B, B, N, equal_nan=True)
+            # a NaN in B^n leaves the rescales of A^n
+            e = _assert_stepped_powers(big, B, N, equal_nan=True)
+            assert e[1:, 0].all() and not e[:, 1].any()
+
+
+def test_scaled_powers_of_the_zero_matrix():
+    Z = np.zeros((2, 2), dtype=complex)
+    A = np.array([[2.0 ** 200, 1.0], [1.0, 2.0 ** -200]], dtype=complex)
+    for N in (1, 2, 40):
+        assert not _assert_stepped_powers(Z, Z, N).any()
+        _assert_stepped_powers(Z, A, N)
+        _assert_stepped_powers(A, Z, N)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), la=st.floats(1e-3, 50.0), lb=st.floats(1e-3, 50.0),
+       s=st.floats(1.0, 1e4), N=st.integers(1, 400))
+def test_scaled_powers_property_over_conjugated_pairs(seed, la, lb, s, N):
+    # loxodromics of lengths up to 50 conjugated by random SL2 matrices
+    # after a boost by s, whose row sums can far exceed their spectral radii
+    rng = np.random.default_rng(seed)
+    A, B = (_boosted(random_loxodromic(rng, (l, l)).mat, s, rng.uniform(-math.pi, math.pi))
+            for l in (la, lb))
+    _assert_stepped_powers(A, B, N)
+
+
+def test_scaled_powers_size_check_budget(monkeypatch):
+    # at N = 48 a Schottky pair's powers stay far below 2^256: the bound
+    # skips every per-step size check, leaving the two of |A|, |B| and the
+    # one of the products A^n B^n
+    checks = []
+    real = np.abs
+    monkeypatch.setattr(np, "abs", lambda x: checks.append(1) or real(x))
+    for seed in range(20):
+        A, B = sl2traces._word_ends(random_schottky_pair(np.random.default_rng(seed)), [[1], [2]])
+        checks.clear()
+        spectrum._scaled_powers(A, B, 48)
+        assert len(checks) == 2
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -412,6 +504,51 @@ _MATRIX_PAIRS = {
     "R4": lambda: _hyperbolic_pair(AlgebraKind.R, 4, 8),
     "elliptic start": _elliptic_start_pair,
 }
+
+
+def _ref_matrix_lengths(S, e):
+    # the list build of isometry._matrix_lengths before it read plain lists:
+    # it walks the numpy rows of S and the exponents e
+    radii = np.abs(np.linalg.eigvals(S)).max(axis=-1).tolist()
+    classes = ["hyperbolic" if ei else isometry._classify(m, r) for m, r, ei in zip(S, radii, e)]
+    return classes, [ei * math.log(2.0) + math.log(r) if c == "hyperbolic" else 0.0
+                     for c, r, ei in zip(classes, radii, e)]
+
+
+def _assert_matrix_lengths(S, e):
+    classes, lengths = isometry._matrix_lengths(S, e)
+    ref_classes, ref_lengths = _ref_matrix_lengths(S, e)
+    assert classes == ref_classes and lengths == ref_lengths
+    assert all(type(l) is float for l in lengths)
+    return classes
+
+
+@pytest.mark.parametrize("N", [1, 5, 40, 400])
+@pytest.mark.parametrize("case", list(_MATRIX_PAIRS))
+def test_matrix_lengths_are_the_row_walk(case, N):
+    A, B = _MATRIX_PAIRS[case]()
+    emb = isometry._complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
+    classes = _assert_matrix_lengths(*spectrum._scaled_powers(emb[0], emb[1], N))
+    # the elliptic start's first products reach _classify
+    assert classes[2:6:3] == ["elliptic", "elliptic"][:N] or case != "elliptic start"
+    for M in (A, B, A @ B):
+        _assert_matrix_lengths(M.complex_embedding()[None], [0])
+
+
+@pytest.mark.parametrize("kind, m", [(AlgebraKind.R, 3), (AlgebraKind.C, 2), (AlgebraKind.H, 2)])
+def test_matrix_lengths_of_seeded_stacks(kind, m):
+    # boosts of 0 to 2e-3 put spectral radii on both sides of 1 + _SPLIT_TOL,
+    # so rows reach _classify, with exponents 0 and not
+    cfg = SpaceConfig(kind, m)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        mats = [random_form_preserving(cfg, rng, boost_range=(0.0, 2e-3)) for _ in range(12)]
+        mats += [random_form_preserving(cfg, rng) for _ in range(4)] + list(_hyperbolic_pair(kind, m, seed))
+        S = np.stack([M.complex_embedding() for M in mats])
+        classes = _assert_matrix_lengths(S, np.zeros(len(mats), dtype=int))
+        assert {"hyperbolic", "elliptic"} <= set(classes)
+        _assert_matrix_lengths(S, rng.integers(0, 3, len(mats)))
+        _assert_matrix_lengths(S, [0] * len(mats))
 
 
 def _length(emb, e):
@@ -735,6 +872,41 @@ def test_report_makes_one_engine_call_after_the_solve(monkeypatch):
         plain = spectrum._residual_batch(np.array(report["parameters"])[None], sl2traces._word_plan(hold, 2),
                                          oracle.lengths(hold))[0]
         assert list(report["holdout_errors"].values()) == np.abs(plain).tolist()
+
+
+def test_report_checks_only_the_words_it_is_given(monkeypatch):
+    # the cached fit and held-out lists are read unchecked; check_word runs
+    # on the start's words alone, whatever the budget
+    checked = []
+    real = sl2traces.check_word
+    for module in (sl2traces, spectrum):
+        monkeypatch.setattr(module, "check_word", lambda w, k: checked.append(tuple(w)) or real(w, k))
+    rep = random_schottky_pair(np.random.default_rng(4))
+    words = default_budget_words(2, 5, 16)
+    table = dict(zip(map(tuple, words), LengthOracle(rep=rep).lengths(words)))
+    for oracle in (LengthOracle(rep=rep), LengthOracle(table=table)):
+        seen = []
+        for budget in (30, 60):
+            checked.clear()
+            reconstruct_report(oracle, budget)
+            seen.append(sorted(checked))
+        # the lengths of a and b, a and b of the limits' power words, and for
+        # a rep is_nonelementary's four words
+        assert seen[0] == seen[1] and len(seen[0]) <= 10 and max(map(len, seen[0])) <= 2
+
+
+@pytest.mark.parametrize("bad", [[True], [1.5], [0], [3]])
+def test_cached_plans_leave_caller_words_checked(bad):
+    # True == 1 and 1.5 hashes apart, but no caller's word list is looked up
+    # before check_word reads it, so a cached [[1]] does not answer [[True]]
+    rep = random_schottky_pair(np.random.default_rng(2))
+    table = {(1,): 1.0, (2,): 2.0}
+    for oracle in (LengthOracle(rep=rep), LengthOracle(table=table)):
+        oracle.lengths([[1]])
+        with pytest.raises(ValueError):
+            oracle.lengths([bad])
+        with pytest.raises(ValueError):
+            oracle.length(bad)
 
 
 def test_exact_answers_clamp_at_zero_in_one_call():
