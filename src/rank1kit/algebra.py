@@ -428,13 +428,13 @@ def isclose(a: AlgebraElement, b: AlgebraElement, tol: float = DEFAULT_TOL) -> b
     return bool(np.all(np.abs(a.coeffs - b.coeffs) <= tol * scale))
 
 
-def random_element(kind: AlgebraKind, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    """Element with independent N(0, scale^2) coefficients."""
-    return AlgebraElement(kind, scale * rng.standard_normal(kind.dim))
+def random_element(kind: AlgebraKind, rng: np.random.Generator) -> AlgebraElement:
+    """Element with independent N(0, 1) coefficients."""
+    return AlgebraElement(kind, rng.standard_normal(kind.dim))
 
 
-def random_imaginary(kind: AlgebraKind, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    c = scale * rng.standard_normal(kind.dim)
+def random_imaginary(kind: AlgebraKind, rng: np.random.Generator) -> AlgebraElement:
+    c = rng.standard_normal(kind.dim)
     c[0] = 0.0
     return AlgebraElement(kind, c)
 

@@ -338,11 +338,11 @@ def stereo_inv(x: BallPoint) -> NilPoint:
     return NilPoint._wrap(x.config, coeffs, bool(infinity))
 
 
-def random_interior(config: SpaceConfig, rng: np.random.Generator, radius: float = 0.8) -> BallPoint:
-    """Random interior point, uniform direction with radius below the cap."""
+def random_interior(config: SpaceConfig, rng: np.random.Generator) -> BallPoint:
+    """Random interior point, uniform direction with radius below 0.8."""
     dim = config.kind.dim * config.m
     v = rng.standard_normal(dim)
-    v *= (radius * rng.random() ** (1.0 / dim)) / np.linalg.norm(v)
+    v *= (0.8 * rng.random() ** (1.0 / dim)) / np.linalg.norm(v)
     return BallPoint._wrap(config, v.reshape(config.shape))
 
 

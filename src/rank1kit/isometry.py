@@ -156,6 +156,16 @@ def _matrix_lengths(S: np.ndarray, e) -> tuple[list[str], list[float]]:
                      for c, r, ei in zip(classes, radii, e)]
 
 
+def _hyperbolic(S: np.ndarray, e, names=("element",)) -> list[float]:
+    """The lengths of 2^e S (_matrix_lengths) when its first rows, one per
+    name, are hyperbolic; else NotHyperbolicError naming the first that is not."""
+    classes, lengths = _matrix_lengths(S, e)
+    for name, kind in zip(names, classes):
+        if kind != "hyperbolic":
+            raise NotHyperbolicError(kind, f"{name} is {kind}, not hyperbolic")
+    return lengths
+
+
 class GroupMatrix:
     """Matrix over F in {R, C, H} preserving J = diag(1, ..., 1, -1).
 
@@ -430,10 +440,7 @@ def translation_length(A) -> float:
         return abs(A.s)
     if not isinstance(A, GroupMatrix):
         raise TypeError("expected a NormalIsometry or a GroupMatrix")
-    (cls,), (length,) = _matrix_lengths(A.complex_embedding()[None], [0])
-    if cls != "hyperbolic":
-        raise NotHyperbolicError(cls)
-    return length
+    return _hyperbolic(A.complex_embedding()[None], [0])[0]
 
 
 def boundary_fixed_points(A: GroupMatrix) -> tuple[BallPoint, BallPoint]:
@@ -448,9 +455,7 @@ def boundary_fixed_points(A: GroupMatrix) -> tuple[BallPoint, BallPoint]:
     if kind not in (AlgebraKind.R, AlgebraKind.C):
         raise NotImplementedError("fixed points via eigenvectors need a commutative kind")
     e = A.complex_embedding()
-    (cls,), _ = _matrix_lengths(e[None], [0])
-    if cls != "hyperbolic":
-        raise NotHyperbolicError(cls)
+    _hyperbolic(e[None], [0])
     vals, vecs = np.linalg.eig(e.T)
     order = np.argsort(np.abs(vals))
     out = []

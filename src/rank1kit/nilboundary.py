@@ -269,16 +269,44 @@ def _gauge_sq(g: np.ndarray) -> np.ndarray:
     return k2 * k2 + rows[..., 0]
 
 
+def _dilation(pts, axis=(-2, -1)):
+    """(e, pts dilated by k -> 2^-e k, center -> 2^-2e center) for the point
+    arrays pts of a kernel call, a row the points reduced over axis: e takes
+    M = max(max|k|, sqrt(max|center|)) from outside [2^-100, 2^100] into
+    [1/2, 1), and is 0 on the other rows, which keep their bits.  (None, pts)
+    if no row needs it, as for one row whose squared coordinates sum
+    (np.vdot, which never warns) to within 2^+-200."""
+    if pts[0].ndim == pts[-1].ndim == len(axis) and 2.0 ** -200 <= sum(map(np.vdot, pts, pts)) <= 2.0 ** 200:
+        return None, pts
+    M = 0.0
+    for a in map(np.abs, pts):
+        k = a[..., 1:, :].max(axis, keepdims=True, initial=0.0)
+        M = np.fmax(M, np.fmax(k, np.sqrt(a[..., :1, :].max(axis, keepdims=True, initial=0.0))))
+    e = np.where((M < 2.0 ** -100) | (M > 2.0 ** 100), np.frexp(M)[1], 0)  # 0 for M 0, inf or NaN
+    if not e.any():
+        return None, pts
+    out = [np.ldexp(p, -e) for p in pts]
+    for o, p in zip(out, pts):
+        o[..., 0, :] = np.ldexp(p[..., 0, :], -2 * e[..., 0, :])
+    return e, out
+
+
 def qnorm_coeffs(g: np.ndarray) -> np.ndarray:
-    """Homogeneous quasi-norm (|k|^4 + |center|^2)^(1/4)."""
+    """Homogeneous quasi-norm (|k|^4 + |center|^2)^(1/4), at any scale (_dilation)."""
+    e, (g,) = _dilation((g,))
+    if e is not None:
+        return np.ldexp(qnorm_coeffs(g), e[..., 0, 0])
     # two correctly rounded square roots: a SIMD power would round a
     # batch differently from a single point
     return np.sqrt(np.sqrt(_gauge_sq(g)))
 
 
 def dist_coeffs(kind: AlgebraKind, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Left-invariant quasi-distance |h^-1 g|."""
-    return qnorm_coeffs(nmul_coeffs(kind, ninv_coeffs(h), g))
+    """Left-invariant quasi-distance |h^-1 g|, at any scale (_dilation)."""
+    e, (g, h) = _dilation((g, h))
+    if e is not None:
+        return np.ldexp(dist_coeffs(kind, g, h), e[..., 0, 0])
+    return np.sqrt(np.sqrt(_gauge_sq(nmul_coeffs(kind, ninv_coeffs(h), g))))
 
 
 def _crossratio_quotient(num, den):
@@ -302,8 +330,11 @@ _FACTOR_G = np.array([0, 1, 0, 1])
 
 
 def crossratio_nil_coeffs(kind: AlgebraKind, pts: np.ndarray, infinity=None) -> np.ndarray:
-    """Cross-ratios of quadruples (..., 4, m, dim); `infinity` (..., 4)
-    marks points at infinity, whose factors are 1."""
+    """Cross-ratios of quadruples (..., 4, m, dim), at any scale (_dilation);
+    `infinity` (..., 4) marks points at infinity, whose factors are 1."""
+    e, (pts,) = _dilation((pts,), (-3, -2, -1))
+    if e is not None:  # a dilation leaves the cross-ratio
+        return crossratio_nil_coeffs(kind, pts, infinity)
     h, g = pts.take(_FACTOR_H, axis=-3), pts.take(_FACTOR_G, axis=-3)
     f = np.sqrt(_gauge_sq(nmul_coeffs(kind, ninv_coeffs(h), g)))
     if infinity is not None:

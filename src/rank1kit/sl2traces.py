@@ -9,16 +9,17 @@ indices: [1, -2, 1] means g1 g2^{-1} g1.
 Every many-word and derivative computation, here and in spectrum, goes
 through one engine: a product tree of the words (_word_plan, built once
 per word list) evaluated for a batch of generator tuples
-(_evaluate_plan).  Derivatives are forward mode: given slot tangents,
-the engine carries each product and its differentials as a dual pair
-(M, dM), and one length-differential formula (_length_rows) turns trace
-differentials into length rows.
-SL2Rep.evaluate is a batch of one, and check_word the one word validator.
+(_evaluate_plan), in forward mode given slot tangents, each product and
+its differentials a dual pair (M, dM).  One reader, _plan_traces, takes
+the images and traces of the words from it; for a representation,
+_word_traces raises ArithmeticError naming a word whose trace leaves the
+float range, so SL2Rep.evaluate (a batch of one), trace_word, the length
+oracle and the Jacobians do.  check_word is the one word validator.
 
-Every translation length, here and in spectrum, is read from traces by
-one batched kernel (_trace_lengths), which never reads a finite length
-as infinity; a word whose product overflows the float range has none,
-and the oracle and Jacobian reads raise ArithmeticError naming it.
+Every translation length is read from traces by one batched kernel
+(_trace_lengths), whose length differentials are _length_rows, and one
+check (_loxodromic) raises NonLoxodromicError, naming the class and any
+word, for an element that must be loxodromic.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ class SL2Rep:
         return len(self._gens)
 
     def evaluate(self, word):
-        """The image of word: the word engine on a batch of one."""
-        return SL2(_word_ends(self, [word])[0], check=False)
+        """The image of word: _word_traces on a batch of one, so an overflow raises."""
+        return SL2(_word_traces(self, [word])[0][0], check=False)
 
     def conjugated(self, c):
         ci = c.inverse()
@@ -296,18 +297,22 @@ def _trace_lengths(t, e=0):
     return _Lengths(np.where(up, plus, minus), np.where(up, root, -root), length, loxodromic)
 
 
-def _element_lengths(*mats):
-    """_trace_lengths of the traces of mats, SL2 elements that must be loxodromic."""
-    r = _trace_lengths([A.trace() for A in mats])
-    if not r.loxodromic.all():
-        kind = classify(mats[int(np.argmin(r.loxodromic))])
-        raise NonLoxodromicError("element is %s, not loxodromic" % kind, classification=kind)
-    return r
+def _loxodromic(r, mats, e=0, word=None):
+    """r, the _trace_lengths of the matrices 2^e mats, if all are
+    loxodromic; else NonLoxodromicError with the class of the first that
+    is not, and its word word(i) for row i when word is given."""
+    if r.loxodromic.all():
+        return r
+    i = int(np.argmin(r.loxodromic))
+    kind = classify(SL2(_scaled(mats[i], np.broadcast_to(e, r.loxodromic.shape)[i]), check=False))
+    w = None if word is None else list(word(i))
+    name = "element" if w is None else "word %r" % (w,)
+    raise NonLoxodromicError("%s is %s, not loxodromic" % (name, kind), word=w, classification=kind)
 
 
 def length(A):
     """Translation length 2 log|lambda| of a loxodromic element."""
-    return float(_element_lengths(A).length[0])
+    return float(_loxodromic(_trace_lengths([A.trace()]), [A.mat]).length[0])
 
 
 def length_gauge(A):
@@ -446,51 +451,35 @@ def _rep_slots(rep):
     return _with_inverses(np.stack([g.mat for g in rep.generators])[..., None])
 
 
-def _word_ends(rep, words):
-    """The images of words under rep, a (W, 2, 2) array: one engine call."""
-    return _plan_ends(rep, _word_plan(words, rep.arity))
+def _plan_traces(plan, slots, tangents=None):
+    """The word ends of a plan for slot tuples, (W, n, n, P) or with slot
+    tangents (W, n, n, 1 + q, P) as _evaluate_plan lays them out, and
+    their traces (W, P) or (W, 1 + q, P): one engine call."""
+    ends = _evaluate_plan(plan, slots, tangents)[plan.ends]
+    return ends, ends[:, 0, 0] + ends[:, 1, 1]
 
 
-def _plan_ends(rep, plan):
-    return _evaluate_plan(plan, _rep_slots(rep))[plan.ends, :, :, 0]
-
-
-def _finite(words, values):
-    """values (W, ...), a row per word; ArithmeticError names the first
-    word whose row is not finite, a product past the float range."""
-    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    if bad.any():
-        raise ArithmeticError("word %r overflows the float range" % (list(words[int(np.argmax(bad))]),))
-    return values
-
-
-def _word_lengths(rep, words):
-    """_trace_lengths of the images of words under rep: one engine call."""
-    return _plan_lengths(rep, _word_plan(words, rep.arity), words)
-
-
-def _plan_lengths(rep, plan, words):
-    """_word_lengths of the words of a plan, which _finite names."""
-    ends = _plan_ends(rep, plan)
-    return _trace_lengths(_finite(words, ends[:, 0, 0] + ends[:, 1, 1]))
-
-
-def _tangent_ends(rep, words):
-    """The images (W, 2, 2) of words under rep and their traces (W, 1 + 3k)
-    with, in column 1 + 3i + j, the differential along the curve
-    X_i exp(t E_j): one engine call with slot tangents.  ArithmeticError
-    names a word whose product or differential overflows."""
+def _word_traces(rep, words, plan=None, tangents=False):
+    """The images (W, 2, 2) of words under rep and their traces (W,), or
+    with tangents (W, 1 + 3k), column 1 + 3i + j the differential along the
+    curve X_i exp(t E_j): one engine call, through plan if given (the plan
+    of words).  ArithmeticError names the first word whose trace, or a
+    differential of it, is not finite: a product past the float range."""
     k = rep.arity
-    G = _rep_slots(rep)
-    dG = np.zeros((2 * k, 2, 2, 3 * k, 1), dtype=complex)
-    for i in range(k):
-        for j, E in enumerate(TRACELESS_BASIS):
-            # X exp(t E) moves X by X E and X^-1 by -E X^-1
-            dG[i, :, :, 3 * i + j, 0] = G[i, :, :, 0] @ E
-            dG[k + i, :, :, 3 * i + j, 0] = -(E @ G[k + i, :, :, 0])
-    plan = _word_plan(words, k)
-    ends = _evaluate_plan(plan, G, dG)[plan.ends][..., 0]
-    return ends[:, :, :, 0], _finite(words, ends[:, 0, 0] + ends[:, 1, 1])
+    G, dG = _rep_slots(rep), None
+    if tangents:
+        dG = np.zeros((2 * k, 2, 2, 3 * k, 1), dtype=complex)
+        for i in range(k):
+            for j, E in enumerate(TRACELESS_BASIS):
+                # X exp(t E) moves X by X E and X^-1 by -E X^-1
+                dG[i, :, :, 3 * i + j, 0] = G[i, :, :, 0] @ E
+                dG[k + i, :, :, 3 * i + j, 0] = -(E @ G[k + i, :, :, 0])
+    ends, T = _plan_traces(_word_plan(words, k) if plan is None else plan, G, dG)
+    ends, T = ends[..., 0], T[..., 0]
+    if not np.isfinite(T).all():
+        bad = ~np.isfinite(T).all(axis=tuple(range(1, T.ndim)))
+        raise ArithmeticError("word %r overflows the float range" % (list(words[int(np.argmax(bad))]),))
+    return (ends[:, :, :, 0] if tangents else ends), T
 
 
 def _trace_jacobian_fd(rep, words):
@@ -506,9 +495,7 @@ def _trace_jacobian_fd(rep, words):
             h[c] = FD_STEP * max(1.0, float(np.abs(X).max()))
             stacks[i, :, :, 2 * c] = X @ _expm_traceless(h[c] * E)
             stacks[i, :, :, 2 * c + 1] = X @ _expm_traceless(-h[c] * E)
-    plan = _word_plan(words, k)
-    ends = _evaluate_plan(plan, _with_inverses(stacks))[plan.ends]
-    t = ends[:, 0, 0] + ends[:, 1, 1]
+    t = _plan_traces(_word_plan(words, k), _with_inverses(stacks))[1]
     return (t[:, 0::2] - t[:, 1::2]) / (2.0 * h)
 
 
@@ -543,7 +530,7 @@ def trace_jacobian(rep, words, method="analytic"):
     through the word engine; 'fd' uses central differences along
     determinant-preserving curves.  Returns (matrix, rank)."""
     if method == "analytic":
-        J = _tangent_ends(rep, words)[1][:, 1:]
+        J = _word_traces(rep, words, tangents=True)[1][:, 1:]
     elif method == "fd":
         J = _trace_jacobian_fd(rep, words)
     else:
@@ -561,16 +548,8 @@ def length_jacobian(rep, words):
     NonLoxodromicError naming the first word that is not loxodromic, and
     ArithmeticError naming one whose product overflows.  Returns
     (matrix, rank)."""
-    ends, T = _tangent_ends(rep, words)
-    r = _trace_lengths(T[:, 0])
-    if not r.loxodromic.all():
-        n = int(np.argmin(r.loxodromic))
-        kind = classify(SL2(ends[n], check=False))
-        raise NonLoxodromicError(
-            "word %r evaluates to a %s element" % (list(words[n]), kind),
-            word=words[n],
-            classification=kind,
-        )
+    ends, T = _word_traces(rep, words, tangents=True)
+    r = _loxodromic(_trace_lengths(T[:, 0]), ends, word=words.__getitem__)
     J = _length_rows(T[:, 1:], r.root)
     rank, _, _ = svd_rank(J)
     return J, rank
@@ -649,8 +628,8 @@ def is_nonelementary(rep):
     words = [[i + 1] for i in range(k)]
     words += [[i + 1, j + 1] for i in range(k) for j in range(k) if i != j]
     fixed = []
-    ends = _word_ends(rep, words)
-    for m, lam in zip(ends, _trace_lengths(ends[:, 0, 0] + ends[:, 1, 1]).lam):
+    ends, t = _word_traces(rep, words)
+    for m, lam in zip(ends, _trace_lengths(t).lam):
         pts = _sphere_fixed_points(m, complex(lam))
         if len(pts) == 2 and _sphere_distance(pts[0], pts[1]) > 1e-8:
             fixed.append(pts)
@@ -667,18 +646,17 @@ def _commutes(A, B):
     return float(np.abs(m).max()) <= 1e-9 * scale
 
 
-def coordinate_words(rep, seed_words, budget=40):
+def coordinate_words(rep, seed_words):
     """Massage a word set into length coordinates, every word loxodromic.
 
     Each seed is kept if it is loxodromic, or else gives way to the first
     loxodromic of its letter products g w (g = 1, -1, 2, -2, ...), or is
     dropped; a word kept for two seeds is kept once, at the first. First
-    come the first min(3, budget) pairwise non-commuting loxodromic words,
-    in order from the kept seeds and then the pool of short reduced words;
-    then the other kept seeds; then each pool word that raises the length
-    Jacobian's rank, until the rank reaches 6 * arity - 6 or the budget
-    runs out. The traces, their differentials and the matrices of all
-    candidates come from one engine call.
+    come the first 3 pairwise non-commuting loxodromic words, in order from
+    the kept seeds and then the pool of short reduced words; then the other
+    kept seeds; then each pool word that raises the length Jacobian's rank,
+    until the rank reaches 6 * arity - 6 or 40 words are chosen. The
+    traces, differentials and matrices of all candidates are one engine call.
     """
     if not is_nonelementary(rep):
         raise ValueError("representation is elementary; no length chart exists")
@@ -688,7 +666,7 @@ def coordinate_words(rep, seed_words, budget=40):
     words = [v for w in seeds for v in [w] + [[g] + w for g in letters]]
     n_seeded = len(words)
     words += list(_reduced_words(k, 4 if k <= 2 else 3))
-    M, T = _tangent_ends(rep, words)
+    M, T = _word_traces(rep, words, tangents=True)
     r = _trace_lengths(T[:, 0])
     lox = r.loxodromic
     if not lox.any():
@@ -703,12 +681,12 @@ def coordinate_words(rep, seed_words, budget=40):
     pool = [n for n in range(n_seeded, len(words)) if lox[n] and tuple(words[n]) not in seen]
     chosen = []
     for n in kept + pool:
-        if len(chosen) < min(3, budget) and not any(_commutes(M[n], M[c]) for c in chosen):
+        if len(chosen) < 3 and not any(_commutes(M[n], M[c]) for c in chosen):
             chosen.append(n)
     chosen += [n for n in kept if n not in chosen]
     rank = svd_rank(rows[chosen])[0]
     for n in [n for n in pool if n not in chosen]:
-        if len(chosen) >= budget or rank >= 6 * k - 6:
+        if len(chosen) >= 40 or rank >= 6 * k - 6:
             break
         trial = svd_rank(rows[chosen + [n]])[0]
         if trial > rank:

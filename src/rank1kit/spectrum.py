@@ -7,9 +7,10 @@ length oracle back to a representation, unique up to conjugacy and
 entrywise complex conjugation.  The same sequence is available for
 form-preserving matrix isometries of real, complex and quaternionic
 hyperbolic space, whose powers are stepped on their complex embeddings.
-Every word evaluation goes through the word engine of sl2traces, and every
-SL2 length, of the oracle, the power words and the solver, through its
-one length kernel (sl2traces._trace_lengths).
+Every word evaluation goes through the word engine of sl2traces, read by
+its one reader (_plan_traces), every SL2 length through its one length
+kernel (_trace_lengths), and every element that must be loxodromic
+through its one check (_loxodromic).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 
 from .ballmodel import crossratio_ball
-from .isometry import NotHyperbolicError, _complex_embedding, _matrix_lengths, boundary_fixed_points
+from .isometry import _complex_embedding, _hyperbolic, boundary_fixed_points
 from .nilboundary import _crossratio_quotient
 from . import sl2traces
 from .sl2traces import (
@@ -31,22 +32,18 @@ from .sl2traces import (
     SL2Rep,
     NonLoxodromicError,
     check_word,
-    classify,
     is_nonelementary,
     word_inverse,
-    _element_lengths,
-    _evaluate_plan,
     _is_inf,
     _length_rows,
-    _plan_ends,
-    _plan_lengths,
+    _loxodromic,
+    _plan_traces,
     _reduced_words,
     _rep_slots,
-    _scaled,
     _sphere_distance,
     _sphere_fixed_points,
     _trace_lengths,
-    _word_lengths,
+    _word_traces,
 )
 
 __all__ = [
@@ -130,8 +127,8 @@ class LengthOracle:
         # and reconstruct_report's read of its cached word lists
         if self._table is not None:
             return self._lookup(words)
-        plan = sl2traces._product_tree(words, self.arity)
-        return self._answers(words, _plan_lengths(self._rep, plan, words).translation)
+        traces = _word_traces(self._rep, words, sl2traces._product_tree(words, self.arity))[1]
+        return self._answers(words, _trace_lengths(traces).translation)
 
     def _lookup(self, words):
         try:  # the table's answers for checked word tuples
@@ -161,14 +158,11 @@ class LengthOracle:
     def power_lengths(self, a, b, N, check=True):
         """The lengths of a^n, b^n and a^n b^n for n = 1..N, as N triples.
 
-        A table oracle looks each power word up.  A rep oracle forms the
-        images A, B of a, b once, steps A^n and B^n in lockstep, one
-        stacked product per n, and forms every A^n B^n in one batched
-        product (_scaled_powers), so the cost is linear in N; a power past
-        2^256 is divided by an exact power of two whose exponent is kept,
-        so every length is finite.
-        With check=True a non-loxodromic power raises NonLoxodromicError
-        naming the word; with check=False its length is 0."""
+        A table oracle looks each power word up.  A rep oracle reads the
+        images of a and b once and steps their powers by _scaled_powers,
+        so every length is finite and the cost is linear in N.  With
+        check=True a non-loxodromic power raises NonLoxodromicError naming
+        the power word; with check=False its length is 0."""
         _check_count(N)
         if not len(a) or not len(b):
             raise ValueError("argument '%s' is an empty word" % ("b" if len(a) else "a"))
@@ -181,14 +175,11 @@ class LengthOracle:
         if self._table is not None:  # power words of checked a and b
             flat = self._lookup([power(i) for i in range(3 * N)])
         else:
-            A, B = _plan_ends(self._rep, sl2traces._product_tree((a, b), self.arity))
+            A, B = _word_traces(self._rep, (a, b), sl2traces._product_tree((a, b), self.arity))[0]
             S, e = _scaled_powers(A, B, N)
             r = _trace_lengths(S[:, 0, 0] + S[:, 1, 1], e)
-            if check and not r.loxodromic.all():
-                i = int(np.argmin(r.loxodromic))
-                kind = classify(SL2(_scaled(S[i], e[i]), check=False))
-                w = list(power(i))
-                raise NonLoxodromicError("power word %r is %s" % (w, kind), word=w, classification=kind)
+            if check:
+                _loxodromic(r, S, e, power)
             flat = self._answers(map(power, range(3 * N)), r.translation)
         return [tuple(flat[i:i + 3]) for i in range(0, 3 * N, 3)]
 
@@ -284,7 +275,7 @@ def fixed_points(A):
 
 def _fixed_pairs(*mats):
     # fixed_points of each element, from one call of the length kernel
-    lams = _element_lengths(*mats).lam
+    lams = _loxodromic(_trace_lengths([A.trace() for A in mats]), [A.mat for A in mats]).lam
     return [FixedPair(*_sphere_fixed_points(A.mat, complex(lam))[::-1]) for A, lam in zip(mats, lams)]
 
 
@@ -314,10 +305,7 @@ def crossratio_of_pair(A, B):
     (repelling A, repelling B, attracting A, attracting B); this is the
     limit of the product-length sequence."""
     fa, fb = _fixed_pairs(A, B)
-    cr = complex_crossratio(fa.repelling, fb.repelling, fa.attracting, fb.attracting)
-    if cr == math.inf:
-        return math.inf
-    return abs(cr) ** 2
+    return abs(complex_crossratio(fa.repelling, fb.repelling, fa.attracting, fb.attracting)) ** 2
 
 
 def lemma1_sequence(oracle, a, b, N, check=True):
@@ -341,10 +329,7 @@ def lemma1_matrix_sequence(A, B, N):
     if A.config != B.config:
         raise ValueError("configuration mismatch")
     emb = _complex_embedding(A.config.kind, np.stack([A.coeffs, B.coeffs]))
-    classes, l = _matrix_lengths(*_scaled_powers(emb[0], emb[1], N))
-    for name, kind in zip("AB", classes):
-        if kind != "hyperbolic":
-            raise NotHyperbolicError(kind, "generator %s is %s, not hyperbolic" % (name, kind))
+    l = _hyperbolic(*_scaled_powers(emb[0], emb[1], N), ("generator A", "generator B"))
     return [math.exp(l[i] + l[i + 1] - l[i + 2]) for i in range(0, 3 * N, 3)]
 
 
@@ -537,8 +522,8 @@ def _residual_batch(params, plan, targets, jacobian=False):
     # which the solver rejects like any other uphill step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slots, dslots, bad = _generator_batch(params, jacobian)
-        ends = _evaluate_plan(plan, slots, dslots)[plan.ends]
-        T = (ends[:, 0, 0] + ends[:, 1, 1]).transpose(-1, *range(ends.ndim - 3))  # (P, W, 1 + 3) or (P, W)
+        T = _plan_traces(plan, slots, dslots)[1]
+        T = T.transpose(-1, *range(T.ndim - 1))  # (P, W, 1 + 3) or (P, W)
         r = _trace_lengths(T[..., 0] if jacobian else T)
         out = r.length - np.asarray(targets, dtype=float)
         J = _length_rows(T[..., 1:], r.root, group=1) if jacobian else None  # columns 2c, 2c + 1: Re, Im
@@ -895,8 +880,7 @@ def conjugacy_distance(r1, r2):
     words = _coordinate_word_list(r1.arity)
     slots = np.concatenate([_rep_slots(r) for r in (r1, r2, r2.entrywise_conj())], axis=3)
     plan = sl2traces._word_plan(words, r1.arity)
-    ends = _evaluate_plan(plan, slots)[plan.ends]
-    c1, *candidates = (ends[:, 0, 0] + ends[:, 1, 1]).T
+    c1, *candidates = _plan_traces(plan, slots)[1].T
     best = math.inf
     for c2 in candidates:
         for mask in range(1 << r1.arity):
@@ -916,23 +900,23 @@ def _sl2_from_fixed_points(rep_pt, att_pt, lam):
     return SL2(s @ np.diag([lam, 1.0 / lam]) @ si, check=False)
 
 
-def random_schottky_pair(rng, length_range=(0.8, 2.2), separation=0.6):
-    """Two loxodromic generators with well-separated fixed points on the
-    sphere; free and nonelementary with overwhelming margin."""
+def random_schottky_pair(rng):
+    """Two loxodromic generators of lengths in [0.8, 2.2], with fixed points
+    more than 0.6 apart on the sphere; free and nonelementary with margin."""
     while True:
         pts = []
         for _ in range(64):
             z = complex(rng.standard_normal(), rng.standard_normal())
             if rng.uniform() < 0.15:
                 z = 1.0 / z if z != 0 else complex(2.0, 0.0)
-            if all(_sphere_distance(z, q) > separation for q in pts):
+            if all(_sphere_distance(z, q) > 0.6 for q in pts):
                 pts.append(z)
             if len(pts) == 4:
                 break
         if len(pts) < 4:
             continue
-        la = rng.uniform(*length_range)
-        lb = rng.uniform(*length_range)
+        la = rng.uniform(0.8, 2.2)
+        lb = rng.uniform(0.8, 2.2)
         ta = rng.uniform(-math.pi, math.pi)
         tb = rng.uniform(-math.pi, math.pi)
         A = _sl2_from_fixed_points(pts[0], pts[1], cmath.exp((la + 1j * ta) / 2.0))
@@ -940,5 +924,5 @@ def random_schottky_pair(rng, length_range=(0.8, 2.2), separation=0.6):
         rep = SL2Rep([A, B])
         if not is_nonelementary(rep):
             continue
-        if _word_lengths(rep, [[1, 2], [1, -2], [1, 1, 2], [1, 2, 2]]).loxodromic.all():
+        if _trace_lengths(_word_traces(rep, [[1, 2], [1, -2], [1, 1, 2], [1, 2, 2]])[1]).loxodromic.all():
             return rep

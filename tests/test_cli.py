@@ -15,7 +15,7 @@ from rank1kit import cli, sl2traces, spectrum
 from rank1kit.algebra import AlgebraKind
 from rank1kit.ballmodel import BallPoint, stereo
 from rank1kit.isometry import NormalIsometry, random_normal_isometry
-from rank1kit.nilboundary import NilPoint, SpaceConfig, qnorm, random_point
+from rank1kit.nilboundary import NilPoint, SpaceConfig, crossratio_nil, qnorm, random_point
 from rank1kit.sl2traces import SL2Rep
 from rank1kit.spectrum import random_schottky_pair
 
@@ -219,21 +219,30 @@ def test_crossratio_from_matrix_pair(tmp_path):
 
 
 def test_crossratio_nil_gauge_identity(tmp_path):
-    cfg = SpaceConfig(AlgebraKind.O, 2)
-    rng = np.random.default_rng(3)
-    g1, g2 = random_point(cfg, rng), random_point(cfg, rng)
-    pts = [
-        g1.to_dict(),
-        g2.to_dict(),
-        NilPoint.identity(cfg).to_dict(),
-        NilPoint.infinity(cfg).to_dict(),
-    ]
-    inp = write_json(tmp_path / "nil.json", {"model": "nil", "points": pts})
-    rc, out, _ = run_quiet(["crossratio", "--input", inp])
-    assert rc == 0
-    got = json.loads(out)["crossratio"]
-    ref = qnorm(g1) ** 2 / qnorm(g2) ** 2
-    assert abs(got - ref) <= 1e-9 * ref
+    # |k|^4 and |center|^2 leave the float range at scales 1e78 and 1e-170
+    for scale in (1.0, 1e78, 1e-170):
+        cfg = SpaceConfig(AlgebraKind.O, 2)
+        rng = np.random.default_rng(3)
+        g1, g2 = random_point(cfg, rng, scale), random_point(cfg, rng, scale)
+        pts = [
+            g1.to_dict(),
+            g2.to_dict(),
+            NilPoint.identity(cfg).to_dict(),
+            NilPoint.infinity(cfg).to_dict(),
+        ]
+        inp = write_json(tmp_path / "nil.json", {"model": "nil", "points": pts})
+        rc, out, err = run_quiet(["crossratio", "--input", inp])
+        assert (rc, err) == (0, "")
+        got = json.loads(out)["crossratio"]
+        ref = qnorm(g1) ** 2 / qnorm(g2) ** 2
+        assert abs(got - ref) <= 1e-9 * ref
+        for kind, m in [(AlgebraKind.R, 3), (AlgebraKind.C, 2), (AlgebraKind.H, 2), (AlgebraKind.O, 2)]:
+            quad = [random_point(SpaceConfig(kind, m), rng, scale) for _ in range(4)]
+            points = [g.to_dict() for g in quad]
+            inp = write_json(tmp_path / "quad.json", {"model": "nil", "points": points})
+            rc, out, err = run_quiet(["crossratio", "--input", inp])
+            assert (rc, err) == (0, "")
+            assert 0.0 < json.loads(out)["crossratio"] == crossratio_nil(*quad) < math.inf
 
 
 def test_project_round_trip(tmp_path):
@@ -665,3 +674,20 @@ def test_console_script_subprocess(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_outputs_are_byte_identical_to_the_goldens(tmp_path):
+    # a change that moves a last bit of these outputs regenerates the
+    # goldens and says so; see tests/golden
+    jobs = {
+        "lemma1.csv": ["lemma1", "--seed", "3", "--n", "400"],
+        "reconstruct.json": ["reconstruct", "--input", str(GOLDEN / "gens.json")],
+        "verify.json": ["verify", "--seed", "0"],
+    }
+    for name, argv in jobs.items():
+        rc, _, err = run_quiet(argv + ["--output", str(tmp_path / name)])
+        assert rc == 0, err
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

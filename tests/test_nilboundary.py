@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank1kit.algebra import AlgebraElement, AlgebraKind
 from rank1kit.nilboundary import (
     NilPoint,
     SpaceConfig,
     crossratio_nil,
+    crossratio_nil_coeffs,
     dist,
     gauge,
     ninv,
     nmul,
     qnorm,
+    qnorm_coeffs,
     random_point,
 )
 
@@ -195,3 +198,30 @@ def test_json_round_trip():
         assert NilPoint.from_dict(g.to_dict()).isclose(g, tol=1e-15)
     top = NilPoint.infinity(SpaceConfig(AlgebraKind.O, 2))
     assert NilPoint.from_dict(top.to_dict()).is_infinity
+
+
+def _dilate(g, e):
+    # the exact Heisenberg dilation by 2^e: k -> 2^e k, center -> 2^2e center
+    c = np.ldexp(g.coeffs, e)
+    c[0] = np.ldexp(g.coeffs[0], 2 * e)
+    return NilPoint._wrap(g.config, c)
+
+
+@pytest.mark.parametrize("kind,m", KINDS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-300, 300))
+def test_dilations_at_any_scale(kind, m, seed, e):
+    # the cross-ratio is dilation invariant and qnorm and dist homogeneous
+    # of degree 1, bit for bit, far past the range of |k|^4 and |center|^2;
+    # in a batch, the rows at scale 1 keep their bits
+    cfg = SpaceConfig(kind, m)
+    rng = np.random.default_rng(seed)
+    pts = [random_point(cfg, rng) for _ in range(4)]
+    moved = [_dilate(p, e) for p in pts]
+    cr = crossratio_nil(*pts)
+    assert crossratio_nil(*moved) == cr
+    assert dist(moved[0], moved[1]) == math.ldexp(dist(pts[0], pts[1]), e)
+    assert qnorm(moved[2]) == math.ldexp(qnorm(pts[2]), e)
+    quads = np.array([[p.coeffs for p in pts], [p.coeffs for p in moved]])
+    assert crossratio_nil_coeffs(kind, quads).tolist() == [cr, cr]
+    assert qnorm_coeffs(quads[:, 2]).tolist() == [qnorm(pts[2]), qnorm(moved[2])]

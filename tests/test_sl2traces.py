@@ -348,7 +348,7 @@ def test_word_engine_arity3_inverse_letters():
         # and a plan of one word the same end as a plan of many, which
         # SL2Rep.evaluate is
         for n, w in enumerate(words):
-            assert np.array_equal(sl2traces._word_ends(rep, [w])[0], ends[n, :, :, p])
+            assert np.array_equal(sl2traces._word_traces(rep, [w])[0][0], ends[n, :, :, p])
             assert np.array_equal(rep.evaluate(w).mat, ends[n, :, :, p])
 
     c, s = math.cos(0.7), math.sin(0.7)

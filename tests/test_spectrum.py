@@ -127,12 +127,39 @@ def test_oracle_lengths_past_the_square_root_overflow():
 
 @pytest.mark.parametrize("word", [[1] * 1030, [1] * 1100, [2] * 800])
 def test_oracle_overflow_raises_arithmetic_error(word):
-    # a NaN trace is not an elliptic element: the read fails, naming the word
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="overflows") as err:
-            LengthOracle(rep=README_PAIR).length(word)
-    assert str(word) in str(err.value)
+    # a NaN trace is not an elliptic element, nor an image: each read
+    # fails, naming the word
+    reads = [LengthOracle(rep=README_PAIR).length, README_PAIR.evaluate,
+             lambda w: sl2traces.trace_word(README_PAIR, w),
+             lambda w: LengthOracle(rep=README_PAIR).power_lengths(w, [2], 3)]
+    for read in reads:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="overflows") as err:
+                read(word)
+        assert str(err.value) == "word %r overflows the float range" % (word,)
+
+
+_SIXTH_TURN = SL2([[0.5, -math.sqrt(0.75)], [math.sqrt(0.75), 0.5]])  # elliptic, as its square
+_SHEAR = SL2([[1.0, 1.0], [0.0, 1.0]])  # parabolic, as its square
+
+
+@pytest.mark.parametrize("bad, kind", [(_SIXTH_TURN, "elliptic"), (_SHEAR, "parabolic")])
+@pytest.mark.parametrize("call, word", [
+    (lambda A, B: length(B), None),
+    (lambda A, B: fixed_points(B), None),
+    (lambda A, B: crossratio_of_pair(A, B), None),
+    (lambda A, B: LengthOracle(rep=SL2Rep([A, B])).power_lengths([1], [2, 2], 4), [2, 2]),
+    (lambda A, B: sl2traces.length_jacobian(SL2Rep([A, B]), [[1], [2, 2], [1, 2]]), [2, 2]),
+])
+def test_non_loxodromic_inputs_raise_one_error(bad, kind, call, word):
+    # one check states the contract: the classification, and the word
+    # (for power_lengths the power word) when the call takes words
+    with pytest.raises(NonLoxodromicError) as err:
+        call(SL2.diagonal(2.0), bad)
+    assert (err.value.classification, err.value.word) == (kind, word)
+    name = "element" if word is None else "word %r" % (word,)
+    assert str(err.value) == "%s is %s, not loxodromic" % (name, kind)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -245,8 +272,10 @@ def test_lemma1_degenerate_inverse_pair():
     A, _ = random_schottky_pair(rng).generators
     rep = SL2Rep([A, A.inverse()])
     oracle = LengthOracle(rep=rep)
-    with pytest.raises(NonLoxodromicError):
+    with pytest.raises(NonLoxodromicError) as err:
         lemma1_sequence(oracle, [1], [2], 6)
+    # the first power word that is not loxodromic is a b = 1
+    assert (err.value.word, err.value.classification) == ([1, 2], "identity")
     seq = lemma1_sequence(oracle, [1], [2], 6, check=False)
     la = oracle([1])
     for n, v in enumerate(seq, start=1):
@@ -304,7 +333,7 @@ def _assert_stepped_powers(A, B, N, equal_nan=False):
 def test_scaled_powers_are_the_stepped_powers(N):
     for seed in range(50):
         rep = random_schottky_pair(np.random.default_rng(seed))
-        e = _assert_stepped_powers(*sl2traces._word_ends(rep, [[1], [2]]), N)
+        e = _assert_stepped_powers(*sl2traces._word_traces(rep, [[1], [2]])[0], N)
         assert e.any() == (N == 400)  # the products a^n b^n pass 2^256 before n = 400
 
 
@@ -402,7 +431,7 @@ def test_scaled_powers_size_check_budget(monkeypatch):
     real = np.abs
     monkeypatch.setattr(np, "abs", lambda x: checks.append(1) or real(x))
     for seed in range(20):
-        A, B = sl2traces._word_ends(random_schottky_pair(np.random.default_rng(seed)), [[1], [2]])
+        A, B = sl2traces._word_traces(random_schottky_pair(np.random.default_rng(seed)), [[1], [2]])[0]
         checks.clear()
         spectrum._scaled_powers(A, B, 48)
         assert len(checks) == 2
@@ -855,8 +884,7 @@ def test_report_makes_one_engine_call_after_the_solve(monkeypatch):
         calls.append("solved")
         return result
 
-    for module in (sl2traces, spectrum):
-        monkeypatch.setattr(module, "_evaluate_plan", counted)
+    monkeypatch.setattr(sl2traces, "_evaluate_plan", counted)
     monkeypatch.setattr(spectrum, "_lockstep_levenberg_marquardt", solve)
     rep = random_schottky_pair(np.random.default_rng(4))
     words = default_budget_words(2, 5, 16)
