@@ -240,9 +240,9 @@ def pairing(kind: AlgebraKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Hermitian pairing sum_i x_i conj(y_i) of (..., r, dim) arrays
     with the same r."""
     d = kind.dim
-    # rows ordered by i, then a, as in mat_mul
-    table = (y @ _RIGHT_CONJ[d]).reshape(y.shape[:-2] + (-1, d))
-    return _reduce(x.reshape(x.shape[:-2] + (-1, 1)) * table, axis=-2)
+    # rows ordered by i, then a, as in mat_mul; sizes spelled out, as -1 cannot resolve an empty batch
+    table = (y @ _RIGHT_CONJ[d]).reshape(y.shape[:-2] + (y.shape[-2] * d, d))
+    return _reduce(x.reshape(x.shape[:-2] + (x.shape[-2] * d, 1)) * table, axis=-2)
 
 
 def decode_coeffs(value, shape: tuple, field: str) -> np.ndarray:

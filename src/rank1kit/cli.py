@@ -348,7 +348,7 @@ def _cmd_jacobian(cfg):
     else:
         raise CommandError(f"field 'words' is missing (required for arity {rep.arity})")
     target = _choice(data, "target", ("trace", "length"))
-    method = _choice(data, "method", ("analytic", "fd"))
+    method = _choice(data, "method", ("analytic", "fd") if target == "trace" else ("analytic",))
     rtol = cfg.tol if cfg.tol is not None else sl2traces.RANK_RTOL
     if target == "trace":
         matrix, _ = sl2traces.trace_jacobian(rep, words, method=method)

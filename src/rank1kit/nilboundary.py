@@ -35,6 +35,7 @@ once and wrap the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +223,7 @@ class NilPoint:
 def _check_center(coeffs: np.ndarray):
     """Validate that the center is imaginary, and clear its real part."""
     c = coeffs[0]
-    if abs(c[0]) > _CENTER_TOL * max(1.0, float(np.linalg.norm(c))):
+    if abs(c[0]) > _CENTER_TOL * max(1.0, math.hypot(*c)):  # hypot cannot overflow
         raise ValueError("center must be purely imaginary")
     if c[0] != 0.0:
         c[0] = 0.0

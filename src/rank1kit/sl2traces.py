@@ -19,7 +19,9 @@ oracle and the Jacobians do.  check_word is the one word validator.
 Every translation length is read from traces by one batched kernel
 (_trace_lengths), whose length differentials are _length_rows, and one
 check (_loxodromic) raises NonLoxodromicError, naming the class and any
-word, for an element that must be loxodromic.
+word, for an element that must be loxodromic.  Points of the Riemann
+sphere have one representation, their lifts to C^2 ((z, 1), and (1, 0)
+for infinity): _lift reads math.inf from a point, _point writes it.
 """
 
 from __future__ import annotations
@@ -463,8 +465,8 @@ def _word_traces(rep, words, plan=None, tangents=False):
     """The images (W, 2, 2) of words under rep and their traces (W,), or
     with tangents (W, 1 + 3k), column 1 + 3i + j the differential along the
     curve X_i exp(t E_j): one engine call, through plan if given (the plan
-    of words).  ArithmeticError names the first word whose trace, or a
-    differential of it, is not finite: a product past the float range."""
+    of words).  ArithmeticError names the first word whose image, trace or
+    a differential is not finite: a product past the float range."""
     k = rep.arity
     G, dG = _rep_slots(rep), None
     if tangents:
@@ -476,9 +478,9 @@ def _word_traces(rep, words, plan=None, tangents=False):
                 dG[k + i, :, :, 3 * i + j, 0] = -(E @ G[k + i, :, :, 0])
     ends, T = _plan_traces(_word_plan(words, k) if plan is None else plan, G, dG)
     ends, T = ends[..., 0], T[..., 0]
-    if not np.isfinite(T).all():
-        bad = ~np.isfinite(T).all(axis=tuple(range(1, T.ndim)))
-        raise ArithmeticError("word %r overflows the float range" % (list(words[int(np.argmax(bad))]),))
+    if not (np.isfinite(T).all() and np.isfinite(ends).all()):
+        bad = [~np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in (ends, T)]
+        raise ArithmeticError("word %r overflows the float range" % (list(words[int(np.argmax(bad[0] | bad[1]))]),))
     return (ends[:, :, :, 0] if tangents else ends), T
 
 
@@ -580,64 +582,67 @@ def _reduced_words(arity, max_len):
         yield from (list(w) for w in frontier)
 
 
-def _is_inf(z):
-    return z == math.inf or (isinstance(z, complex) and (math.isinf(z.real) or math.isinf(z.imag)))
+def _lift(z):
+    """The lift of a point of the Riemann sphere to C^2: (1, 0) for
+    infinity (math.inf, or a complex with an infinite part), (z, 1) for
+    finite z, or past 2^500 its multiple (2^-e z, 2^-e), exact and with
+    finite squares.  The one reader of the encoding of infinity."""
+    if abs(z) <= 2.0 ** 500:
+        return (complex(z), 1.0)
+    if cmath.isinf(z):
+        return (1.0, 0.0)
+    s = 2.0 ** -math.frexp(abs(z))[1]
+    return (complex(z) * s, s)
 
 
-def _to_proj(z):
-    if _is_inf(z):
-        return np.array([1.0, 0.0], dtype=complex)
-    v = np.array([complex(z), 1.0], dtype=complex)
-    return v / np.linalg.norm(v)
+def _point(v):
+    """The point v0/v1 lifted to v, math.inf exactly where v1 = 0: the one
+    writer of the encoding of infinity.  A quotient past the float range
+    raises ArithmeticError; numpy's warning is the caller's to silence."""
+    if v[1] == 0:
+        return math.inf
+    z = complex(v[0] / v[1])
+    if not cmath.isfinite(z):
+        raise ArithmeticError("fixed point %r / %r overflows the float range" % (complex(v[0]), complex(v[1])))
+    return z
 
 
 def _sphere_distance(z, w):
-    """Chordal distance of two points of the Riemann sphere (complex or
-    math.inf), |det [u v]| for unit lifts u, v in C^2."""
-    u, v = _to_proj(z), _to_proj(w)
+    """Chordal distance |det [u v]| of two points with unit lifts u, v."""
+    u, v = np.array(_lift(z), dtype=complex), np.array(_lift(w), dtype=complex)
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
     return abs(u[0] * v[1] - u[1] * v[0])
 
 
-def _eigenvector_ratio(m, lam):
-    # (m - lam) v = 0; ratio v0/v1 on the sphere, read off the larger row
-    # so the cancellation of the quadratic formula never enters
-    r1 = (m[0, 0] - lam, m[0, 1])
-    r2 = (m[1, 0], m[1, 1] - lam)
-    row = r1 if max(abs(r1[0]), abs(r1[1])) >= max(abs(r2[0]), abs(r2[1])) else r2
-    a, b = row
-    if abs(a) <= 1e-14 * max(1.0, abs(b)):
-        return math.inf
-    return complex(-b / a)
-
-
 def _sphere_fixed_points(m, lam):
-    """Fixed points of the Mobius action of the determinant-one matrix m
-    on the Riemann sphere, as [attracting, repelling]: the eigenvector
-    ratios of its expanding eigenvalue lam (_trace_lengths) and of 1/lam.
-    The two coincide for parabolics; +-I fixes every point and gives []."""
-    if m[0, 1] == 0 and m[1, 0] == 0 and m[0, 0] == m[1, 1]:
-        return []
-    return [_eigenvector_ratio(m, lam), _eigenvector_ratio(m, 1.0 / lam)]
+    """Lifts [attracting, repelling] of the fixed points of m in SL2: the
+    eigenvectors (-b, a) of its expanding eigenvalue lam (_trace_lengths)
+    and of 1/lam, off the larger row (a, b) of m - lam, so the quadratic
+    formula's cancellation never enters; equal for parabolics, 0 for +-I."""
+    lifts = []
+    for mu in (lam, 1.0 / lam):
+        r1, r2 = (m[0, 0] - mu, m[0, 1]), (m[1, 0], m[1, 1] - mu)
+        a, b = r1 if max(abs(r1[0]), abs(r1[1])) >= max(abs(r2[0]), abs(r2[1])) else r2
+        lifts.append((-b, a))
+    return lifts
 
 
 def is_nonelementary(rep):
     """Numeric proxy: among the generators and their pairwise products,
     some pair of words has four distinct fixed points and no common
-    fixed point within 1e-8."""
+    fixed point within 1e-8, in the chordal distance of their lifts."""
     k = rep.arity
     words = [[i + 1] for i in range(k)]
     words += [[i + 1, j + 1] for i in range(k) for j in range(k) if i != j]
-    fixed = []
     ends, t = _word_traces(rep, words)
-    for m, lam in zip(ends, _trace_lengths(t).lam):
-        pts = _sphere_fixed_points(m, complex(lam))
-        if len(pts) == 2 and _sphere_distance(pts[0], pts[1]) > 1e-8:
-            fixed.append(pts)
-    for a in range(len(fixed)):
-        for b in range(a + 1, len(fixed)):
-            if not any(_sphere_distance(u, v) <= 1e-8 for u in fixed[a] for v in fixed[b]):
-                return True
-    return False
+    U = np.array([_sphere_fixed_points(m, lam) for m, lam in zip(ends, _trace_lengths(t).lam.tolist())])
+    U /= np.maximum(np.abs(U).max(axis=-1, keepdims=True), np.finfo(float).tiny)  # no product below overflows
+    # far[i, j, p, q]: point p of word i, lifted to U[i, p], is more than 1e-8 from point q of word j
+    u, v = U[:, None, :, None], U[None, :, None, :]
+    far = (np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+           > 1e-8 * np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
+    distinct = np.diagonal(far[:, :, 0, 1])  # +-I, with lifts 0, has none
+    return bool(np.triu(far.all(axis=(2, 3)) & distinct[:, None] & distinct[None, :], 1).any())
 
 
 def _commutes(A, B):
@@ -695,10 +700,10 @@ def coordinate_words(rep, seed_words):
     return [words[n] for n in chosen]
 
 
-def random_sl2(rng, scale=1.0):
+def random_sl2(rng):
     """A random determinant-one matrix from a complex Gaussian."""
     while True:
-        m = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) > 1e-6:
             return SL2(m / cmath.sqrt(det), check=False)

@@ -34,10 +34,11 @@ from .sl2traces import (
     check_word,
     is_nonelementary,
     word_inverse,
-    _is_inf,
     _length_rows,
+    _lift,
     _loxodromic,
     _plan_traces,
+    _point,
     _reduced_words,
     _rep_slots,
     _sphere_distance,
@@ -276,27 +277,19 @@ def fixed_points(A):
 def _fixed_pairs(*mats):
     # fixed_points of each element, from one call of the length kernel
     lams = _loxodromic(_trace_lengths([A.trace() for A in mats]), [A.mat for A in mats]).lam
-    return [FixedPair(*_sphere_fixed_points(A.mat, complex(lam))[::-1]) for A, lam in zip(mats, lams)]
+    with np.errstate(over="ignore", invalid="ignore"):  # _point raises on a point past the float range
+        return [FixedPair(*map(_point, _sphere_fixed_points(A.mat, lam)[::-1])) for A, lam in zip(mats, lams.tolist())]
 
 
 def complex_crossratio(x1, x2, x3, x4):
     """(x1-x3)(x2-x4) / ((x1-x4)(x2-x3)) on the Riemann sphere.
 
-    A single infinite point appears in one numerator and one denominator
-    factor; those cancel.  Two infinite points among the four means a
-    coincident pair, which has no cross-ratio."""
-    pts = [x1, x2, x3, x4]
-    infs = [_is_inf(p) for p in pts]
-    if sum(infs) > 1:
-        raise ArithmeticError("cross-ratio of a quadruple with coincident infinite points")
-
-    def fac(i, j):
-        if infs[i] or infs[j]:
-            return None
-        return complex(pts[i]) - complex(pts[j])
-
-    n = math.prod((v for v in (fac(0, 2), fac(1, 3)) if v is not None), start=1.0 + 0.0j)
-    d = math.prod((v for v in (fac(0, 3), fac(1, 2)) if v is not None), start=1.0 + 0.0j)
+    Each difference xi - xj is det [lift_i, lift_j] of the lifts to C^2,
+    so infinity needs no rule of its own, and the quotient follows the
+    one cross-ratio policy of every model (_crossratio_quotient)."""
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = map(_lift, (x1, x2, x3, x4))
+    n = (a1 * b3 - b1 * a3) * (a2 * b4 - b2 * a4)
+    d = (a1 * b4 - b1 * a4) * (a2 * b3 - b2 * a3)
     return _crossratio_quotient(n, d)
 
 

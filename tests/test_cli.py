@@ -216,11 +216,23 @@ def test_crossratio_from_matrix_pair(tmp_path):
     data = json.loads(out)
     assert data["crossratio"] > 0.0
     assert "fixed_points" in data
+    # the attracting point of a is 1e15: finite, and so printed
+    inp = write_json(tmp_path / "far.json", {"a": [[2, 0], [1.5e-15, 0.5]], "b": [[2, 1], [1, 1]]})
+    rc, out, err = run_quiet(["crossratio", "--input", inp])
+    assert (rc, err) == (0, "")
+    data = json.loads(out)
+    assert data["fixed_points"]["a"]["attracting"] == 1000000000000000.1
+    assert data["crossratio"] == 1.909830056250523
+    # at 1.5e309 it has no float: a numeric failure, not a point at infinity
+    inp = write_json(tmp_path / "past.json", {"a": [[2, 0], [1e-309, 0.5]], "b": [[2, 1], [1, 1]]})
+    rc, out, err = run_quiet(["crossratio", "--input", inp])
+    assert rc == 2 and "overflows the float range" in err and not out
 
 
 def test_crossratio_nil_gauge_identity(tmp_path):
-    # |k|^4 and |center|^2 leave the float range at scales 1e78 and 1e-170
-    for scale in (1.0, 1e78, 1e-170):
+    # |k|^4 and |center|^2 leave the float range at scales 1e78 and 1e-170,
+    # and |center| itself nearly does at 1e300
+    for scale in (1.0, 1e78, 1e-170, 1e300):
         cfg = SpaceConfig(AlgebraKind.O, 2)
         rng = np.random.default_rng(3)
         g1, g2 = random_point(cfg, rng, scale), random_point(cfg, rng, scale)
@@ -234,7 +246,7 @@ def test_crossratio_nil_gauge_identity(tmp_path):
         rc, out, err = run_quiet(["crossratio", "--input", inp])
         assert (rc, err) == (0, "")
         got = json.loads(out)["crossratio"]
-        ref = qnorm(g1) ** 2 / qnorm(g2) ** 2
+        ref = (qnorm(g1) / qnorm(g2)) ** 2
         assert abs(got - ref) <= 1e-9 * ref
         for kind, m in [(AlgebraKind.R, 3), (AlgebraKind.C, 2), (AlgebraKind.H, 2), (AlgebraKind.O, 2)]:
             quad = [random_point(SpaceConfig(kind, m), rng, scale) for _ in range(4)]
@@ -351,6 +363,12 @@ def test_jacobian_validation(tmp_path):
     inp2 = write_json(tmp_path / "bad2.json", {"generators": gens, "target": "nope"})
     rc, _, err = run_quiet(["jacobian", "--input", inp2])
     assert rc == 1 and "target" in err
+    # the length Jacobian has no finite-difference path
+    outp = tmp_path / "out.json"
+    for method, code in (("fd", 1), ("analytic", 0)):
+        inp3 = write_json(tmp_path / "len.json", {"generators": gens, "target": "length", "method": method})
+        rc, _, err = run_quiet(["jacobian", "--input", inp3, "--output", str(outp)])
+        assert rc == code and ("'method'" in err) == (code == 1) and outp.exists() == (code == 0)
 
 
 def test_jacobian_of_an_overflowing_word_exits_2(tmp_path):

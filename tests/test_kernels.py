@@ -17,6 +17,20 @@ KINDS = (
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
+@pytest.mark.parametrize("kernel, tail", [
+    (lambda kind, pts: N.nmul_coeffs(kind, pts[:, 0], pts[:, 1]), lambda m, d: (m, d)),
+    (lambda kind, pts: N.dist_coeffs(kind, pts[:, 0], pts[:, 1]), lambda m, d: ()),
+    (lambda kind, pts: N.crossratio_nil_coeffs(kind, pts, np.zeros((0, 4), dtype=bool)), lambda m, d: ()),
+    (lambda kind, pts: B.inner_coeffs(kind, pts[:, 0], pts[:, 1]), lambda m, d: (d,)),
+    (lambda kind, pts: B.crossratio_ball_coeffs(kind, pts), lambda m, d: ()),
+], ids=["nmul", "dist", "crossratio_nil", "inner", "crossratio_ball"])
+@pytest.mark.parametrize("kind, m", KINDS)
+def test_kernels_take_empty_batches(kernel, tail, kind, m):
+    # zero rows in, zero rows out, as for the other kernels
+    out = kernel(kind, np.zeros((0, 4, m, kind.dim)))
+    assert out.shape == (0,) + tail(m, kind.dim)
+
+
 def _stack(points):
     return np.stack([p.coeffs for p in points])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,11 @@ def test_json_round_trip():
         assert NilPoint.from_dict(g.to_dict()).isclose(g, tol=1e-15)
     top = NilPoint.infinity(SpaceConfig(AlgebraKind.O, 2))
     assert NilPoint.from_dict(top.to_dict()).is_infinity
+    # the center check takes no square of a far center
+    far = {"config": {"kind": "C", "m": 2}, "center": [0.0, 1e300], "horizontal": [[1e300, -1e300]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert NilPoint.from_dict(far).to_dict() == {"infinity": False, **far}
 
 
 def _dilate(g, e):

@@ -481,6 +481,16 @@ def test_overflowing_words_raise_arithmetic_error(word):
             trace_jacobian(README_PAIR, [word])
 
 
+def test_an_infinite_product_with_a_finite_trace_raises():
+    # the square of [[1, 1e308], [0, 1]] has trace 2 and the entry 2e308
+    rep = SL2Rep([SL2([[1.0, 1e308], [0.0, 1.0]])])
+    assert rep.evaluate([1]).mat[0, 1] == 1e308
+    for read in (rep.evaluate, lambda w: trace_word(rep, w)):
+        with pytest.raises(ArithmeticError) as err:
+            read([1, 1])
+        assert str(err.value) == "word [1, 1] overflows the float range"
+
+
 _ROTATION = [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]
 
 
@@ -620,3 +630,9 @@ def test_is_nonelementary_reps():
     for gens in elementary:
         assert not is_nonelementary(SL2Rep(gens))
     assert is_nonelementary(random_schottky_pair(np.random.default_rng(4)))
+    # fixed-point lifts with parts far past the square root of the float range
+    B = SL2([[2.0, 1.0], [1.0, 1.0]])
+    for s in (1e160, 1e200):
+        A = SL2([[s, 0.0], [0.0, 1.0 / s]])
+        assert is_nonelementary(SL2Rep([A, B])) and is_nonelementary(SL2Rep([B @ A @ B.inverse(), B]))
+        assert not is_nonelementary(SL2Rep([B @ A @ B.inverse(), B @ SL2.diagonal(3.0) @ B.inverse()]))

@@ -205,6 +205,8 @@ def test_fixed_pair_guards():
     assert p.swapped().attracting == math.inf
     with pytest.raises(ValueError):
         FixedPair(1.0 + 0j, 1.0 + 0j)
+    # a point whose squared modulus overflows is still apart from 0
+    assert FixedPair(0.0, 1e200).attracting == 1e200
 
 
 def test_fixed_points_diagonal_convention():
@@ -214,6 +216,11 @@ def test_fixed_points_diagonal_convention():
     assert q.attracting == 0.0 and q.repelling == math.inf
     with pytest.raises(NonLoxodromicError):
         fixed_points(SL2.identity())
+    # [[1, 0], [t, 1]] moves infinity to 1/t: a finite point, however far
+    for t in (1e-13, 1e-14, 1e-15, 1e-16, 1e-160, 1e-300):
+        C = SL2([[1.0, 0.0], [t, 1.0]])
+        p = fixed_points(C @ SL2.diagonal(2.0) @ C.inverse())
+        assert p.repelling == 0.0 and abs(p.attracting - 1.0 / t) <= 1e-15 / t
 
 
 def test_fixed_points_equivariance():
@@ -239,6 +246,17 @@ def test_complex_crossratio_infinity_handling():
     assert abs(z - ref) <= 1e-14
     with pytest.raises(ArithmeticError):
         complex_crossratio(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
+    # coincident infinite points follow the rule of coincident finite ones
+    inf = math.inf
+    for at_inf, finite, want in (((inf, inf, 0.0, 1.0), (5.0, 5.0, 0.0, 1.0), 1.0),
+                                 ((inf, 1.0, inf, 2.0), (5.0, 1.0, 5.0, 2.0), 0.0),
+                                 ((inf, 1.0, 2.0, inf), (5.0, 1.0, 2.0, 5.0), inf)):
+        assert complex_crossratio(*at_inf) == complex_crossratio(*finite) == want
+    for quad in ((inf, inf, inf, 1.0), (5.0, 5.0, 5.0, 1.0)):
+        with pytest.raises(ArithmeticError, match="0/0"):
+            complex_crossratio(*quad)
+    # far points, whose factors multiply past the float range
+    assert abs(complex_crossratio(1e200, -1e200, 0.0, 1.0) - 1.0) <= 1e-15
 
 
 def test_lemma1_sequence_converges_to_crossratio():
