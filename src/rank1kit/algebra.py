@@ -19,6 +19,10 @@ right factor by T with one matmul, which is exact because each (a, c)
 meets a single b, and then sums over the left factor's index a in order.
 Summing in that order keeps every product bit-identical to the plain
 einsum over T.
+
+The package's public value classes share one contract, stated once in
+_Value: a value is immutable with read-only arrays, its constructor
+validates, and _wrap builds one around trusted fields without validation.
 """
 
 from __future__ import annotations
@@ -150,6 +154,33 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """a, made read-only in place."""
     a.setflags(write=False)
     return a
+
+
+class _Value:
+    """An immutable value: a constructor validates its input and then
+    calls _set; _wrap skips the validation."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # _set(*values) assigns __slots__ in order, each ndarray made read-only.
+        # It runs on every kernel result, so each class compiles it to straight-line
+        # code, as dataclasses compiles __init__: a loop made _wrap 1.5 times as slow.
+        names = cls.__slots__
+        body = "".join(f"\n    if isinstance({n}, ndarray):\n        {n}.setflags(write=False)"
+                       f"\n    setattr(self, {n!r}, {n})" for n in names)
+        scope = {"ndarray": np.ndarray, "setattr": object.__setattr__}
+        exec(f"def _set(self, {', '.join(names)}):{body}", scope)
+        cls._set = scope["_set"]
+
+    @classmethod
+    def _wrap(cls, *values):
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def mul_coeffs(kind: AlgebraKind, x, y) -> np.ndarray:
@@ -289,7 +320,7 @@ def encode_complex(z):
     return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
-class AlgebraElement:
+class AlgebraElement(_Value):
     """A single element of R, C, H or O.
 
     Thin wrapper around a read-only float64 coefficient vector. Supports
@@ -305,11 +336,7 @@ class AlgebraElement:
             raise ValueError(
                 f"kind {kind.name} expects {kind.dim} coefficients, got shape {arr.shape}"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "coeffs", _frozen(arr.copy()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+        self._set(kind, arr.copy())
 
     # -- constructors
 

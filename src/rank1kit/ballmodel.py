@@ -43,7 +43,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraKind,
-    _frozen,
+    _Value,
     conj_coeffs,
     decode_coeffs,
     inv_coeffs,
@@ -76,7 +76,7 @@ _SPHERE_TOL = 1e-10
 _reduce = np.add.reduce
 
 
-class BallPoint:
+class BallPoint(_Value):
     """Point (w1, w2) of the closed unit ball in F^(m-1) x F.
 
     `coeffs` holds w1 in rows 0..m-2 and w2 in row m-1.
@@ -91,21 +91,7 @@ class BallPoint:
         for c in w1 + (w2,):
             if c.kind is not config.kind:
                 raise ValueError("coordinate kind does not match the configuration")
-        self._set(config, _frozen(np.array([c.coeffs for c in w1 + (w2,)])))
-
-    def _set(self, config, coeffs):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _wrap(cls, config: SpaceConfig, coeffs: np.ndarray) -> "BallPoint":
-        """A point around a kernel result, without validation."""
-        self = object.__new__(cls)
-        self._set(config, _frozen(coeffs))
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BallPoint is immutable")
+        self._set(config, np.array([c.coeffs for c in w1 + (w2,)]))
 
     @classmethod
     def origin(cls, config: SpaceConfig) -> "BallPoint":

@@ -44,7 +44,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraKind,
-    _frozen,
+    _Value,
     conj_coeffs,
     decode_coeffs,
     inv_coeffs,
@@ -166,7 +166,7 @@ def _hyperbolic(S: np.ndarray, e, names=("element",)) -> list[float]:
     return lengths
 
 
-class GroupMatrix:
+class GroupMatrix(_Value):
     """Matrix over F in {R, C, H} preserving J = diag(1, ..., 1, -1).
 
     Stored as an (m+1, m+1, dim) real coefficient array. The invariant
@@ -183,15 +183,11 @@ class GroupMatrix:
         n = config.m + 1
         if coeffs.shape != (n, n, config.kind.dim):
             raise ValueError(f"expected coefficient shape {(n, n, config.kind.dim)}")
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "coeffs", _frozen(coeffs.copy()))
+        self._set(config, coeffs.copy())
         if check:
             r = self.form_residual()
             if r > _FORM_TOL:
                 raise ValueError(f"matrix does not preserve the form (residual {r:.3e})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupMatrix is immutable")
 
     @classmethod
     def identity(cls, config: SpaceConfig) -> "GroupMatrix":
@@ -265,7 +261,7 @@ class GroupMatrix:
         return f"GroupMatrix({self.config.kind.name}, size {self.size})"
 
 
-class NormalIsometry:
+class NormalIsometry(_Value):
     """Axis-fixing normal form (M, nu, s) for a given space."""
 
     __slots__ = ("config", "M", "nu", "s")
@@ -289,13 +285,7 @@ class NormalIsometry:
             res = mat_mul(kind, _mat_conj_t(kind, M), M) - _mat_identity(kind, r)
             if np.max(norm_coeffs(res)) > _FORM_TOL:
                 raise ValueError("rotation block is not unitary")
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "M", _frozen(M.copy()))
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "s", float(s))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalIsometry is immutable")
+        self._set(config, M.copy(), nu, float(s))
 
     @classmethod
     def dilation(cls, config: SpaceConfig, s: float) -> "NormalIsometry":

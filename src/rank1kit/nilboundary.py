@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraKind, _frozen, decode_coeffs, pairing
+from .algebra import AlgebraElement, AlgebraKind, _Value, decode_coeffs, pairing
 
 __all__ = [
     "SpaceConfig",
@@ -108,7 +108,7 @@ def _norm_sq(x: np.ndarray) -> np.ndarray:
     return _reduce(_reduce(x * x, axis=-1), axis=-1)
 
 
-class NilPoint:
+class NilPoint(_Value):
     """A boundary point: group element [center, horizontal] or infinity.
 
     `coeffs` holds the center in row 0 and the horizontal coordinates in
@@ -134,22 +134,11 @@ class NilPoint:
                         raise ValueError("horizontal kind does not match the configuration")
                     coeffs[i] = h.coeffs
             _check_center(coeffs)
-        self._set(config, _frozen(coeffs), bool(is_infinity))
-
-    def _set(self, config, coeffs, is_infinity):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "is_infinity", is_infinity)
+        self._set(config, coeffs, bool(is_infinity))
 
     @classmethod
     def _wrap(cls, config: SpaceConfig, coeffs: np.ndarray, is_infinity: bool = False) -> "NilPoint":
-        """A point around a kernel result, without validation."""
-        self = object.__new__(cls)
-        self._set(config, _frozen(coeffs), is_infinity)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NilPoint is immutable")
+        return super()._wrap(config, coeffs, is_infinity)
 
     @classmethod
     def identity(cls, config: SpaceConfig) -> "NilPoint":

@@ -33,7 +33,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .algebra import _frozen, decode_complex, encode_complex
+from .algebra import _frozen, _Value, decode_complex, encode_complex
 
 DET_TOL = 1e-12
 CLASSIFY_TOL = 1e-9
@@ -91,7 +91,7 @@ def _expm_traceless(M):
     return np.cosh(mu) * np.eye(2, dtype=complex) + (np.sinh(mu) / mu) * M
 
 
-class SL2:
+class SL2(_Value):
     """A determinant-one 2x2 complex matrix."""
 
     __slots__ = ("_m",)
@@ -109,10 +109,7 @@ class SL2:
             # the tolerance grows with the entries squared; an overflowed det fails
             if not abs(det - 1.0) / scale <= DET_TOL * scale:
                 raise ValueError("determinant %s is not 1 within tolerance" % det)
-        object.__setattr__(self, "_m", _frozen(m.copy()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SL2 is immutable")
+        self._set(m.copy())
 
     @property
     def mat(self):
@@ -174,7 +171,7 @@ class SL2:
         return "SL2(%r)" % (self._m.tolist(),)
 
 
-class SL2Rep:
+class SL2Rep(_Value):
     """A representation of a free group: an ordered tuple of SL2 generators."""
 
     __slots__ = ("_gens",)
@@ -183,10 +180,7 @@ class SL2Rep:
         gens = tuple(g if isinstance(g, SL2) else SL2(g) for g in generators)
         if not gens:
             raise ValueError("need at least one generator")
-        object.__setattr__(self, "_gens", gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SL2Rep is immutable")
+        self._set(gens)
 
     @property
     def generators(self):
@@ -597,11 +591,16 @@ def _lift(z):
 
 def _point(v):
     """The point v0/v1 lifted to v, math.inf exactly where v1 = 0: the one
-    writer of the encoding of infinity.  A quotient past the float range
-    raises ArithmeticError; numpy's warning is the caller's to silence."""
+    writer of the encoding of infinity.  numpy divides by forming 1/v1, so
+    a lift with |v1| below 2^-500 is first scaled by 2^500, exactly.  A
+    quotient past the float range raises ArithmeticError; numpy's warning
+    is the caller's to silence."""
     if v[1] == 0:
         return math.inf
-    z = complex(v[0] / v[1])
+    a, b = v
+    if abs(b) < 2.0 ** -500:
+        a, b = a * 2.0 ** 500, b * 2.0 ** 500
+    z = complex(a / b)
     if not cmath.isfinite(z):
         raise ArithmeticError("fixed point %r / %r overflows the float range" % (complex(v[0]), complex(v[1])))
     return z

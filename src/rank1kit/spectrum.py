@@ -23,6 +23,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .algebra import _Value
 from .ballmodel import crossratio_ball
 from .isometry import _complex_embedding, _hyperbolic, boundary_fixed_points
 from .nilboundary import _crossratio_quotient
@@ -243,7 +244,7 @@ def _rescaled(S, e):
     return S * math.ldexp(1.0, -k), e + k
 
 
-class FixedPair:
+class FixedPair(_Value):
     """Repelling and attracting fixed points on the Riemann sphere.
 
     Points are complex numbers or math.inf for the point at infinity.
@@ -254,11 +255,7 @@ class FixedPair:
     def __init__(self, repelling, attracting):
         if _sphere_distance(repelling, attracting) < 1e-14:
             raise ValueError("fixed points must be distinct")
-        object.__setattr__(self, "repelling", repelling)
-        object.__setattr__(self, "attracting", attracting)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FixedPair is immutable")
+        self._set(repelling, attracting)
 
     def swapped(self):
         return FixedPair(self.attracting, self.repelling)

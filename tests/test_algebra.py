@@ -227,3 +227,65 @@ def test_coefficient_round_trip():
     rng = np.random.default_rng(8)
     x = random_element(AlgebraKind.O, rng)
     assert isclose(AlgebraElement(AlgebraKind.O, x.to_list()), x)
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: AlgebraKind.from_name("Z"), ValueError, "unknown algebra kind 'Z'", id="kind-name"),
+    pytest.param(lambda: AlgebraElement(AlgebraKind.H, [1.0, 2.0]), ValueError,
+                 "kind H expects 4 coefficients, got shape (2,)", id="element-shape"),
+    pytest.param(lambda: AlgebraElement.one(AlgebraKind.H).embed(AlgebraKind.C), ValueError,
+                 "cannot embed H into smaller C", id="embed-smaller"),
+])
+def test_algebra_validation_raises(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def _value_cases():
+    # every public value class, built through its validating constructor and
+    # through the trusted paths: kernel results, products and samplers
+    from rank1kit.ballmodel import BallPoint, stereo
+    from rank1kit.isometry import GroupMatrix, act_ball, random_form_preserving, random_normal_isometry
+    from rank1kit.nilboundary import NilPoint, SpaceConfig, nmul, random_point
+    from rank1kit.sl2traces import SL2, SL2Rep
+    from rank1kit.spectrum import FixedPair, fixed_points
+
+    rng = np.random.default_rng(0)
+    cfg = SpaceConfig(AlgebraKind.C, 2)
+    g, h = random_point(cfg, rng), random_point(cfg, rng)
+    a, b = SL2([[2.0, 0.0], [0.0, 0.5]]), SL2([[2.0, 1.0], [1.0, 1.0]])
+    cases = {
+        "AlgebraElement": AlgebraElement(AlgebraKind.O, np.arange(8.0)),
+        "AlgebraElement-product": AlgebraElement.one(AlgebraKind.H) * AlgebraElement.unit(AlgebraKind.H, 2),
+        "NilPoint": NilPoint(cfg, AlgebraElement.unit(AlgebraKind.C, 1), [AlgebraElement.one(AlgebraKind.C)]),
+        "NilPoint-nmul": nmul(g, h),
+        "NilPoint-infinity": NilPoint.infinity(cfg),
+        "BallPoint": BallPoint(cfg, [AlgebraElement.zero(AlgebraKind.C)], AlgebraElement.one(AlgebraKind.C)),
+        "BallPoint-stereo": stereo(g),
+        "BallPoint-act_ball": act_ball(random_normal_isometry(cfg, rng), stereo(h)),
+        "NormalIsometry": random_normal_isometry(cfg, rng),
+        "GroupMatrix": random_form_preserving(cfg, rng),
+        "GroupMatrix-product": GroupMatrix.identity(cfg) @ random_form_preserving(cfg, rng),
+        "SL2": a,
+        "SL2-product": a @ b,
+        "SL2Rep": SL2Rep([a, b]),
+        "FixedPair": FixedPair(0.0, 1.0),
+        "FixedPair-fixed_points": fixed_points(b),
+    }
+    return [pytest.param(case.split("-")[0], value, id=case) for case, value in cases.items()]
+
+
+@pytest.mark.parametrize("name,value", _value_cases())
+def test_public_values_are_immutable_with_read_only_arrays(name, value):
+    assert type(value).__name__ == name
+    slots = type(value).__slots__
+    for slot in slots + ("other",):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, None)
+    arrays = [getattr(value, slot) for slot in slots if isinstance(getattr(value, slot), np.ndarray)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert arrays or name in ("SL2Rep", "FixedPair")

@@ -321,3 +321,25 @@ def test_crossratio_zero_denominator_policy(model):
     assert cr(p, q, r, p) == math.inf
     with pytest.raises(ArithmeticError, match="0/0"):
         cr(p, q, p, p)
+
+
+_C2 = SpaceConfig(AlgebraKind.C, 2)
+_ONE_C = AlgebraElement.one(AlgebraKind.C)
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: BallPoint(_C2, [], _ONE_C), ValueError,
+                 "expected 1 first-block coordinates", id="first-block-count"),
+    pytest.param(lambda: BallPoint(_C2, [_ONE_C], AlgebraElement.one(AlgebraKind.H)), ValueError,
+                 "coordinate kind does not match the configuration", id="coordinate-kind"),
+    pytest.param(lambda: BallPoint.from_dict([0.0, 1.0]), ValueError,
+                 "a point must be an object", id="from-dict-not-object"),
+    pytest.param(lambda: BallPoint.from_dict({"config": _C2.to_dict(), "w2": [1.0, 0.0]}), ValueError,
+                 "a ball point needs fields 'w1' and 'w2'", id="from-dict-missing-field"),
+    pytest.param(lambda: chordal(BallPoint.origin(_C2), BallPoint.pole(_C2)), ValueError,
+                 "cannot renormalize the origin onto the sphere", id="chordal-at-origin"),
+])
+def test_ballmodel_validation_raises(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

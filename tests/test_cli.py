@@ -227,6 +227,12 @@ def test_crossratio_from_matrix_pair(tmp_path):
     inp = write_json(tmp_path / "past.json", {"a": [[2, 0], [1e-309, 0.5]], "b": [[2, 1], [1, 1]]})
     rc, out, err = run_quiet(["crossratio", "--input", inp])
     assert rc == 2 and "overflows the float range" in err and not out
+    # at about 9.76e307, from a lift with a subnormal coordinate, it is a float
+    inp = write_json(tmp_path / "subnormal.json", {"a": [[1.05, 0], [1e-309, 1 / 1.05]], "b": [[2, 1], [1, 1]]})
+    rc, out, err = run_quiet(["crossratio", "--input", inp])
+    assert (rc, err) == (0, "")
+    data = json.loads(out)
+    assert math.isfinite(data["fixed_points"]["a"]["attracting"]) and data["crossratio"] == 1.909830056250525
 
 
 def test_crossratio_nil_gauge_identity(tmp_path):
@@ -709,3 +715,15 @@ def test_outputs_are_byte_identical_to_the_goldens(tmp_path):
         rc, _, err = run_quiet(argv + ["--output", str(tmp_path / name)])
         assert rc == 0, err
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("job,fragment", [
+    pytest.param(cli.JobConfig("vogt"), "error: field 'input' is missing", id="vogt-without-input"),
+    pytest.param(cli.JobConfig("nope"), "error: unknown command 'nope'", id="unknown-command"),
+])
+def test_cli_validation_raises(job, fragment):
+    # a CommandError exits 1 with its message on stderr and nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(job)
+    assert (rc, out.getvalue()) == (1, "") and fragment in err.getvalue()

@@ -384,3 +384,62 @@ def test_json_round_trip():
     A = random_form_preserving(cfg, rng)
     B = GroupMatrix.from_dict(A.to_dict())
     assert np.max(np.abs(A.coeffs - B.coeffs)) == 0.0
+
+
+_R3, _C2, _H2, _O2 = (SpaceConfig(kind, m) for kind, m in KINDS)
+
+
+def _one(kind):
+    return AlgebraElement.one(kind)
+
+
+def _normal(config, M=None, nu=None):
+    kind = config.kind
+    M = isometry._mat_identity(kind, config.horizontal_len) if M is None else M
+    return NormalIsometry(config, M, _one(kind) if nu is None else nu, 0.5)
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: GroupMatrix(_C2, np.zeros((3, 3, 1))), ValueError,
+                 "expected coefficient shape (3, 3, 2)", id="matrix-shape"),
+    pytest.param(lambda: GroupMatrix.identity(_R3) @ GroupMatrix.identity(_C2), ValueError,
+                 "configuration mismatch", id="matmul-across-configurations"),
+    pytest.param(lambda: GroupMatrix.from_dict([[1.0]]), ValueError, "a matrix must be an object",
+                 id="matrix-from-dict-not-object"),
+    pytest.param(lambda: _normal(_C2, M=np.ones((2, 2, 2))), ValueError,
+                 "rotation block must have shape (1, 1, 2)", id="normal-block-shape"),
+    pytest.param(lambda: _normal(_C2, nu=_one(AlgebraKind.H)), ValueError, "kind mismatch", id="normal-nu-kind"),
+    pytest.param(lambda: _normal(_C2, nu=_one(AlgebraKind.C) * 2.0), ValueError, "nu must be a unit",
+                 id="normal-nu-unit"),
+    pytest.param(lambda: _normal(_O2, M=_one(AlgebraKind.O) * 2.0), ValueError,
+                 "octonion rotation block must be a unit scalar", id="normal-octonion-block"),
+    pytest.param(lambda: _normal(_R3, M=2.0 * np.eye(2)[..., None]), ValueError,
+                 "rotation block is not unitary", id="normal-block-unitary"),
+    pytest.param(lambda: NormalIsometry.from_dict("s"), ValueError, "an isometry must be an object",
+                 id="normal-from-dict-not-object"),
+    pytest.param(lambda: embed_normal(_normal(_O2)), ValueError,
+                 "matrix isometries need an associative kind", id="embed-normal-octonion"),
+    pytest.param(lambda: random_form_preserving(_O2, np.random.default_rng(0)), ValueError,
+                 "matrix isometries need an associative kind", id="random-form-preserving-octonion"),
+    pytest.param(lambda: act_interior(GroupMatrix.identity(_R3), BallPoint.origin(_C2)), ValueError,
+                 "configuration mismatch", id="act-interior-across-configurations"),
+    pytest.param(lambda: translation_length(np.eye(4)), TypeError,
+                 "expected a NormalIsometry or a GroupMatrix", id="translation-length-non-isometry"),
+    pytest.param(lambda: boundary_fixed_points(GroupMatrix.identity(_H2)), NotImplementedError,
+                 "fixed points via eigenvectors need a commutative kind", id="fixed-points-quaternion"),
+    pytest.param(lambda: action_identity_residual(0.5, AlgebraElement.unit(AlgebraKind.C, 1),
+                                                  _one(AlgebraKind.H), 1.0), ValueError,
+                 "kind mismatch", id="identity-kind"),
+    pytest.param(lambda: action_identity_residual(0.5, _one(AlgebraKind.C), _one(AlgebraKind.C), 1.0), ValueError,
+                 "Q must be purely imaginary", id="identity-imaginary"),
+    pytest.param(lambda: action_identity_residual(0.5, AlgebraElement.unit(AlgebraKind.C, 1),
+                                                  _one(AlgebraKind.C) * 2.0, 1.0), ValueError,
+                 "nu must be a unit", id="identity-unit"),
+    pytest.param(lambda: action_identity_residual(0.5, AlgebraElement.unit(AlgebraKind.C, 1),
+                                                  _one(AlgebraKind.C), 1.0, reading="other"), ValueError,
+                 "unknown reading 'other'", id="identity-reading"),
+])
+def test_isometry_validation_raises(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

@@ -231,3 +231,35 @@ def test_dilations_at_any_scale(kind, m, seed, e):
     quads = np.array([[p.coeffs for p in pts], [p.coeffs for p in moved]])
     assert crossratio_nil_coeffs(kind, quads).tolist() == [cr, cr]
     assert qnorm_coeffs(quads[:, 2]).tolist() == [qnorm(pts[2]), qnorm(moved[2])]
+
+
+_C2 = SpaceConfig(AlgebraKind.C, 2)
+_ONE_H = AlgebraElement.one(AlgebraKind.H)
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: SpaceConfig(AlgebraKind.R, 1), ValueError, "m must be at least 2", id="m-below-2"),
+    pytest.param(lambda: SpaceConfig(AlgebraKind.O, 3), ValueError,
+                 "the octonionic space only exists for m = 2", id="octonion-m"),
+    pytest.param(lambda: SpaceConfig.from_dict(["C", 2]), ValueError,
+                 "field 'config' must be an object", id="config-not-object"),
+    pytest.param(lambda: SpaceConfig.from_dict({"kind": 2, "m": 2}), ValueError,
+                 "field 'config.kind' must be one of R, C, H, O", id="config-kind-not-string"),
+    pytest.param(lambda: NilPoint(_C2, center=_ONE_H), ValueError,
+                 "center kind does not match the configuration", id="center-kind"),
+    pytest.param(lambda: NilPoint(_C2, horizontal=[]), ValueError,
+                 "expected 1 horizontal coordinates", id="horizontal-count"),
+    pytest.param(lambda: NilPoint(_C2, horizontal=[_ONE_H]), ValueError,
+                 "horizontal kind does not match the configuration", id="horizontal-kind"),
+    pytest.param(lambda: NilPoint.from_dict({"config": _C2.to_dict(), "center": [0.0, 1.0]}), ValueError,
+                 "a finite point needs fields 'center' and 'horizontal'", id="from-dict-missing-field"),
+    pytest.param(lambda: NilPoint.from_dict({"config": _C2.to_dict(), "center": [1.0, 1.0],
+                                             "horizontal": [[0.0, 0.0]]}), ValueError,
+                 "center must be purely imaginary", id="center-real-part"),
+    pytest.param(lambda: dist(NilPoint.identity(_C2), NilPoint.infinity(_C2)), ValueError,
+                 "distance to infinity is not defined", id="dist-to-infinity"),
+])
+def test_nilboundary_validation_raises(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

@@ -636,3 +636,14 @@ def test_is_nonelementary_reps():
         A = SL2([[s, 0.0], [0.0, 1.0 / s]])
         assert is_nonelementary(SL2Rep([A, B])) and is_nonelementary(SL2Rep([B @ A @ B.inverse(), B]))
         assert not is_nonelementary(SL2Rep([B @ A @ B.inverse(), B @ SL2.diagonal(3.0) @ B.inverse()]))
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    pytest.param(lambda: SL2(np.eye(3)), ValueError, "SL2 expects a 2x2 matrix, got shape (3, 3)", id="shape"),
+    pytest.param(lambda: SL2.diagonal(0), ValueError, "zero eigenvalue", id="diagonal-zero"),
+    pytest.param(lambda: SL2Rep([]), ValueError, "need at least one generator", id="no-generators"),
+])
+def test_sl2traces_validation_raises(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)

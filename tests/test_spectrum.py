@@ -221,6 +221,9 @@ def test_fixed_points_diagonal_convention():
         C = SL2([[1.0, 0.0], [t, 1.0]])
         p = fixed_points(C @ SL2.diagonal(2.0) @ C.inverse())
         assert p.repelling == 0.0 and abs(p.attracting - 1.0 / t) <= 1e-15 / t
+    # a lift whose second coordinate is subnormal: the point is a float
+    p = fixed_points(SL2([[1.05, 0.0], [1e-309, 1.0 / 1.05]]))
+    assert p.repelling == 0.0 and abs(p.attracting - (1.05 - 1.0 / 1.05) / 1e-309) <= 1e-14 * 1e308
 
 
 def test_fixed_points_equivariance():
@@ -1479,3 +1482,14 @@ def test_random_schottky_pair_properties():
 
         assert classify(A) == "loxodromic" and classify(B) == "loxodromic"
         assert is_nonelementary(SL2Rep([A, B]))
+
+
+@pytest.mark.parametrize("table,fragment", [
+    pytest.param({(1,): 1.0, (2,): 1.5, (1, 2): 2.0}, "oracle covers only 3 of the budget words", id="too-few-words"),
+    pytest.param({tuple(w): 0.0 for w in default_budget_words(2)},
+                 "oracle lengths all vanish; elementary or trivial source", id="all-lengths-vanish"),
+])
+def test_reconstruct_report_validation_raises(table, fragment):
+    with pytest.raises(ValueError) as err:
+        reconstruct_report(LengthOracle(table=table))
+    assert fragment in str(err.value)
